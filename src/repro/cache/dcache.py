@@ -6,7 +6,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cache.icache import CacheGeometry
-from repro.deprecation import warn_once
 
 
 @dataclass
@@ -20,7 +19,7 @@ class DCacheResult:
     miss_positions: np.ndarray = None
 
 
-def _dcache_result(
+def dcache_result(
     addresses: np.ndarray,
     geometry: CacheGeometry,
     positions: np.ndarray = None,
@@ -62,17 +61,3 @@ def _dcache_result(
         miss_positions=np.asarray(miss_pos, dtype=np.int64),
     )
 
-
-def simulate_dcache(
-    addresses: np.ndarray,
-    geometry: CacheGeometry,
-    positions: np.ndarray = None,
-) -> DCacheResult:
-    """Deprecated: use :func:`repro.sim.simulate` with a
-    :class:`~repro.sim.MemoryHierarchy` whose ``dcache`` is set."""
-    warn_once(
-        "simulate_dcache",
-        "simulate_dcache() is deprecated; use repro.sim.simulate() with "
-        "hierarchy.dcache set (or repro.sim.classic.dcache_result())",
-    )
-    return _dcache_result(addresses, geometry, positions)

@@ -3,15 +3,14 @@
 Two engines over the same span representation (per trace entry: start
 address + instructions fetched):
 
-* :func:`_direct_mapped_misses` -- vectorized, counts misses only;
-  used for the big cache-size x line-size sweeps (Figures 4/5).
+* :func:`direct_mapped_misses` -- vectorized, counts misses only;
+  the per-cell reference for the batched Figure 4/5 sweeps.
 * :class:`ICacheSim` -- set-associative LRU with the paper's detailed
   locality metrics (word usage, reuse, lifetimes, app/kernel
   interference); used for Figures 6, 7, 9-13.
 
-The public entry points for running simulations live in
-:mod:`repro.sim`; the ``simulate_*`` names kept here are deprecated
-delegating wrappers (one ``DeprecationWarning`` per process each).
+These are the simulation engines; callers compose them through the
+:mod:`repro.sim` facade.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro import obs
-from repro.deprecation import warn_once
 from repro.errors import SimulationError
 from repro.cache.stats import APP, KERNEL, InterferenceMatrix, LocalityStats
 from repro.ir import INSTRUCTION_BYTES
@@ -103,13 +101,13 @@ def collapse_consecutive(line_ids: np.ndarray) -> np.ndarray:
     return np.nonzero(keep)[0]
 
 
-def _direct_mapped_misses(
+def direct_mapped_misses(
     starts: np.ndarray, counts: np.ndarray, geometry: CacheGeometry
 ) -> int:
     """Vectorized direct-mapped miss count for one stream (the classic
-    whole-stream engine; public surface is ``repro.sim``)."""
+    whole-stream engine)."""
     if geometry.assoc != 1:
-        raise SimulationError("simulate_direct_mapped needs assoc=1")
+        raise SimulationError("direct_mapped_misses needs assoc=1")
     line_ids, _, _, _ = expand_line_runs(starts, counts, geometry.line_bytes)
     keep = collapse_consecutive(line_ids)
     line_ids = line_ids[keep]
@@ -128,19 +126,6 @@ def _direct_mapped_misses(
     changed = np.ones(len(order), dtype=bool)
     changed[1:] = sorted_lines[1:] != sorted_lines[:-1]
     return int((new_set | changed).sum())
-
-
-def simulate_direct_mapped(
-    starts: np.ndarray, counts: np.ndarray, geometry: CacheGeometry
-) -> int:
-    """Deprecated: use :func:`repro.sim.simulate` (or, for one raw
-    stream, :func:`repro.sim.classic.direct_mapped_misses`)."""
-    warn_once(
-        "simulate_direct_mapped",
-        "simulate_direct_mapped() is deprecated; use repro.sim.simulate() "
-        "or repro.sim.classic.direct_mapped_misses()",
-    )
-    return _direct_mapped_misses(starts, counts, geometry)
 
 
 @dataclass
@@ -331,7 +316,7 @@ class ICacheSim:
         return self.result
 
 
-def _lru_result(
+def lru_result(
     streams: List[Tuple[np.ndarray, np.ndarray]],
     geometry: CacheGeometry,
     detail: bool = False,
@@ -371,42 +356,3 @@ def _lru_result(
         raise SimulationError("no streams supplied")
     return merged
 
-
-def simulate_lru(
-    streams: List[Tuple[np.ndarray, np.ndarray]],
-    geometry: CacheGeometry,
-    detail: bool = False,
-) -> ICacheResult:
-    """Deprecated: use :func:`repro.sim.simulate` with
-    ``MemoryHierarchy.l1i_only(geometry, detail=...)``."""
-    warn_once(
-        "simulate_lru",
-        "simulate_lru() is deprecated; use repro.sim.simulate(streams, "
-        "MemoryHierarchy.l1i_only(geometry))",
-    )
-    return _lru_result(streams, geometry, detail=detail)
-
-
-def sweep_direct_mapped(
-    streams: List[Tuple[np.ndarray, np.ndarray]],
-    sizes: List[int],
-    line_sizes: List[int],
-) -> dict:
-    """Deprecated: use :func:`repro.sim.simulate_grid`, which evaluates
-    the whole grid in one batched pass over the streams.
-
-    Returns ``{(size, line): misses}`` summed over per-CPU caches.
-    """
-    warn_once(
-        "sweep_direct_mapped",
-        "sweep_direct_mapped() is deprecated; use repro.sim.simulate_grid()",
-    )
-    grid = {}
-    for size in sizes:
-        for line in line_sizes:
-            geometry = CacheGeometry(size, line, 1)
-            total = 0
-            for starts, counts in streams:
-                total += _direct_mapped_misses(starts, counts, geometry)
-            grid[(size, line)] = total
-    return grid

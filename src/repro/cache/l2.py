@@ -9,7 +9,6 @@ import numpy as np
 
 from repro import obs
 from repro.cache.icache import CacheGeometry, collapse_consecutive, expand_line_runs
-from repro.deprecation import warn_once
 from repro.execution.mp import DATA_BASE
 
 
@@ -95,7 +94,7 @@ class FirstTouchMapper:
         return (frames << _PAGE_SHIFT) | offsets
 
 
-def _l2_result(
+def l2_result(
     refill_streams: List[Tuple[np.ndarray, np.ndarray]],
     geometry: CacheGeometry,
     physical: bool = True,
@@ -173,17 +172,3 @@ def _l2_result(
         misses_data=misses_data,
     )
 
-
-def simulate_l2(
-    refill_streams: List[Tuple[np.ndarray, np.ndarray]],
-    geometry: CacheGeometry,
-    physical: bool = True,
-) -> L2Result:
-    """Deprecated: use :func:`repro.sim.simulate` with a
-    :class:`~repro.sim.MemoryHierarchy` whose ``l2`` is set."""
-    warn_once(
-        "simulate_l2",
-        "simulate_l2() is deprecated; use repro.sim.simulate() with "
-        "hierarchy.l2 set (or repro.sim.classic.l2_result())",
-    )
-    return _l2_result(refill_streams, geometry, physical=physical)

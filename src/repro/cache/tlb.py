@@ -8,7 +8,6 @@ from typing import List, Tuple
 import numpy as np
 
 from repro import obs
-from repro.deprecation import warn_once
 from repro.errors import SimulationError
 
 #: Alpha page size: 8 KB.
@@ -23,7 +22,7 @@ class TlbResult:
     unique_pages: int
 
 
-def _itlb_result(
+def itlb_result(
     streams: List[Tuple[np.ndarray, np.ndarray]],
     entries: int = 64,
     page_bytes: int = PAGE_BYTES,
@@ -96,17 +95,3 @@ def _itlb_result(
         unique_pages=len(touched),
     )
 
-
-def simulate_itlb(
-    streams: List[Tuple[np.ndarray, np.ndarray]],
-    entries: int = 64,
-    page_bytes: int = PAGE_BYTES,
-) -> TlbResult:
-    """Deprecated: use :func:`repro.sim.simulate` with a
-    :class:`~repro.sim.MemoryHierarchy` whose ``itlb_entries`` is set."""
-    warn_once(
-        "simulate_itlb",
-        "simulate_itlb() is deprecated; use repro.sim.simulate() with "
-        "hierarchy.itlb_entries set (or repro.sim.classic.itlb_result())",
-    )
-    return _itlb_result(streams, entries=entries, page_bytes=page_bytes)

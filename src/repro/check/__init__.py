@@ -8,9 +8,10 @@ reproduction: a diagnostics engine with stable codes
 (:mod:`~repro.check.layout_checks`), profile flow-conservation checks
 (:mod:`~repro.check.profile_checks`), layout-quality lints
 (:mod:`~repro.check.quality_checks`), static-vs-measured differential
-lints (:mod:`~repro.check.static_checks`), deprecated-API scanning
-(:mod:`~repro.check.deprecations`), and the cheap post-pass assertions
-used inside the layout pipeline (:mod:`~repro.check.structural`).
+lints (:mod:`~repro.check.static_checks`), the layout gate every
+producer runs before publishing a layout (:func:`gate_layout`), and the
+cheap post-pass assertions used inside the layout pipeline
+(:mod:`~repro.check.structural`).
 
 See ``docs/CHECKS.md`` for the full diagnostic catalogue and
 ``repro lint --help`` for the CLI front end.
@@ -22,11 +23,8 @@ from repro.check.api import (
     check_profile,
     check_quality,
     check_static_diff,
+    gate_layout,
     verify_layout,
-)
-from repro.check.deprecations import (
-    DEPRECATED_SIMULATORS,
-    scan_deprecated_calls,
 )
 from repro.check.diagnostics import (
     CODES,
@@ -48,7 +46,6 @@ __all__ = [
     "CheckContext",
     "CheckReport",
     "CheckRunner",
-    "DEPRECATED_SIMULATORS",
     "Diagnostic",
     "Severity",
     "check_all",
@@ -57,7 +54,7 @@ __all__ = [
     "check_profile",
     "check_quality",
     "check_static_diff",
-    "scan_deprecated_calls",
+    "gate_layout",
     "verify_chaining",
     "verify_layout",
     "verify_split_units",

@@ -3,10 +3,11 @@
 :func:`check_layout` / :func:`check_profile` / :func:`check_quality`
 bundle the individual passes into the three analysis families and
 return a :class:`~repro.check.diagnostics.CheckReport`;
-:func:`verify_layout` is the enforcement wrapper that raises
-:class:`~repro.errors.LayoutError` when a layout fails integrity
-checks (used by ``SpikeOptimizer(verify=True)`` and the
-``AdaptiveRelayout`` swap gate).
+:func:`gate_layout` is the one structure-then-addresses gate that the
+online relayout, the layout server, the fleet and ``repro lint
+--layout`` run before trusting a layout; :func:`verify_layout` is the
+enforcement wrapper that raises :class:`~repro.errors.LayoutError` when
+a layout fails integrity checks (used by ``SpikeOptimizer(verify=True)``).
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from repro.check.static_checks import (
     check_unreached_sampled,
 )
 from repro.errors import LayoutError
+from repro.ir import assign_addresses
 
 #: Structure-only layout passes (no address map required).
 _STRUCTURE_RUNNER = CheckRunner([
@@ -93,6 +95,22 @@ def check_layout(
     if address_map is not None and report.ok:
         ctx.address_map = address_map
         report.extend(_ADDRESS_RUNNER.run(ctx))
+    return report
+
+
+def gate_layout(binary, layout, target: str = "") -> CheckReport:
+    """The layout gate: structure checks, then addresses.
+
+    Structure passes run on their own first: ``assign_addresses``
+    refuses structurally broken layouts outright, and the gate must
+    *report* corruption, not crash on it.  Only a clean structure gets
+    an address map and the full :func:`check_layout` run.
+    """
+    report = check_layout(binary, layout, target=target)
+    if report.ok:
+        report = check_layout(
+            binary, layout, assign_addresses(binary, layout), target=target
+        )
     return report
 
 

@@ -32,8 +32,7 @@ class Severity(str, enum.Enum):
       must not be used (``--strict`` exits non-zero on these).
     * ``WARN`` -- suspicious but possibly legitimate (e.g. sampling
       noise in an estimated profile).
-    * ``INFO`` -- a quality lint or advisory (layout smells,
-      deprecated-API call sites).
+    * ``INFO`` -- a quality lint or advisory (layout smells).
     """
 
     ERROR = "error"
@@ -76,9 +75,6 @@ CODES: Dict[str, str] = {
     "STA003": "loop-frequency ranking inverted between static and measured profiles",
     "STA004": "statically-cold block is hot under measurement",
     "STA005": "measured block carries zero static flow (statically unreached)",
-    # -- deprecations (DEP*) ------------------------------------------
-    "DEP000": "source file could not be parsed by the deprecation scanner",
-    "DEP002": "call site uses a deprecated simulator entry point",
 }
 
 

@@ -1,10 +1,8 @@
 """The ``lint`` subcommand: the repro.check static analyses (Spike
-lint) over generated binaries or saved artifacts, plus the
-deprecated-API scan."""
+lint) over generated binaries or saved artifacts."""
 
 from __future__ import annotations
 
-import os
 from typing import Dict
 
 from repro.cli._common import emit_runlog, experiment_from
@@ -41,17 +39,6 @@ def register(sub, shared) -> Dict:
         help="exit non-zero when any error-severity finding is reported",
     )
     lint.add_argument(
-        "--no-deprecations", action="store_true",
-        help="skip the deprecated-API call-site scan",
-    )
-    lint.add_argument(
-        "--scan", action="append", default=None, metavar="PATH",
-        help="roots for the deprecated-API scan "
-        "(repeatable; default src, benchmarks, tools). When --scan is "
-        "the only selection, the artifact lint is skipped and only the "
-        "scan runs",
-    )
-    lint.add_argument(
         "--static-diff", action="store_true",
         help="also diff the measured profiles against the static "
         "prediction (STA* advisories; see docs/STATIC.md)",
@@ -62,13 +49,7 @@ def register(sub, shared) -> Dict:
 def _cmd_lint(args, out) -> int:
     import json as _json
 
-    from repro.check import (
-        CheckReport,
-        check_all,
-        check_layout,
-        check_profile,
-        scan_deprecated_calls,
-    )
+    from repro.check import CheckReport, check_all, check_profile, gate_layout
     from repro.harness.store import load_layout, load_profile
     from repro.ir import assign_addresses
     from repro.layout import ALL_COMBOS
@@ -76,30 +57,13 @@ def _cmd_lint(args, out) -> int:
     exp = experiment_from(args)
     report = CheckReport()
 
-    # When --scan is the only selection, run just the AST scan: the
-    # artifact lint of every combo would dominate the runtime and (being
-    # clean by construction) only bury the scan findings -- and --strict
-    # must gate on DEP* findings alone.
-    scan_only = bool(args.scan) and not (
-        args.layout or args.profile or args.combo or args.static_diff
-    )
-
-    if scan_only:
-        pass
-    elif args.layout or args.profile:
+    if args.layout or args.profile:
         # Artifact mode: lint saved files against the app binary.
         binary = exp.app.binary
         for path in args.layout or ():
             # No binary validation on load: lint must *report* a corrupt
             # layout, not crash on it.
-            layout = load_layout(path)
-            structure = check_layout(binary, layout, target=path)
-            report.extend(structure)
-            if structure.ok:
-                amap = assign_addresses(binary, layout)
-                report.extend(
-                    check_layout(binary, layout, amap, target=path)
-                )
+            report.extend(gate_layout(binary, load_layout(path), target=path))
         for path in args.profile or ():
             profile = load_profile(binary, path)
             report.extend(check_profile(binary, profile, target=path))
@@ -133,13 +97,6 @@ def _cmd_lint(args, out) -> int:
                     target=f"static-diff:{label}",
                 )
             )
-
-    if not args.no_deprecations:
-        roots = args.scan or [
-            r for r in ("src", "benchmarks", "tools") if os.path.isdir(r)
-        ]
-        for diagnostic in scan_deprecated_calls(roots):
-            report.add(diagnostic)
 
     if args.json:
         out.write(_json.dumps(report.to_json(), indent=2) + "\n")

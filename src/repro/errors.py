@@ -62,11 +62,6 @@ class SimulationError(ReproError):
     """Execution/cache/timing simulation misconfiguration."""
 
 
-class RemovedAPIError(ReproError):
-    """A removed legacy entry point was called; the message carries the
-    migration hint (the replacement API)."""
-
-
 class ParallelError(ReproError):
     """A parallel fan-out failed structurally: a worker crashed or a
     task exceeded the hard timeout.  The message names the offending

@@ -31,10 +31,6 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.deprecation import (  # noqa: F401  (reset re-exported for tests)
-    reset_deprecation_warnings,
-    warn_once,
-)
 from repro.errors import ConfigError, SimulationError
 from repro.execution import CombinedAddressMap, OltpSystem, SystemConfig, SystemTrace
 from repro.harness.runlog import RunLog
@@ -313,29 +309,6 @@ class Experiment:
         if self.store is None:
             return 0
         return self.pipeline.persist()
-
-    def _staged(self, stage: str, detail: str, name: str, loader, builder, saver):
-        """Deprecated: run one ad-hoc cacheable stage.
-
-        Historical entry point from before the stage graph; it now
-        declares a single-output :class:`~repro.pipeline.stage.Stage`
-        on the experiment's graph and executes it through the runner.
-        Declare stages directly instead.
-        """
-        warn_once(
-            "experiment-staged",
-            "Experiment._staged() is deprecated; declare a repro.pipeline "
-            "Stage on Experiment.pipeline.graph instead",
-        )
-        key = f"{stage}:{detail}" if detail else stage
-        runner = self.pipeline
-        if key not in runner.graph:
-            runner.graph.add(Stage(
-                name=stage, detail=detail,
-                outputs=(ArtifactSpec(name, loader, saver),),
-                build=lambda _: builder(),
-            ))
-        return runner.value(key)
 
     # -- programs -----------------------------------------------------------
 

@@ -133,8 +133,8 @@ def fig03_execution_profile(exp: Experiment) -> Table:
 #
 # The sweep figures replay prepared streams through many independent
 # cache geometries.  The Figure 4/5 direct-mapped grid goes through
-# repro.sim.simulate_grid (batched single-pass engine, shared-memory
-# stream buffers).  The LRU figures materialize streams in the parent
+# repro.sim.simulate_grid (batched single-pass engine, fanned per
+# stream).  The LRU figures materialize streams in the parent
 # and publish them through repro.pipeline's StreamHandoff; the
 # fork-based pool in resilient_map lets workers inherit them without
 # pickling multi-megabyte arrays, and retries the fan-out with backoff

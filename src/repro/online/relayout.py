@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro import obs
-from repro.check import check_layout
+from repro.check import gate_layout
 from repro.errors import LayoutError, StageGateError
 from repro.harness.runlog import CACHE_HIT, RunLog
 from repro.harness.store import ArtifactStore, load_layout, save_layout
@@ -170,17 +170,7 @@ class AdaptiveRelayout:
         )
 
     def _gate_report(self, layout: Layout):
-        """Run the integrity gate.  Structure checks come first on
-        their own: ``assign_addresses`` refuses structurally broken
-        layouts outright, and the gate must *report* corruption, not
-        crash on it."""
-        target = f"online/{self.combo}"
+        """Run the :func:`~repro.check.gate_layout` integrity gate."""
         with obs.span("online.relayout.verify", combo=self.combo):
-            report = check_layout(self.binary, layout, target=target)
-            if report.ok:
-                report = check_layout(
-                    self.binary, layout,
-                    assign_addresses(self.binary, layout), target=target,
-                )
-        return report
+            return gate_layout(self.binary, layout, target=f"online/{self.combo}")
 

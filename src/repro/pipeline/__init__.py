@@ -17,7 +17,7 @@ package is the one substrate they all run on:
   compatible with pre-pipeline caches (existing stores replay warm);
 - :func:`~repro.pipeline.fanout.resilient_map` /
   :class:`~repro.pipeline.fanout.StreamHandoff` — crashed-worker retry
-  atop ``parallel_map`` and SharedStreams-aware handoff to workers.
+  atop ``parallel_map`` and stream handoff to forked workers.
 
 See ``docs/PIPELINE.md`` for the stage model and the cache-key
 compatibility table.

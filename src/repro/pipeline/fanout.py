@@ -1,14 +1,12 @@
-"""Resilient fan-out and shared-stream handoff between stages.
+"""Resilient fan-out and stream handoff between stages.
 
 :func:`resilient_map` wraps :func:`~repro.harness.parallel.parallel_map`
 with crashed-worker retry: the whole map is re-run with exponential
 backoff when a worker dies or hangs (cells are pure functions of their
 arguments, so re-running is always safe and the retried results are
 bit-identical).  :class:`StreamHandoff` publishes prepared fetch-span
-streams to fork-based workers — optionally packed into
-:class:`~repro.sim.sharedmem.SharedStreams` blocks so every worker maps
-the same physical pages — and guarantees teardown (close + unlink)
-however the fan-out exits.
+streams to fork-based workers, which read the parent's arrays
+copy-on-write, and withdraws them however the fan-out exits.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, TypeVar
 from repro import obs
 from repro.errors import ParallelError
 from repro.harness.parallel import parallel_map
-from repro.sim.sharedmem import SharedStreams
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -83,40 +80,24 @@ class StreamHandoff:
             results = resilient_map(_cell, cells, jobs=jobs)
 
     Workers (which inherit the parent's memory over ``fork``) read the
-    published collections with ``StreamHandoff.get(key)``.  With
-    ``shared=True`` each collection is packed into one
-    :class:`~repro.sim.sharedmem.SharedStreams` block and workers get
-    zero-copy views of the same physical pages; the parent closes and
-    unlinks the blocks on exit either way.
+    published collections with ``StreamHandoff.get(key)``; the parent
+    withdraws them on exit.
     """
 
-    def __init__(self, streams: Dict[str, Any], *, shared: bool = False) -> None:
+    def __init__(self, streams: Dict[str, Any]) -> None:
         self._streams = streams
-        self._shared = shared
-        self._blocks: List[SharedStreams] = []
 
     def __enter__(self) -> "StreamHandoff":
-        published: Dict[str, Any] = {}
-        for key, collection in self._streams.items():
-            if self._shared:
-                block = SharedStreams.pack(collection)
-                self._blocks.append(block)
-                published[key] = block
-            else:
-                published[key] = list(collection)
         _HANDOFF.clear()
-        _HANDOFF.update(published)
+        _HANDOFF.update(
+            (key, list(collection)) for key, collection in self._streams.items()
+        )
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
         _HANDOFF.clear()
-        for block in self._blocks:
-            block.close()
-            block.unlink()
-        self._blocks = []
 
     @staticmethod
     def get(key: str) -> Any:
-        """The published collection for ``key`` (worker-side accessor);
-        iterating a shared collection yields zero-copy stream views."""
+        """The published collection for ``key`` (worker-side accessor)."""
         return _HANDOFF[key]

@@ -1,8 +1,8 @@
 """The pipeline runner: cache-aware execution of a stage graph.
 
 :class:`PipelineRunner` executes :class:`~repro.pipeline.graph.StageGraph`
-stages with exactly the cache semantics the harness established in
-``Experiment._staged``: try the :class:`~repro.harness.store.ArtifactStore`
+stages with exactly the cache semantics of the harness's historical
+cache-key scheme: try the :class:`~repro.harness.store.ArtifactStore`
 first (keys are ``(fingerprint, artifact-name)``, so caches written by
 pre-pipeline code replay warm), otherwise build and persist
 atomically.  Every execution is timed and accounted in a

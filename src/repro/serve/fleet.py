@@ -30,7 +30,7 @@ import numpy as np
 
 from repro import obs
 from repro.cache import CacheGeometry
-from repro.check import check_layout
+from repro.check import gate_layout
 from repro.errors import ConfigError, ServeError
 from repro.harness.store import layout_from_dict
 from repro.ir import assign_addresses
@@ -317,13 +317,7 @@ def _gate(binary, document) -> bool:
     """Re-run the repro.check gate fleet-side on a served document."""
     try:
         layout = layout_from_dict(document, binary)
-        report = check_layout(binary, layout, target="fleet")
-        if report.ok:
-            report = check_layout(
-                binary, layout, assign_addresses(binary, layout),
-                target="fleet",
-            )
-        return report.ok
+        return gate_layout(binary, layout, target="fleet").ok
     except Exception:
         return False
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.check import check_layout
+from repro.check import gate_layout
 from repro.errors import LayoutError, ProtocolError, ServeError
 from repro.harness.parallel import fork_available
 from repro.harness.store import (
@@ -43,7 +43,7 @@ from repro.harness.store import (
     layout_from_dict,
     layout_to_dict,
 )
-from repro.ir import Binary, assign_addresses
+from repro.ir import Binary
 from repro.layout import Combo, SpikeOptimizer
 from repro.pipeline import PipelineRunner, Stage, StageGraph
 from repro.serve.cache import DEFAULT_MEMORY_ENTRIES, LayoutCache
@@ -495,22 +495,13 @@ class LayoutServer:
         )
 
     def _gate_ok(self, document: Dict) -> bool:
-        """The ``repro.check`` swap gate over one layout document.
-
-        Structure checks run first on their own; address checks only
-        when the structure is clean (mirrors the online swap gate).
-        """
+        """The :func:`~repro.check.gate_layout` swap gate over one
+        layout document."""
         with obs.span("serve.gate"):
             try:
-                layout = layout_from_dict(document)
-                report = check_layout(self.binary, layout, target="serve")
-                if report.ok:
-                    report = check_layout(
-                        self.binary,
-                        layout,
-                        assign_addresses(self.binary, layout),
-                        target="serve",
-                    )
+                report = gate_layout(
+                    self.binary, layout_from_dict(document), target="serve"
+                )
             except Exception:
                 report = None
         if report is not None and report.ok:

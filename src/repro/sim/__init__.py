@@ -8,9 +8,11 @@ shared trace chunks evaluates every direct-mapped geometry in the grid
 (see :mod:`repro.sim.batch` for the algorithm and
 ``docs/SIMULATION.md`` for the design).
 
-The legacy ``repro.cache.simulate_*`` functions are deprecated thin
-wrappers over the same engines; :mod:`repro.sim.classic` exposes the
-per-level reference implementations under non-deprecated names.
+The stack has two layers: the per-level engines live in
+:mod:`repro.cache` (``lru_result``, ``l2_result``, ``itlb_result``,
+``dcache_result``, ``direct_mapped_misses``) and this package is the
+facade that composes them.  The classic engines double as the
+differential oracle for the batched sweep.
 """
 
 from __future__ import annotations
@@ -20,9 +22,14 @@ from typing import Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro import obs
-from repro.cache.dcache import DCacheResult
-from repro.cache.l2 import simulate_l1i_misses
-from repro.sim import classic
+from repro.cache import (
+    DCacheResult,
+    dcache_result,
+    itlb_result,
+    l2_result,
+    lru_result,
+    simulate_l1i_misses,
+)
 from repro.sim.batch import (
     DEFAULT_CHUNK_INSTRUCTIONS,
     ENGINES,
@@ -30,15 +37,12 @@ from repro.sim.batch import (
     simulate_grid,
 )
 from repro.sim.hierarchy import MemoryHierarchy, SimResult
-from repro.sim.sharedmem import SharedStreams
 
 __all__ = [
     "DEFAULT_CHUNK_INSTRUCTIONS",
     "ENGINES",
     "MemoryHierarchy",
-    "SharedStreams",
     "SimResult",
-    "classic",
     "iter_chunks",
     "simulate",
     "simulate_grid",
@@ -84,17 +88,13 @@ def simulate(
     with obs.span("sim.simulate", hierarchy=str(hierarchy)):
         dcache_results: List[DCacheResult] = []
         if hierarchy.l2 is None:
-            icache = classic.lru_result(
-                stream_list, hierarchy.l1i, detail=hierarchy.detail
-            )
+            icache = lru_result(stream_list, hierarchy.l1i, detail=hierarchy.detail)
             result.icache = icache
             result.l1i_misses = icache.misses
             if data_streams and hierarchy.dcache is not None:
                 for addresses, positions in data_streams:
                     dcache_results.append(
-                        classic.dcache_result(
-                            addresses, hierarchy.dcache, positions
-                        )
+                        dcache_result(addresses, hierarchy.dcache, positions)
                     )
         else:
             refills: List[Tuple[np.ndarray, np.ndarray]] = []
@@ -106,21 +106,17 @@ def simulate(
                 refills.append((addresses, positions))
             if data_streams and hierarchy.dcache is not None:
                 for cpu, (addresses, positions) in enumerate(data_streams):
-                    dres = classic.dcache_result(
-                        addresses, hierarchy.dcache, positions
-                    )
+                    dres = dcache_result(addresses, hierarchy.dcache, positions)
                     dcache_results.append(dres)
                     refills[cpu] = (
                         np.concatenate([refills[cpu][0], dres.miss_addresses]),
                         np.concatenate([refills[cpu][1], dres.miss_positions]),
                     )
-            result.l2 = classic.l2_result(
+            result.l2 = l2_result(
                 refills, hierarchy.l2, physical=hierarchy.physical_l2
             )
         if dcache_results:
             result.dcache = _merge_dcache(dcache_results)
         if hierarchy.itlb_entries:
-            result.itlb = classic.itlb_result(
-                stream_list, entries=hierarchy.itlb_entries
-            )
+            result.itlb = itlb_result(stream_list, entries=hierarchy.itlb_entries)
     return result

@@ -24,9 +24,9 @@ cache size sharing that line size:
   per-chunk miss counts sum to exactly the whole-stream answer: the
   batched grid is bit-identical to the classic per-cell engine.
 
-Fan-out is per CPU stream (not per cell): the streams are packed into
-:class:`~repro.sim.sharedmem.SharedStreams` once and workers inherit or
-attach to the same block instead of re-pickling arrays per cell.
+Fan-out is per CPU stream (not per cell): the stream list is published
+in a module global before the pool forks, so workers read the parent's
+arrays copy-on-write instead of re-pickling them per cell.
 """
 
 from __future__ import annotations
@@ -36,11 +36,9 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.cache.icache import CacheGeometry
+from repro.cache import CacheGeometry, direct_mapped_misses
 from repro.errors import SimulationError
 from repro.ir import INSTRUCTION_BYTES
-from repro.sim.classic import direct_mapped_misses
-from repro.sim.sharedmem import SharedStreams
 
 #: Default chunk budget (instructions) for the batched traversal --
 #: large enough that quick-experiment streams stay one chunk, small
@@ -215,29 +213,20 @@ def _batched_stream_grid(
 
 # -- fan-out plumbing ---------------------------------------------------------
 #
-# Streams are packed into shared memory and published through a module
-# global before the pool forks; workers inherit the mapping (no attach,
-# no pickling).  The classic engine publishes the same way but fans per
-# cell, mirroring the historical per-cell pool shape.
+# Streams are published through a module global before the pool forks;
+# workers inherit the parent's arrays copy-on-write (no pickling).  The
+# classic engine publishes the same way but fans per cell, mirroring the
+# historical per-cell pool shape.  This is deliberately not a
+# ``StreamHandoff``: scenario cells run this sweep inside their own
+# handoff-published workers, and entering a handoff clears its global.
 
-_WORKER_STREAMS: Optional[SharedStreams] = None
-_WORKER_SPEC: Dict = {}
-
-
-def _publish(packed: Optional[SharedStreams], spec: Optional[Dict]) -> None:
-    global _WORKER_STREAMS
-    _WORKER_STREAMS = packed
-    _WORKER_SPEC.clear()
-    if spec:
-        _WORKER_SPEC.update(spec)
+#: ``(streams, groups, chunk_instructions)`` of the running fan-out.
+_WORKER_STATE: Tuple = ()
 
 
 def _batched_worker(index: int):
-    return _batched_stream_grid(
-        *_WORKER_STREAMS.stream(index),
-        _WORKER_SPEC["groups"],
-        _WORKER_SPEC["chunk_instructions"],
-    )
+    streams, groups, chunk_instructions = _WORKER_STATE
+    return _batched_stream_grid(*streams[index], groups, chunk_instructions)
 
 
 def _classic_worker(cell: Tuple[int, int]) -> int:
@@ -245,7 +234,7 @@ def _classic_worker(cell: Tuple[int, int]) -> int:
     geometry = CacheGeometry(size, line, 1)
     return sum(
         direct_mapped_misses(starts, counts, geometry)
-        for starts, counts in _WORKER_STREAMS
+        for starts, counts in _WORKER_STATE[0]
     )
 
 
@@ -279,24 +268,18 @@ def simulate_grid(
     if not stream_list:
         raise SimulationError("no streams supplied")
     groups = _group_geometries(sizes, line_sizes)
-    packed = SharedStreams.pack(stream_list)
+    global _WORKER_STATE
+    _WORKER_STATE = (stream_list, groups, chunk_instructions)
     try:
         if engine == "classic":
-            _publish(packed, None)
             cells = [(size, line) for size in sizes for line in line_sizes]
             counts = parallel_map(_classic_worker, cells, jobs=jobs)
             return dict(zip(cells, counts))
-        _publish(
-            packed,
-            {"groups": groups, "chunk_instructions": chunk_instructions},
-        )
         per_stream = parallel_map(
             _batched_worker, range(len(stream_list)), jobs=jobs
         )
     finally:
-        _publish(None, None)
-        packed.close()
-        packed.unlink()
+        _WORKER_STATE = ()
     grid: Dict[Tuple[int, int], int] = {
         (size, line): 0 for line, geoms in groups for size, _nsets in geoms
     }

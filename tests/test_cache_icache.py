@@ -12,9 +12,9 @@ from repro.cache import (
     CacheGeometry,
     ICacheSim,
     collapse_consecutive,
+    direct_mapped_misses,
     expand_line_runs,
-    simulate_direct_mapped,
-    simulate_lru,
+    lru_result,
 )
 from repro.osmodel.kernel import KERNEL_BASE
 
@@ -75,31 +75,31 @@ class TestDirectMapped:
     def test_cold_misses_only(self):
         geom = CacheGeometry(1024, 64, 1)
         starts, counts = spans((0, 16), (0, 16))
-        assert simulate_direct_mapped(starts, counts, geom) == 1
+        assert direct_mapped_misses(starts, counts, geom) == 1
 
     def test_conflict_thrash(self):
         geom = CacheGeometry(1024, 64, 1)
         # Two lines 1024 bytes apart map to the same set.
         starts, counts = spans(*([(0, 4), (1024, 4)] * 5))
-        assert simulate_direct_mapped(starts, counts, geom) == 10
+        assert direct_mapped_misses(starts, counts, geom) == 10
 
     def test_distinct_sets_no_conflict(self):
         geom = CacheGeometry(1024, 64, 1)
         starts, counts = spans(*([(0, 4), (64, 4)] * 5))
-        assert simulate_direct_mapped(starts, counts, geom) == 2
+        assert direct_mapped_misses(starts, counts, geom) == 2
 
     def test_requires_direct_mapped(self):
         geom = CacheGeometry(1024, 64, 2)
         with pytest.raises(SimulationError):
-            simulate_direct_mapped(*spans((0, 4)), geometry=geom)
+            direct_mapped_misses(*spans((0, 4)), geometry=geom)
 
     def test_agrees_with_lru_sim_when_assoc_1(self):
         geom = CacheGeometry(512, 64, 1)
         rng = np.random.default_rng(9)
         starts = rng.integers(0, 4096, size=400) * 4
         counts = rng.integers(1, 20, size=400)
-        dm = simulate_direct_mapped(starts, counts, geom)
-        lru = simulate_lru([(starts, counts)], geom).misses
+        dm = direct_mapped_misses(starts, counts, geom)
+        lru = lru_result([(starts, counts)], geom).misses
         assert dm == lru
 
 
@@ -108,25 +108,25 @@ class TestLruSim:
         dm = CacheGeometry(1024, 64, 1)
         w2 = CacheGeometry(1024, 64, 2)
         starts, counts = spans(*([(0, 4), (1024, 4)] * 5))
-        assert simulate_lru([(starts, counts)], dm).misses == 10
-        assert simulate_lru([(starts, counts)], w2).misses == 2
+        assert lru_result([(starts, counts)], dm).misses == 10
+        assert lru_result([(starts, counts)], w2).misses == 2
 
     def test_lru_eviction_order(self):
         geom = CacheGeometry(128, 64, 2)  # one set, two ways
         # a, b, c -> c evicts a; then a misses again.
         starts, counts = spans((0, 4), (1024, 4), (2048, 4), (0, 4))
-        assert simulate_lru([(starts, counts)], geom).misses == 4
+        assert lru_result([(starts, counts)], geom).misses == 4
 
     def test_lru_hit_refreshes(self):
         geom = CacheGeometry(128, 64, 2)
         # a, b, a, c -> c evicts b; a still resident.
         starts, counts = spans((0, 4), (1024, 4), (0, 4), (2048, 4), (0, 4))
-        assert simulate_lru([(starts, counts)], geom).misses == 3
+        assert lru_result([(starts, counts)], geom).misses == 3
 
     def test_space_attribution(self):
         geom = CacheGeometry(1024, 64, 1)
         starts, counts = spans((0, 4), (KERNEL_BASE, 4))
-        result = simulate_lru([(starts, counts)], geom)
+        result = lru_result([(starts, counts)], geom)
         assert result.misses_app == 1
         assert result.misses_kernel == 1
 
@@ -135,7 +135,7 @@ class TestLruSim:
         # App line then kernel line in the same set, alternating.
         k = KERNEL_BASE  # multiple of 128 -> same set as address 0
         starts, counts = spans((0, 4), (k, 4), (0, 4), (k, 4))
-        result = simulate_lru([(starts, counts)], geom)
+        result = lru_result([(starts, counts)], geom)
         matrix = result.interference
         # Only the very first access finds the set empty.
         assert matrix.cold == {APP: 1, KERNEL: 0}
@@ -147,19 +147,19 @@ class TestLruSim:
     def test_unique_lines_footprint(self):
         geom = CacheGeometry(1024, 64, 1)
         starts, counts = spans((0, 32), (0, 32))
-        result = simulate_lru([(starts, counts)], geom)
+        result = lru_result([(starts, counts)], geom)
         assert result.unique_lines == 2
 
     def test_multi_stream_merge(self):
         geom = CacheGeometry(1024, 64, 1)
         s1 = spans((0, 16))
         s2 = spans((0, 16))
-        result = simulate_lru([s1, s2], geom)
+        result = lru_result([s1, s2], geom)
         assert result.misses == 2  # private caches: each misses once
 
     def test_empty_streams_rejected(self):
         with pytest.raises(SimulationError):
-            simulate_lru([], CacheGeometry(1024, 64, 1))
+            lru_result([], CacheGeometry(1024, 64, 1))
 
 
 class TestDetailedStats:
@@ -213,8 +213,8 @@ class TestDetailedStats:
         rng = np.random.default_rng(3)
         starts = rng.integers(0, 2048, size=300) * 4
         counts = rng.integers(1, 12, size=300)
-        plain = simulate_lru([(starts, counts)], geom, detail=False)
-        detailed = simulate_lru([(starts, counts)], geom, detail=True)
+        plain = lru_result([(starts, counts)], geom, detail=False)
+        detailed = lru_result([(starts, counts)], geom, detail=True)
         assert plain.misses == detailed.misses
 
 
@@ -233,8 +233,8 @@ class TestCacheProperties:
         counts = np.ones(n, dtype=np.int64)
         small = CacheGeometry(1024, 64, 1)
         big = CacheGeometry(2048, 64, 1)
-        m_small = simulate_lru([(starts, counts)], small).misses
-        m_big = simulate_lru([(starts, counts)], big).misses
+        m_small = lru_result([(starts, counts)], small).misses
+        m_big = lru_result([(starts, counts)], big).misses
         assert m_big <= m_small
 
     @settings(max_examples=25, deadline=None)
@@ -248,8 +248,8 @@ class TestCacheProperties:
         counts = np.ones(n, dtype=np.int64)
         small = CacheGeometry(256, 64, 4)   # fully assoc, 4 lines
         big = CacheGeometry(512, 64, 8)     # fully assoc, 8 lines
-        m_small = simulate_lru([(starts, counts)], small).misses
-        m_big = simulate_lru([(starts, counts)], big).misses
+        m_small = lru_result([(starts, counts)], small).misses
+        m_big = lru_result([(starts, counts)], big).misses
         assert m_big <= m_small
 
     @settings(max_examples=20, deadline=None)
@@ -262,5 +262,5 @@ class TestCacheProperties:
         starts = np.array(addr, dtype=np.int64) * 4
         counts = np.ones(n, dtype=np.int64)
         geom = CacheGeometry(512, 64, 2)
-        result = simulate_lru([(starts, counts)], geom)
+        result = lru_result([(starts, counts)], geom)
         assert 0 <= result.misses <= result.accesses

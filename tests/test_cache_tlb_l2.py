@@ -6,10 +6,10 @@ import pytest
 from repro.cache import (
     CacheGeometry,
     PAGE_BYTES,
-    simulate_dcache,
-    simulate_itlb,
+    dcache_result,
+    itlb_result,
+    l2_result,
     simulate_l1i_misses,
-    simulate_l2,
 )
 from repro.cache.l2 import FirstTouchMapper
 from repro.errors import SimulationError
@@ -25,39 +25,39 @@ def spans(*pairs):
 class TestItlb:
     def test_cold_misses(self):
         streams = [spans((0, 4), (PAGE_BYTES, 4))]
-        result = simulate_itlb(streams, entries=4)
+        result = itlb_result(streams, entries=4)
         assert result.misses == 2
         assert result.unique_pages == 2
 
     def test_hits_within_page(self):
         streams = [spans((0, 4), (256, 4), (512, 4))]
-        result = simulate_itlb(streams, entries=4)
+        result = itlb_result(streams, entries=4)
         assert result.misses == 1
 
     def test_lru_capacity(self):
         pages = [0, 1, 2, 0, 1, 2]  # 3 pages in a 2-entry TLB: all miss
         streams = [spans(*[(p * PAGE_BYTES, 4) for p in pages])]
-        result = simulate_itlb(streams, entries=2)
+        result = itlb_result(streams, entries=2)
         assert result.misses == 6
 
     def test_lru_retains_recent(self):
         pages = [0, 1, 0, 2, 0]  # 0 stays hot in a 2-entry TLB
         streams = [spans(*[(p * PAGE_BYTES, 4) for p in pages])]
-        result = simulate_itlb(streams, entries=2)
+        result = itlb_result(streams, entries=2)
         assert result.misses == 3  # 0, 1, 2 cold; both 0-reuses hit
 
     def test_page_crossing_span(self):
         streams = [spans((PAGE_BYTES - 8, 6))]
-        result = simulate_itlb(streams, entries=4)
+        result = itlb_result(streams, entries=4)
         assert result.misses == 2
 
     def test_bad_entries_rejected(self):
         with pytest.raises(SimulationError):
-            simulate_itlb([spans((0, 4))], entries=0)
+            itlb_result([spans((0, 4))], entries=0)
 
     def test_per_cpu_private(self):
         streams = [spans((0, 4)), spans((0, 4))]
-        result = simulate_itlb(streams, entries=4)
+        result = itlb_result(streams, entries=4)
         assert result.misses == 2
 
 
@@ -65,7 +65,7 @@ class TestDcache:
     def test_basic_hit_miss(self):
         geom = CacheGeometry(256, 64, 2)
         addresses = np.array([0, 0, 64, 0], dtype=np.int64)
-        result = simulate_dcache(addresses, geom)
+        result = dcache_result(addresses, geom)
         assert result.misses == 2
         assert result.accesses == 4
 
@@ -73,7 +73,7 @@ class TestDcache:
         geom = CacheGeometry(128, 64, 1)
         addresses = np.array([0, 4096, 0], dtype=np.int64)
         positions = np.array([10, 20, 30], dtype=np.int64)
-        result = simulate_dcache(addresses, geom, positions)
+        result = dcache_result(addresses, geom, positions)
         assert result.miss_positions.tolist() == [10, 20, 30]
         assert result.miss_addresses.tolist() == [0, 4096, 0]
 
@@ -112,7 +112,7 @@ class TestSharedL2:
         geom = CacheGeometry(1024, 64, 2)
         refs = np.array([0, DATA_BASE], dtype=np.int64)
         pos = np.array([0, 1], dtype=np.int64)
-        result = simulate_l2([(refs, pos)], geom)
+        result = l2_result([(refs, pos)], geom)
         assert result.misses_instr == 1
         assert result.misses_data == 1
 
@@ -120,7 +120,7 @@ class TestSharedL2:
         geom = CacheGeometry(1024, 64, 2)
         a = (np.array([0], dtype=np.int64), np.array([0], dtype=np.int64))
         b = (np.array([0], dtype=np.int64), np.array([1], dtype=np.int64))
-        result = simulate_l2([a, b], geom)
+        result = l2_result([a, b], geom)
         assert result.misses == 1  # shared cache: second CPU hits
 
     def test_position_interleaving(self):
@@ -130,7 +130,7 @@ class TestSharedL2:
         conflict = 4096  # same set as 0 after identity-ish mapping
         a = (np.array([0, 0], dtype=np.int64), np.array([0, 2], dtype=np.int64))
         b = (np.array([conflict], dtype=np.int64), np.array([1], dtype=np.int64))
-        result = simulate_l2([a, b], geom, physical=False)
+        result = l2_result([a, b], geom, physical=False)
         assert result.misses == 3
 
     def test_physical_mapping_defuses_virtual_aliasing(self):
@@ -140,11 +140,11 @@ class TestSharedL2:
         a1, a2 = 0, 2 * PAGE_BYTES
         refs = np.array([a1, a2] * 4, dtype=np.int64)
         pos = np.arange(8, dtype=np.int64)
-        virtual = simulate_l2([(refs, pos)], geom, physical=False)
-        physical = simulate_l2([(refs, pos)], geom, physical=True)
+        virtual = l2_result([(refs, pos)], geom, physical=False)
+        physical = l2_result([(refs, pos)], geom, physical=True)
         assert virtual.misses == 8
         assert physical.misses == 2
 
     def test_empty_streams(self):
-        result = simulate_l2([], CacheGeometry(1024, 64, 2))
+        result = l2_result([], CacheGeometry(1024, 64, 2))
         assert result.accesses == 0

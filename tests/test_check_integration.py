@@ -1,9 +1,8 @@
 """End-to-end wiring of the repro.check analyses: the optimizer's
-opt-in verification, the AdaptiveRelayout swap gate, the every-combo
-property test, and the deprecation scanner."""
+opt-in verification, the AdaptiveRelayout swap gate, and the
+every-combo property test."""
 
 import dataclasses
-import textwrap
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.check import check_all, scan_deprecated_calls, verify_layout
+from repro.check import check_all, gate_layout, verify_layout
 from repro.errors import LayoutError
 from repro.ir import assign_addresses
 from repro.layout import ALL_COMBOS, SpikeOptimizer
@@ -127,51 +126,19 @@ class TestRelayoutGate:
         assert obs.counter("online.relayout.rejected").value == rejected
 
 
-class TestDeprecationScan:
-    def test_removed_streams_accessors_no_longer_scanned(self, tmp_path):
-        # DEP001 completed the deprecation ladder (warn -> raise ->
-        # deleted); callers now fail with AttributeError at runtime and
-        # the static scan no longer carries a row for them.
-        caller = tmp_path / "caller.py"
-        caller.write_text(textwrap.dedent("""
-            def run(exp):
-                streams = exp.app_streams("all")
-                return exp.streams("all", scope="kernel")
-        """))
-        findings = scan_deprecated_calls([str(tmp_path)])
-        assert findings == []
+class TestGateLayout:
+    def test_clean_layout_runs_structure_and_address_checks(
+        self, program, profile
+    ):
+        layout = SpikeOptimizer(program.binary, profile).layout("all")
+        runs = obs.counter("check.runs").value
+        report = gate_layout(program.binary, layout, target="gate")
+        assert report.ok, report.render()
+        # Structure runner, then structure + address runners.
+        assert obs.counter("check.runs").value == runs + 3
 
-    def test_finds_deprecated_simulator_callers(self, tmp_path):
-        caller = tmp_path / "sim_caller.py"
-        caller.write_text(textwrap.dedent("""
-            from repro.cache import simulate_lru
-
-            def run(streams, geometry, cache):
-                misses = simulate_lru(streams, geometry).misses
-                return misses + cache.simulate_direct_mapped(streams)
-        """))
-        findings = scan_deprecated_calls([str(tmp_path)])
-        # Promoted from warn after the PR-5 deprecation cycle completed.
-        assert {(f.code, f.severity.value) for f in findings} == \
-            {("DEP002", "error")}
-        assert len(findings) == 2
-        messages = " ".join(f.message for f in findings)
-        assert "simulate_lru" in messages
-        assert "simulate_direct_mapped" in messages
-        hints = " ".join(f.hint or "" for f in findings)
-        assert "repro.sim" in hints
-
-    def test_skips_shim_definitions(self, tmp_path):
-        shim_dir = tmp_path / "repro" / "cache"
-        shim_dir.mkdir(parents=True)
-        (shim_dir / "wrappers.py").write_text(
-            "def simulate_lru(streams, geometry):\n"
-            "    return simulate_lru\n"
-        )
-        assert scan_deprecated_calls([str(tmp_path)]) == []
-
-    def test_repo_sources_are_clean_of_deprecated_calls(self):
-        import pathlib
-
-        src = pathlib.Path(__file__).resolve().parent.parent / "src"
-        assert scan_deprecated_calls([str(src)]) == []
+    def test_corrupt_layout_is_reported_not_raised(self, program, profile):
+        bad = corrupt(SpikeOptimizer(program.binary, profile).layout("all"))
+        report = gate_layout(program.binary, bad, target="gate")
+        assert "LAY001" in report.codes()
+        assert {d.target for d in report.errors} == {"gate"}

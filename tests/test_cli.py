@@ -240,20 +240,23 @@ class TestLint:
         assert code == 0
         assert "0 error(s)" in text
 
+    @pytest.mark.parametrize("option", ["--scan=src", "--no-deprecations"])
+    def test_removed_options_are_argparse_errors(self, option):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("lint", option)
+        assert exit_info.value.code == 2
+
     def test_lint_json_output(self):
         import json
 
-        code, text = run_cli(
-            "lint", "--combo", "base", "--json", "--no-deprecations"
-        )
+        code, text = run_cli("lint", "--combo", "base", "--json")
         assert code == 0
         doc = json.loads(text)
         assert doc["errors"] == 0
 
     def test_strict_passes_on_clean_artifacts(self, artifacts):
         code, text = run_cli(
-            "lint", "--strict", "--no-deprecations",
-            "--layout", artifacts["clean_layout"],
+            "lint", "--strict", "--layout", artifacts["clean_layout"],
             "--profile", artifacts["clean_profile"],
         )
         assert code == 0
@@ -262,7 +265,7 @@ class TestLint:
     def test_strict_fails_with_eight_distinct_codes(self, artifacts):
         import json
 
-        argv = ["lint", "--strict", "--json", "--no-deprecations"]
+        argv = ["lint", "--strict", "--json"]
         for path in artifacts["layouts"]:
             argv += ["--layout", path]
         for path in artifacts["profiles"]:
@@ -279,50 +282,6 @@ class TestLint:
         }
         assert expected <= error_codes
         assert len(error_codes) >= 8
-
-    def test_lint_reports_deprecated_callers(self, tmp_path):
-        caller = tmp_path / "uses_old_api.py"
-        caller.write_text(
-            "def f(exp, geometry):\n"
-            "    simulate_lru(exp.streams('all', scope='app'), geometry)\n"
-        )
-        code, text = run_cli("lint", "--combo", "base", "--scan", str(caller))
-        assert code == 0  # non-strict runs always exit 0
-        assert "DEP002" in text
-        assert "simulate_lru" in text
-        # DEP002 is error-level: strict mode fails on it.
-        code, _ = run_cli(
-            "lint", "--combo", "base", "--strict", "--scan", str(caller)
-        )
-        assert code == 1
-
-
-class TestLintScanOnly:
-    def test_scan_only_gates_strict_on_dep_findings(self, tmp_path):
-        """Regression: with --scan as the only selection, the artifact
-        lint is skipped entirely and --strict still exits non-zero on
-        AST-scan findings alone."""
-        caller = tmp_path / "caller.py"
-        caller.write_text(
-            "from repro.cache import simulate_lru\n\n"
-            "def f(streams, geometry):\n"
-            "    return simulate_lru(streams, geometry)\n"
-        )
-        code, text = run_cli("lint", "--scan", str(caller), "--strict")
-        assert code == 1
-        assert "DEP002" in text
-        # No artifact lint ran: no layout/profile family in the report.
-        assert "LAY" not in text and "PRF" not in text
-
-    def test_scan_only_without_strict_exits_zero(self, tmp_path):
-        caller = tmp_path / "caller.py"
-        caller.write_text(
-            "def f(streams, geometry):\n"
-            "    return simulate_lru(streams, geometry)\n"
-        )
-        code, text = run_cli("lint", "--scan", str(caller))
-        assert code == 0
-        assert "DEP002" in text
 
 
 class TestProfileSourceFlags:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.errors import LayoutError, SimulationError
-from repro.cache import CacheGeometry, simulate_lru, simulate_stream_buffers
+from repro.cache import CacheGeometry, simulate_stream_buffers
 from repro.ir import (
     Binary,
     CodeUnit,

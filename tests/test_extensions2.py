@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import LayoutError, SimulationError
 from repro.analysis import branch_stats, merge_branch_stats
-from repro.cache import CacheGeometry, simulate_lru, simulate_victim_cache
+from repro.cache import CacheGeometry, lru_result, simulate_victim_cache
 from repro.ir import Binary, CodeUnit, Procedure, Terminator
 from repro.layout import build_trg, temporal_order
 
@@ -48,7 +48,7 @@ class TestVictimCache:
         rng = np.random.default_rng(8)
         starts = (rng.integers(0, 2000, size=300) * 64).astype(np.int64)
         counts = np.full(300, 8, dtype=np.int64)
-        plain = simulate_lru([(starts, counts)], self.GEOM).misses
+        plain = lru_result([(starts, counts)], self.GEOM).misses
         victim = simulate_victim_cache(starts, counts, self.GEOM, 4)
         assert victim.raw_misses == plain
 

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.cache import CacheGeometry
+from repro.cache import CacheGeometry, direct_mapped_misses
 from repro.harness import figures, quick_experiment
-from repro.sim import classic
 
 
 @pytest.fixture(scope="module")
@@ -49,11 +48,11 @@ class TestPipelineProducts:
     def test_optimization_reduces_misses(self, exp):
         geometry = CacheGeometry(32 * 1024, 128, 1)
         base = sum(
-            classic.direct_mapped_misses(s, c, geometry)
+            direct_mapped_misses(s, c, geometry)
             for s, c in exp.streams("base", scope="app")
         )
         optimized = sum(
-            classic.direct_mapped_misses(s, c, geometry)
+            direct_mapped_misses(s, c, geometry)
             for s, c in exp.streams("all", scope="app")
         )
         assert optimized < 0.7 * base
@@ -72,7 +71,7 @@ class TestStreamsApi:
         assert streams.instructions > 0
 
     def test_removed_wrappers_are_fully_deleted(self, exp):
-        # The *_streams shims went warning -> RemovedAPIError -> gone;
+        # The *_streams shims went warning -> error -> gone;
         # the attribute itself no longer exists.
         for legacy in (
             "app_streams", "kernel_streams",

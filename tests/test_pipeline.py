@@ -382,21 +382,6 @@ class TestStreamHandoff:
         with pytest.raises(KeyError):
             StreamHandoff.get("base")
 
-    def test_shared_blocks_round_trip_and_unlink(self):
-        import numpy as np
-
-        streams = [
-            (np.arange(4, dtype=np.int64), np.full(4, 2, dtype=np.int64)),
-            (np.arange(7, dtype=np.int64), np.full(7, 3, dtype=np.int64)),
-        ]
-        with StreamHandoff({"cells": streams}, shared=True):
-            block = StreamHandoff.get("cells")
-            views = list(block)
-            assert len(views) == 2
-            for (starts, counts), (vstarts, vcounts) in zip(streams, views):
-                assert np.array_equal(vstarts, starts)
-                assert np.array_equal(vcounts, counts)
-
 
 class TestCrashResume:
     def test_killed_graph_resumes_from_completed_stages(self, tmp_path):

@@ -15,7 +15,7 @@ from repro.analysis import (
     sequence_lengths,
     union_footprint_in_lines,
 )
-from repro.cache import CacheGeometry, simulate_direct_mapped, simulate_itlb
+from repro.cache import CacheGeometry, direct_mapped_misses, itlb_result
 from repro.harness import quick_experiment
 
 
@@ -30,7 +30,7 @@ def exp():
 def dm_misses(exp, combo, size_kb=32, line=128):
     geometry = CacheGeometry(size_kb * 1024, line, 1)
     return sum(
-        simulate_direct_mapped(s, c, geometry) for s, c in exp.streams(combo, scope="app")
+        direct_mapped_misses(s, c, geometry) for s, c in exp.streams(combo, scope="app")
     )
 
 
@@ -65,8 +65,8 @@ class TestHeadlineRegression:
         assert opt_lines < base_lines
 
     def test_itlb_improves(self, exp):
-        base = simulate_itlb(exp.streams("base", scope="combined"), entries=16).misses
-        optimized = simulate_itlb(exp.streams("all", scope="combined"), entries=16).misses
+        base = itlb_result(exp.streams("base", scope="combined"), entries=16).misses
+        optimized = itlb_result(exp.streams("all", scope="combined"), entries=16).misses
         assert optimized < base
 
     def test_kernel_fraction_band(self, exp):

@@ -1,18 +1,26 @@
 """The repro.sim facade: hierarchy composition, result shapes, engines."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.cache import CacheGeometry
-from repro.errors import SimulationError
-from repro.sim import (
-    MemoryHierarchy,
-    classic,
-    simulate,
-    simulate_grid,
+from repro.cache import (
+    CacheGeometry,
+    dcache_result,
+    direct_mapped_misses,
+    itlb_result,
+    l2_result,
+    lru_result,
 )
+from repro.errors import SimulationError
+from repro.sim import MemoryHierarchy, simulate, simulate_grid
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 L1I = CacheGeometry(1024, 64, 2)
 L2 = CacheGeometry(8 * 1024, 64, 1)
 
@@ -72,7 +80,7 @@ class TestHierarchy:
 class TestFacade:
     def test_lru_path_matches_classic(self, streams):
         result = simulate(streams, MemoryHierarchy.l1i_only(L1I))
-        reference = classic.lru_result(streams, L1I)
+        reference = lru_result(streams, L1I)
         assert result.misses == reference.misses
         assert result.icache is not None
         assert result.icache.misses == reference.misses
@@ -103,29 +111,40 @@ class TestFacade:
         refills = []
         for cpu, (starts, counts) in enumerate(streams):
             addr, pos = simulate_l1i_misses(starts, counts, L1I)
-            dres = classic.dcache_result(
+            dres = dcache_result(
                 data_streams[cpu][0], L1I, data_streams[cpu][1]
             )
             refills.append((
                 np.concatenate([addr, dres.miss_addresses]),
                 np.concatenate([pos, dres.miss_positions]),
             ))
-        reference_l2 = classic.l2_result(refills, L2)
+        reference_l2 = l2_result(refills, L2)
         assert result.l2.misses_instr == reference_l2.misses_instr
         assert result.l2.misses_data == reference_l2.misses_data
         assert result.l1i_misses == sum(
             len(simulate_l1i_misses(s, c, L1I)[0]) for s, c in streams
         )
-        assert result.itlb.misses == classic.itlb_result(
+        assert result.itlb.misses == itlb_result(
             streams, entries=32
         ).misses
         assert result.dcache.misses == sum(
-            classic.dcache_result(a, L1I, p).misses for a, p in data_streams
+            dcache_result(a, L1I, p).misses for a, p in data_streams
         )
 
     def test_dcache_skipped_without_data_streams(self, streams):
         result = simulate(streams, MemoryHierarchy(l1i=L1I, dcache=L1I))
         assert result.dcache is None
+
+
+@pytest.mark.parametrize("statement", [
+    "import repro.deprecation",
+    "import repro.sim.classic",
+    "import repro.sim.sharedmem",
+    "from repro.cache import simulate_lru",
+])
+def test_removed_layers_stay_removed(statement):
+    with pytest.raises(ImportError):
+        exec(statement, {})
 
 
 class TestSimulateGrid:
@@ -158,7 +177,7 @@ class TestSimulateGrid:
         for (size, line), misses in grid.items():
             geometry = CacheGeometry(size, line, 1)
             expected = sum(
-                classic.direct_mapped_misses(s, c, geometry)
+                direct_mapped_misses(s, c, geometry)
                 for s, c in streams
             )
             assert misses == expected
@@ -170,11 +189,34 @@ class TestSimulateGrid:
         assert obs.counter("sim.chunks").value > chunks_before
         assert len(obs.series("sim.batch_occupancy").points) > points_before
 
-    def test_shared_bytes_counter(self, streams):
-        before = obs.counter("sim.shared_bytes").value
-        simulate_grid(streams, (1024,), (64,))
-        expected = sum(16 * len(s) for s, _ in streams)
-        assert obs.counter("sim.shared_bytes").value == before + expected
+    def test_forked_sweep_starts_no_resource_tracker(self):
+        """A ``jobs=2`` sweep hands its streams to forked workers by
+        plain inheritance: no shared-memory segment is created, so the
+        multiprocessing resource tracker never starts."""
+        script = textwrap.dedent("""
+            import numpy as np
+            from multiprocessing import resource_tracker
+
+            from repro.sim import simulate_grid
+
+            rng = np.random.default_rng(3)
+            streams = [
+                ((rng.integers(0, 16384, size=300) * 4).astype(np.int64),
+                 rng.integers(1, 40, size=300).astype(np.int64))
+                for _ in range(2)
+            ]
+            grid = simulate_grid(streams, (1024, 4096), (32, 64), jobs=2)
+            assert resource_tracker._resource_tracker._pid is None
+            assert grid == simulate_grid(
+                streams, (1024, 4096), (32, 64), engine="classic"
+            )
+        """)
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_parallel_matches_serial(self, streams):
         serial = simulate_grid(streams, self.SIZES, self.LINES, jobs=1)

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import CacheGeometry
+from repro.cache import CacheGeometry, direct_mapped_misses
 from repro.ir import INSTRUCTION_BYTES
-from repro.sim import classic, iter_chunks, simulate_grid
+from repro.sim import iter_chunks, simulate_grid
 from repro.sim.batch import _expand_lines
 
 
@@ -23,7 +23,7 @@ def reference_grid(streams, sizes, lines):
         for line in lines:
             geometry = CacheGeometry(size, line, 1)
             grid[(size, line)] = sum(
-                classic.direct_mapped_misses(s, c, geometry)
+                direct_mapped_misses(s, c, geometry)
                 for s, c in streams
             )
     return grid

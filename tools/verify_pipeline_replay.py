@@ -2,10 +2,10 @@
 """Prove the stage-graph runner replays caches written by pre-pipeline code.
 
 The `repro.pipeline` refactor promised cache-key compatibility: the
-runner memoizes under the same ``(experiment fingerprint, artifact
-name)`` keys the old hand-rolled ``Experiment._staged`` plumbing used,
-so artifact stores written before the refactor replay warm through the
-new graph.  The old code is gone from the tree, so this script
+runner memoizes under the historical cache-key scheme -- the same
+``(experiment fingerprint, artifact name)`` keys the pre-pipeline
+harness used -- so artifact stores written before the refactor replay
+warm through the new graph.  The old code is gone from the tree, so this script
 recreates its footprint exactly:
 
 ``write-legacy``
