@@ -71,7 +71,8 @@ def _cmd_lint(args, out) -> int:
         combos = args.combo or list(ALL_COMBOS)
         for label, binary, profile, optimizer in (
             ("app", exp.app.binary, exp.profile, exp.optimizer),
-            ("kernel", exp.kernel.binary, exp.kernel_profile, exp.kernel_optimizer),
+            ("kernel", exp.kernel.binary, exp.kernel_profile,
+             exp.optimizer_for("measured", kernel=True)),
         ):
             report.extend(check_profile(binary, profile, target=f"profile:{label}"))
             for combo in combos:

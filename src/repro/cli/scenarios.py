@@ -223,7 +223,6 @@ def _cmd_static_bench(args, out) -> int:
         result = run_static_bench(
             specs,
             store=None if args.no_cache else store_from(args),
-            jobs=args.jobs,
         )
     except ScenarioError as exc:
         sys.stderr.write(f"static-bench: {exc}\n")

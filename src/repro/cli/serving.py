@@ -41,10 +41,6 @@ def register(sub, shared) -> Dict:
         "thread pool)",
     )
     serve.add_argument(
-        "--no-verify", action="store_true",
-        help="skip the repro.check gate on outgoing layouts (not advised)",
-    )
-    serve.add_argument(
         "--profile-source", choices=PROFILE_SOURCES, default="static",
         help="cold-start answer for layout requests with no cached "
         "profile (default static: serve a check-gated layout built "
@@ -125,7 +121,6 @@ def _cmd_serve(args, out) -> int:
             unix_path=args.unix,
             queue_limit=args.queue_limit,
             workers=args.workers,
-            verify=not args.no_verify,
             static_fallback=args.profile_source != "measured",
         ),
     )

@@ -197,14 +197,9 @@ class Experiment:
         self.runlog = RunLog()
         self._fingerprint: Optional[str] = None
         self._pipeline: Optional[PipelineRunner] = None
-        self._optimizer: Optional[SpikeOptimizer] = None
-        self._kernel_optimizer: Optional[SpikeOptimizer] = None
-        #: Baseline kernel layout only; optimized combos live in the graph.
-        self._kernel_layouts: Dict[str, Layout] = {}
-        #: Fault-injected (invert-mode) layouts only; see class docstring.
-        self._source_optimizers: Dict[Tuple[str, bool], SpikeOptimizer] = {}
-        self._source_layouts: Dict[Tuple[str, str], Layout] = {}
-        self._kernel_source_layouts: Dict[Tuple[str, str], Layout] = {}
+        self._optimizers: Dict[Tuple[str, bool], SpikeOptimizer] = {}
+        #: The layouts kept out of the graph; see the class docstring.
+        self._transient_layouts: Dict[Tuple[bool, str, str], Layout] = {}
         self._amaps: Dict[Tuple[str, str, str], CombinedAddressMap] = {}
 
     # -- cache plumbing -----------------------------------------------------
@@ -219,8 +214,8 @@ class Experiment:
     def _build_graph(self) -> StageGraph:
         """Declare the always-present stages of the experiment pipeline.
 
-        Per-combo layout stages are declared lazily by :meth:`layout`
-        and friends, because the combo space is open-ended.
+        Per-combo layout stages are declared lazily by :meth:`_layout`,
+        because the combo space is open-ended.
         """
         graph = StageGraph()
         graph.add(Stage(
@@ -364,71 +359,6 @@ class Experiment:
         """The kernel-side Pixie profile from the profiling run."""
         return self.pipeline.value("profile")[1]
 
-    # -- layouts ---------------------------------------------------------------------
-
-    @property
-    def optimizer(self) -> SpikeOptimizer:
-        """The app Spike optimizer over the profiling run's profile.
-
-        Set ``REPRO_VERIFY=1`` in the environment to run every layout
-        through the ``repro.check`` integrity passes as it is built.
-        """
-        if self._optimizer is None:
-            self._optimizer = SpikeOptimizer(
-                self.app.binary, self.profile, verify=_verify_enabled()
-            )
-        return self._optimizer
-
-    @property
-    def kernel_optimizer(self) -> SpikeOptimizer:
-        """The kernel Spike optimizer over the kernel profile."""
-        if self._kernel_optimizer is None:
-            self._kernel_optimizer = SpikeOptimizer(
-                self.kernel.binary, self.kernel_profile, verify=_verify_enabled()
-            )
-        return self._kernel_optimizer
-
-    def layout(self, combo: str) -> Layout:
-        """The application layout for one combination.  Unknown combo
-        names raise LayoutError listing the valid ones."""
-        combo = Combo.parse(combo).value
-        runner = self.pipeline
-        key = f"layout:{combo}"
-        if key not in runner.graph:
-            runner.graph.add(Stage(
-                name="layout", detail=combo,
-                inputs=("profile",),
-                outputs=(ArtifactSpec(
-                    f"layout-{combo}.json",
-                    lambda path: load_layout(path, self.app.binary),
-                    save_layout,
-                ),),
-                build=lambda _: self.optimizer.layout(combo),
-            ))
-        return runner.value(key)
-
-    def kernel_layout(self, combo: str) -> Layout:
-        """The kernel layout for ``combo`` (cached per combo)."""
-        combo = Combo.parse(combo).value
-        if combo == "base":
-            if combo not in self._kernel_layouts:
-                self._kernel_layouts[combo] = baseline_layout(self.kernel.binary)
-            return self._kernel_layouts[combo]
-        runner = self.pipeline
-        key = f"layout:kernel:{combo}"
-        if key not in runner.graph:
-            runner.graph.add(Stage(
-                name="layout", detail=f"kernel:{combo}",
-                inputs=("profile",),
-                outputs=(ArtifactSpec(
-                    f"klayout-{combo}.json",
-                    lambda path: load_layout(path, self.kernel.binary),
-                    save_layout,
-                ),),
-                build=lambda _: self.kernel_optimizer.layout(combo),
-            ))
-        return runner.value(key)
-
     # -- profile sources -------------------------------------------------------------
 
     def static_profile(self, *, kernel: bool = False) -> Profile:
@@ -453,88 +383,84 @@ class Experiment:
             return measured
         return hybrid_profile(measured, self.static_profile(kernel=kernel))
 
+    # -- layouts ---------------------------------------------------------------------
+
+    @property
+    def optimizer(self) -> SpikeOptimizer:
+        """The app Spike optimizer over the profiling run's profile."""
+        return self.optimizer_for("measured")
+
     def optimizer_for(
         self, source: str, *, kernel: bool = False
     ) -> SpikeOptimizer:
-        """A Spike optimizer over one profile source (cached)."""
-        _check_source(source)
-        if source == "measured":
-            return self.kernel_optimizer if kernel else self.optimizer
-        key = (source, kernel)
-        if key not in self._source_optimizers:
+        """A Spike optimizer over one profile source (cached).
+
+        Set ``REPRO_VERIFY=1`` in the environment to run every layout
+        through the ``repro.check`` integrity passes as it is built.
+        """
+        key = (_check_source(source), kernel)
+        if key not in self._optimizers:
             program = self.kernel if kernel else self.app
-            self._source_optimizers[key] = SpikeOptimizer(
+            self._optimizers[key] = SpikeOptimizer(
                 program.binary,
                 self.profile_for(source, kernel=kernel),
                 verify=_verify_enabled(),
             )
-        return self._source_optimizers[key]
+        return self._optimizers[key]
 
-    def layout_for(self, combo: str, source: str = "measured") -> Layout:
+    def layout(self, combo: str, source: str = "measured") -> Layout:
         """The application layout for one combo under one profile
-        source.  ``measured`` shares :meth:`layout`'s cache entries;
-        the other sources persist as ``layout-<source>-<combo>.json``.
-        Fault-injected predictions (``REPRO_STATIC_INVERT``) bypass
-        the store entirely so they can never pollute -- or be
-        satisfied from -- the clean cache.
-        """
-        combo = Combo.parse(combo).value
-        _check_source(source)
-        if source == "measured":
-            return self.layout(combo)
-        if invert_enabled():
-            key = (source, combo)
-            if key not in self._source_layouts:
-                self._source_layouts[key] = (
-                    self.optimizer_for(source).layout(combo)
-                )
-            return self._source_layouts[key]
-        runner = self.pipeline
-        stage_key = f"layout:{source}:{combo}"
-        if stage_key not in runner.graph:
-            inputs = () if source == "static" else ("profile",)
-            runner.graph.add(Stage(
-                name="layout", detail=f"{source}:{combo}",
-                inputs=inputs + ("staticpred:app",),
-                outputs=(ArtifactSpec(
-                    f"layout-{source}-{combo}.json",
-                    lambda path: load_layout(path, self.app.binary),
-                    save_layout,
-                ),),
-                build=lambda _: self.optimizer_for(source).layout(combo),
-            ))
-        return runner.value(stage_key)
+        source.  Unknown combo names raise LayoutError listing the
+        valid ones; other sources persist as
+        ``layout-<source>-<combo>.json``."""
+        return self._layout(False, combo, source)
 
-    def kernel_layout_for(self, combo: str, source: str = "measured") -> Layout:
-        """The kernel layout for one combo under one profile source."""
+    def kernel_layout(self, combo: str, source: str = "measured") -> Layout:
+        """The kernel layout for one combo under one profile source
+        (``base`` is the unoptimized kernel whatever the source)."""
+        return self._layout(True, combo, source)
+
+    def _layout(self, kernel: bool, combo: str, source: str) -> Layout:
+        """The one layout path: a per-(side, source, combo) graph stage,
+        or a :attr:`_transient_layouts` entry for the kernel baseline
+        and for fault-injected (``REPRO_STATIC_INVERT``) predictions."""
         combo = Combo.parse(combo).value
         _check_source(source)
-        if source == "measured" or combo == "base":
-            return self.kernel_layout(combo)
-        if invert_enabled():
-            key = (source, combo)
-            if key not in self._kernel_source_layouts:
-                self._kernel_source_layouts[key] = (
-                    self.optimizer_for(source, kernel=True).layout(combo)
-                )
-            return self._kernel_source_layouts[key]
+        baseline = kernel and combo == "base"
+        if baseline:
+            source = "measured"  # the unoptimized kernel uses no profile
+
+        def build(_runner=None) -> Layout:
+            if baseline:
+                return baseline_layout(self.kernel.binary)
+            return self.optimizer_for(source, kernel=kernel).layout(combo)
+
+        if baseline or (source != "measured" and invert_enabled()):
+            key = (kernel, source, combo)
+            if key not in self._transient_layouts:
+                self._transient_layouts[key] = build()
+            return self._transient_layouts[key]
+
+        qualified = combo if source == "measured" else f"{source}:{combo}"
+        detail = f"kernel:{qualified}" if kernel else qualified
         runner = self.pipeline
-        stage_key = f"layout:kernel:{source}:{combo}"
-        if stage_key not in runner.graph:
+        if f"layout:{detail}" not in runner.graph:
             inputs = () if source == "static" else ("profile",)
+            if source != "measured":
+                inputs += ("staticpred:kernel" if kernel else "staticpred:app",)
+            suffix = combo if source == "measured" else f"{source}-{combo}"
             runner.graph.add(Stage(
-                name="layout", detail=f"kernel:{source}:{combo}",
-                inputs=inputs + ("staticpred:kernel",),
+                name="layout", detail=detail, inputs=inputs,
                 outputs=(ArtifactSpec(
-                    f"klayout-{source}-{combo}.json",
-                    lambda path: load_layout(path, self.kernel.binary),
+                    f"{'k' if kernel else ''}layout-{suffix}.json",
+                    lambda path: load_layout(
+                        path, (self.kernel if kernel else self.app).binary
+                    ),
                     save_layout,
                 ),),
-                build=lambda _: self.optimizer_for(
-                    source, kernel=True
-                ).layout(combo),
+                build=build,
             ))
-        return runner.value(stage_key)
+        return runner.value(f"layout:{detail}")
 
     def address_map(
         self,
@@ -554,10 +480,10 @@ class Experiment:
         )
         if key not in self._amaps:
             app_map = assign_addresses(
-                self.app.binary, self.layout_for(key[0], key[2])
+                self.app.binary, self.layout(key[0], key[2])
             )
             kernel_map = assign_addresses(
-                self.kernel.binary, self.kernel_layout_for(key[1], key[2])
+                self.kernel.binary, self.kernel_layout(key[1], key[2])
             )
             self._amaps[key] = CombinedAddressMap(app_map, kernel_map)
         return self._amaps[key]

@@ -31,20 +31,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.cache import CacheGeometry
 from repro.errors import ConfigError
-from repro.sim import MemoryHierarchy, simulate
 from repro.execution import SystemConfig
 from repro.harness.experiment import Experiment, ExperimentConfig
-from repro.ir import AddressMap, assign_addresses
+from repro.ir import assign_addresses
 from repro.layout import SpikeOptimizer
 from repro.online.controller import AdaptiveController
 from repro.online.relayout import AdaptiveRelayout
-from repro.online.sampler import OnlineSampler, epoch_streams
+from repro.online.sampler import (
+    OnlineSampler,
+    epoch_mpki,
+    epoch_profile,
+    epoch_streams,
+)
 from repro.osmodel import KernelCodeConfig
-from repro.profiles import PixieProfiler
 from repro.progen import AppCodeConfig
 from repro.workloads import TpcbConfig
 from repro.workloads.phased import Phase, PhasedConfig, PhasedWorkload
@@ -289,7 +290,7 @@ def run_online_experiment(
     epochs = epoch_streams(trace, config.epochs)
 
     static_map = assign_addresses(
-        binary, exp.layout_for(config.combo, config.profile_source)
+        binary, exp.layout(config.combo, config.profile_source)
     )
     relayout = AdaptiveRelayout(
         binary, combo=config.combo, store=exp.store, runlog=exp.runlog
@@ -310,28 +311,20 @@ def run_online_experiment(
         min_samples=config.min_samples,
     )
 
-    def measure(amap: AddressMap, streams) -> "tuple[float, int]":
-        spans = [amap.expand_spans(blocks) for blocks, _pids in streams]
-        result = simulate(spans, MemoryHierarchy.l1i_only(geometry))
-        return result.mpki, result.instructions
-
     report = OnlineReport(config=config)
     reprofiled_map = static_map  # deploys exact profiles one epoch late
     for epoch_index, streams in enumerate(epochs):
-        pixie = PixieProfiler(binary)
-        for cpu, (blocks, pids) in enumerate(streams):
+        for cpu, (blocks, _pids) in enumerate(streams):
             sampler.observe(cpu, blocks)
-            for pid in np.unique(pids):
-                pixie.add_stream(blocks[pids == pid])
-        exact = pixie.profile()
+        exact = epoch_profile(binary, streams)
         oracle_map = assign_addresses(
             binary, SpikeOptimizer(binary, exact).layout(config.combo)
         )
 
-        static_mpki, instructions = measure(static_map, streams)
-        adaptive_mpki, _ = measure(controller.address_map, streams)
-        reprofiled_mpki, _ = measure(reprofiled_map, streams)
-        oracle_mpki, _ = measure(oracle_map, streams)
+        static_mpki, instructions = epoch_mpki(static_map, streams, geometry)
+        adaptive_mpki, _ = epoch_mpki(controller.address_map, streams, geometry)
+        reprofiled_mpki, _ = epoch_mpki(reprofiled_map, streams, geometry)
+        oracle_mpki, _ = epoch_mpki(oracle_map, streams, geometry)
         reprofiled_map = oracle_map
 
         decision = controller.end_epoch(sampler.end_epoch())

@@ -11,7 +11,9 @@ slicing never distorts where samples land.
 :func:`epoch_streams` slices a recorded
 :class:`~repro.execution.trace.SystemTrace` into per-epoch, per-CPU
 application streams, which is how the harness replays a measurement
-run as if the sampler had been attached live.
+run as if the sampler had been attached live.  :func:`epoch_profile`
+and :func:`epoch_mpki` are the one way the online loop and the fleet
+profile an epoch exactly and measure a layout over it.
 """
 
 from __future__ import annotations
@@ -21,11 +23,14 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.cache import CacheGeometry
 from repro.errors import ProfileError
 from repro.execution.trace import SystemTrace
-from repro.ir import Binary
+from repro.ir import AddressMap, Binary
 from repro.profiles.dcpi import LbrSampler
+from repro.profiles.pixie import PixieProfiler
 from repro.profiles.profile import Profile
+from repro.sim import MemoryHierarchy, simulate
 
 
 @dataclass
@@ -104,9 +109,11 @@ class OnlineSampler:
         return result
 
 
-def epoch_streams(
-    trace: SystemTrace, epochs: int
-) -> List[List[Tuple[np.ndarray, np.ndarray]]]:
+#: One epoch's per-CPU ``(blocks, pids)`` application streams.
+EpochStreams = List[Tuple[np.ndarray, np.ndarray]]
+
+
+def epoch_streams(trace: SystemTrace, epochs: int) -> List[EpochStreams]:
     """Slice a recorded system trace into per-epoch application streams.
 
     Returns ``[epoch][cpu] -> (blocks, pids)`` where each CPU's
@@ -130,3 +137,22 @@ def epoch_streams(
             ]
         )
     return [[per_cpu[c][e] for c in range(len(per_cpu))] for e in range(epochs)]
+
+
+def epoch_profile(binary: Binary, streams: EpochStreams) -> Profile:
+    """The exact (Pixie) profile of one epoch, one stream per process."""
+    profiler = PixieProfiler(binary)
+    for blocks, pids in streams:
+        for pid in np.unique(pids):
+            profiler.add_stream(blocks[pids == pid])
+    return profiler.profile()
+
+
+def epoch_mpki(
+    amap: AddressMap, streams: EpochStreams, geometry: CacheGeometry
+) -> Tuple[float, int]:
+    """``(mpki, instructions)`` of one epoch replayed through one
+    address map on an L1I-only hierarchy of ``geometry``."""
+    spans = [amap.expand_spans(blocks) for blocks, _pids in streams]
+    result = simulate(spans, MemoryHierarchy.l1i_only(geometry))
+    return result.mpki, result.instructions

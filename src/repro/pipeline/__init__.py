@@ -1,10 +1,10 @@
 """Typed stage-graph execution core shared by every workload path.
 
 The paper's profile → optimize → layout → simulate dataflow used to be
-re-implemented five times (harness experiments, figure sweeps, the
-scenario matrix, serve's worker builds, online relayout), each
-hand-wiring its own caching, fan-out, tracing, and gating.  This
-package is the one substrate they all run on:
+re-implemented in each layer (harness experiments, figure sweeps, the
+scenario matrix, online relayout), each hand-wiring its own caching,
+fan-out, tracing, and gating.  This package is the one substrate they
+all run on:
 
 - :class:`~repro.pipeline.stage.Stage` /
   :class:`~repro.pipeline.stage.ArtifactSpec` — one declared step and

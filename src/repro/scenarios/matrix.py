@@ -198,7 +198,7 @@ def _run_cell(task: Tuple[Dict, Optional[str], bool]) -> Dict:
                 from repro.check import check_all
                 from repro.ir import assign_addresses
 
-                layout = exp.layout_for(cell.combo, spec.profile_source)
+                layout = exp.layout(cell.combo, spec.profile_source)
                 report = check_all(
                     exp.app.binary,
                     profile=exp.profile_for(spec.profile_source),

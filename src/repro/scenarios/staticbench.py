@@ -132,7 +132,6 @@ def run_static_bench(
     specs: Sequence[ScenarioSpec],
     *,
     store: Optional[ArtifactStore] = None,
-    jobs: int = 1,
 ) -> StaticBenchResult:
     """Simulate every spec under all of :data:`PROFILE_SOURCES`.
 
@@ -147,7 +146,6 @@ def run_static_bench(
     cells: List[SourceCell] = []
     for spec in specs:
         exp = _experiment_for(spec, store)
-        exp.jobs = jobs
         base = _simulate_misses(spec, exp.streams("base", scope=spec.scope))
         misses = {
             source: _simulate_misses(

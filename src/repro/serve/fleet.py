@@ -2,12 +2,13 @@
 
 Each fleet run cuts a phase-shifting workload's measurement trace into
 epochs (:func:`repro.online.sampler.epoch_streams`), builds the exact
-per-epoch profile, and has every client thread submit that profile and
-request its optimized layout for the same epoch at the same time
-(barrier-synchronized — the worst case for the server, the best case
-for coalescing).  Applied layouts are measured by replaying the
-epoch's fetch stream through :func:`repro.sim.simulate`, so the
-report speaks the paper's language: misses per 1k instructions.
+per-epoch profile (:func:`~repro.online.sampler.epoch_profile`), and
+has every client thread submit that profile and request its optimized
+layout for the same epoch at the same time (barrier-synchronized — the
+worst case for the server, the best case for coalescing).  Applied
+layouts are measured by replaying the epoch's fetch stream through
+:func:`~repro.online.sampler.epoch_mpki`, so the report speaks the
+paper's language: misses per 1k instructions.
 
 Two scenarios:
 
@@ -26,8 +27,6 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro import obs
 from repro.cache import CacheGeometry
 from repro.check import gate_layout
@@ -35,12 +34,10 @@ from repro.errors import ConfigError, ServeError
 from repro.harness.store import layout_from_dict
 from repro.ir import assign_addresses
 from repro.layout import Combo, SpikeOptimizer
-from repro.online.sampler import epoch_streams
-from repro.profiles import PixieProfiler
+from repro.online.sampler import epoch_mpki, epoch_profile, epoch_streams
 from repro.serve.client import ClientConfig, LayoutClient, SOURCE_FALLBACK
 from repro.serve.protocol import LayoutResponse
 from repro.serve.server import ServerConfig, ServerThread
-from repro.sim import MemoryHierarchy, simulate
 
 
 @dataclass
@@ -290,29 +287,6 @@ class FleetReport:
         return "\n".join(lines) + "\n"
 
 
-def _epoch_profiles(exp, epochs: int):
-    """Exact per-epoch profiles plus the epoch streams."""
-    binary = exp.app.binary
-    streams_by_epoch = epoch_streams(exp.trace, epochs)
-    profiles = []
-    for streams in streams_by_epoch:
-        profiler = PixieProfiler(binary)
-        for blocks, pids in streams:
-            for pid in np.unique(pids):
-                profiler.add_stream(blocks[pids == pid])
-        profiles.append(profiler.profile())
-    return profiles, streams_by_epoch
-
-
-def _measure(binary, geometry, document, streams) -> "tuple[float, int]":
-    """MPKI of one layout document over one epoch's streams."""
-    layout = layout_from_dict(document, binary)
-    amap = assign_addresses(binary, layout)
-    spans = [amap.expand_spans(blocks) for blocks, _pids in streams]
-    result = simulate(spans, MemoryHierarchy.l1i_only(geometry))
-    return result.mpki, result.instructions
-
-
 def _gate(binary, document) -> bool:
     """Re-run the repro.check gate fleet-side on a served document."""
     try:
@@ -340,7 +314,8 @@ def run_fleet(
     combo = Combo.parse(config.combo).value
     binary = exp.app.binary
     geometry = config.geometry
-    profiles, streams_by_epoch = _epoch_profiles(exp, config.epochs)
+    streams_by_epoch = epoch_streams(exp.trace, config.epochs)
+    profiles = [epoch_profile(binary, streams) for streams in streams_by_epoch]
 
     handle: Optional[ServerThread] = None
     if address is None:
@@ -429,12 +404,13 @@ def run_fleet(
                 source = response.source or "server"
                 sources[source] = sources.get(source, 0) + 1
             fresh_layout = SpikeOptimizer(binary, profile).layout(combo)
-            fresh_doc_mpki, instructions = _measure_layout(
-                binary, geometry, fresh_layout, streams
+            fresh_mpki, instructions = epoch_mpki(
+                assign_addresses(binary, fresh_layout), streams, geometry
             )
             if served:
-                served_mpki, _ = _measure(
-                    binary, geometry, served[0].layout, streams
+                served_layout = layout_from_dict(served[0].layout, binary)
+                served_mpki, _ = epoch_mpki(
+                    assign_addresses(binary, served_layout), streams, geometry
                 )
                 gate_ok = _gate(binary, served[0].layout)
             else:
@@ -452,7 +428,7 @@ def run_fleet(
                     failures=sum(1 for e in errors if e is not None),
                     sources=sources,
                     served_mpki=served_mpki,
-                    fresh_mpki=fresh_doc_mpki,
+                    fresh_mpki=fresh_mpki,
                     gate_ok=gate_ok,
                 )
             )
@@ -486,14 +462,6 @@ def _remote_counters(probe: LayoutClient) -> Dict[str, int]:
         return dict(probe.health().counters)
     except ServeError:
         return {}
-
-
-def _measure_layout(binary, geometry, layout, streams):
-    """MPKI of one in-memory layout over one epoch's streams."""
-    amap = assign_addresses(binary, layout)
-    spans = [amap.expand_spans(blocks) for blocks, _pids in streams]
-    result = simulate(spans, MemoryHierarchy.l1i_only(geometry))
-    return result.mpki, result.instructions
 
 
 def _serve_counters() -> Dict[str, int]:

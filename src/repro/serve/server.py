@@ -45,7 +45,6 @@ from repro.harness.store import (
 )
 from repro.ir import Binary
 from repro.layout import Combo, SpikeOptimizer
-from repro.pipeline import PipelineRunner, Stage, StageGraph
 from repro.serve.cache import DEFAULT_MEMORY_ENTRIES, LayoutCache
 from repro.serve.protocol import (
     ErrorResponse,
@@ -77,58 +76,29 @@ def _set_worker_binary(binary: Binary) -> None:
     _WORKER_BINARY = binary
 
 
-def _request_runner(binary: Binary, source: str, combo: str, profile_builder) -> PipelineRunner:
-    """The per-request stage graph a worker executes: decode/synthesize
-    the profile, then optimize.  Runs with no store — coalescing and
-    the tiered :class:`~repro.serve.cache.LayoutCache` own persistence
-    at the server layer — but gets the pipeline's tracing (``stage.*``
-    spans) for free."""
-    graph = StageGraph()
-    graph.add(Stage(
-        name="profile", detail=source,
-        build=lambda _: profile_builder(),
-    ))
-    graph.add(Stage(
-        name="optimize", detail=combo,
-        inputs=(f"profile:{source}",),
-        build=lambda r: SpikeOptimizer(
-            binary, r.value(f"profile:{source}")
-        ).layout(combo),
-    ))
-    return PipelineRunner(graph)
-
-
-def _optimize_task(submit: ProfileSubmit, combo: str, enqueued_at: float) -> Dict:
+def _optimize_task(
+    submit: Optional[ProfileSubmit], combo: str, enqueued_at: float
+) -> Dict:
     """One optimization, executed inside a worker.
 
-    Returns ``{"layout": <layout document>, "queue_wait_ms": ...}``.
-    The queue wait is measured from admission to worker start, so a
-    saturated pool shows up in the ``serve.queue_wait_ms`` histogram.
+    ``submit=None`` optimizes against the static profile synthesized
+    from the binary's CFG structure (the cold-start fallback).  Returns
+    ``{"layout": <layout document>, "queue_wait_ms": ...}``.  The queue
+    wait is measured from admission to worker start, so a saturated
+    pool shows up in the ``serve.queue_wait_ms`` histogram.
     """
     started = time.time()
     binary = _WORKER_BINARY
     if binary is None:
         raise ServeError("optimization worker has no binary configured")
-    runner = _request_runner(
-        binary, "submitted", combo, lambda: submit.to_profile(binary)
+    profile = (
+        synthesize_profile(binary) if submit is None
+        else submit.to_profile(binary)
     )
-    layout = runner.value(f"optimize:{combo}")
     return {
-        "layout": layout_to_dict(layout),
+        "layout": layout_to_dict(SpikeOptimizer(binary, profile).layout(combo)),
         "queue_wait_ms": max(0.0, (started - enqueued_at) * 1000.0),
     }
-
-
-def _static_task(combo: str) -> Dict:
-    """Cold-start optimization in a worker: synthesize a static profile
-    from the binary's CFG structure and optimize against it."""
-    binary = _WORKER_BINARY
-    if binary is None:
-        raise ServeError("optimization worker has no binary configured")
-    runner = _request_runner(
-        binary, "static", combo, lambda: synthesize_profile(binary)
-    )
-    return layout_to_dict(runner.value(f"optimize:{combo}"))
 
 
 @dataclass
@@ -145,8 +115,6 @@ class ServerConfig:
     queue_limit: int = 8
     #: Optimization worker processes; 0 runs a thread pool in-process.
     workers: int = 0
-    #: Run every outgoing layout through the ``repro.check`` gate.
-    verify: bool = True
     #: Memory-tier capacity of the layout cache.
     cache_entries: int = DEFAULT_MEMORY_ENTRIES
     #: Distinct submitted profiles kept (LRU beyond this).
@@ -326,7 +294,7 @@ class LayoutServer:
         key = (request.fingerprint, combo)
 
         document, tier = self.cache.get(request.fingerprint, combo)
-        if document is not None and tier == "disk" and self.config.verify:
+        if document is not None and tier == "disk":
             # Memory-tier entries were gated on insert; the disk tier
             # may hold artifacts written by other processes, so they
             # pass the gate on their way out.
@@ -421,7 +389,7 @@ class LayoutServer:
         self._queue_waits_ms.append(wait_ms)
         obs.histogram("serve.queue_wait_ms").record(wait_ms)
         obs.counter("serve.optimizations").inc()
-        if self.config.verify and not self._gate_ok(document):
+        if not self._gate_ok(document):
             return LayoutResponse(
                 status=STATUS_ERROR,
                 fingerprint=submit.fingerprint,
@@ -456,14 +424,14 @@ class LayoutServer:
             if inflight is None:
                 loop = asyncio.get_event_loop()
                 inflight = loop.run_in_executor(
-                    self._executor, _static_task, combo
+                    self._executor, _optimize_task, None, combo, time.time()
                 )
                 self._static_inflight[combo] = inflight
             else:
                 obs.counter("serve.coalesced").inc()
             try:
                 with obs.span("serve.static_optimize", combo=combo):
-                    document = await asyncio.shield(inflight)
+                    document = (await asyncio.shield(inflight))["layout"]
             except Exception as exc:
                 obs.counter("serve.optimize_errors").inc()
                 return LayoutResponse(
@@ -474,7 +442,7 @@ class LayoutServer:
                 )
             finally:
                 self._static_inflight.pop(combo, None)
-            if self.config.verify and not self._gate_ok(document):
+            if not self._gate_ok(document):
                 return LayoutResponse(
                     status=STATUS_ERROR,
                     fingerprint=request.fingerprint,

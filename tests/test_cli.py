@@ -240,10 +240,17 @@ class TestLint:
         assert code == 0
         assert "0 error(s)" in text
 
-    @pytest.mark.parametrize("option", ["--scan=src", "--no-deprecations"])
-    def test_removed_options_are_argparse_errors(self, option):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(("lint", "--scan=src"), id="--scan=src"),
+            pytest.param(("lint", "--no-deprecations"), id="--no-deprecations"),
+            pytest.param(("serve", "--no-verify"), id="serve--no-verify"),
+        ],
+    )
+    def test_removed_options_are_argparse_errors(self, argv):
         with pytest.raises(SystemExit) as exit_info:
-            run_cli("lint", option)
+            run_cli(*argv)
         assert exit_info.value.code == 2
 
     def test_lint_json_output(self):

@@ -36,6 +36,13 @@ class TestPipelineProducts:
     def test_layouts_cached(self, exp):
         assert exp.layout("all") is exp.layout("all")
 
+    @pytest.mark.parametrize(
+        "name", ["layout_for", "kernel_layout_for", "kernel_optimizer"]
+    )
+    def test_folded_accessors_are_gone(self, exp, name):
+        with pytest.raises(AttributeError):
+            getattr(exp, name)
+
     def test_address_maps_cached(self, exp):
         assert exp.address_map("base") is exp.address_map("base")
 

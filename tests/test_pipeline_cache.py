@@ -141,6 +141,23 @@ class TestArtifactStoreRoundtrip:
         assert store.clear() == 1
         assert store.info().experiments == 0
 
+    @pytest.mark.parametrize("invert", ["", "1"])
+    def test_static_invert_layouts_bypass_the_store(
+        self, tmp_path, monkeypatch, invert
+    ):
+        monkeypatch.setenv("REPRO_STATIC_INVERT", invert)
+        store = ArtifactStore(tmp_path / "cache")
+        exp = Experiment(tiny_config(), store=store)
+        assert exp.layout("all", "static") is exp.layout("all", "static")
+        assert exp.kernel_layout("all", "static").units
+        exp.persist()
+        written = {
+            path.name for path in (store.root / exp.fingerprint).iterdir()
+        }
+        static = {"layout-static-all.json", "klayout-static-all.json"}
+        # Clean predictions persist; fault-injected ones never do.
+        assert written & static == (set() if invert else static)
+
     def test_no_store_means_cache_off(self):
         exp = Experiment(tiny_config())
         _ = exp.trace

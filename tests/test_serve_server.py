@@ -9,7 +9,8 @@ import pytest
 
 from repro import obs
 from repro.errors import ServeError
-from repro.harness.store import ArtifactStore
+from repro.harness.store import ArtifactStore, layout_to_dict
+from repro.layout import SpikeOptimizer
 from repro.serve import server as server_module
 from repro.serve.client import ClientConfig, LayoutClient
 from repro.serve.protocol import (
@@ -27,6 +28,7 @@ from repro.serve.protocol import (
     read_message_sync,
 )
 from repro.serve.server import ServerConfig, ServerThread
+from repro.staticpred import synthesize_profile
 
 
 @pytest.fixture()
@@ -56,7 +58,7 @@ def counter_value(name):
 
 class TestRequestHandling:
     def test_submit_then_fetch_then_cache_hit(self, running_server, serve_env):
-        _, (profile, _) = serve_env
+        binary, (profile, _) = serve_env
         client = make_client(running_server)
         assert client.submit_profile(profile)
         # Resubmission dedupes client-side; a second client's submission
@@ -65,7 +67,9 @@ class TestRequestHandling:
 
         first = client.fetch_layout(profile, "all")
         assert first.ok and first.source == SOURCE_BUILT
-        assert first.layout["units"]
+        assert first.layout == layout_to_dict(
+            SpikeOptimizer(binary, profile).layout("all")
+        )
 
         second = client.fetch_layout(profile, "all")
         assert second.ok and second.source == SOURCE_MEMORY
@@ -108,14 +112,16 @@ class TestRequestHandling:
         # Default config: a layout_request whose fingerprint the server
         # has never seen gets a layout synthesized from static program
         # structure -- gated by repro.check -- instead of an error.
-        _, (profile, _) = serve_env
+        binary, (profile, _) = serve_env
         client = make_client(running_server, max_attempts=1)
         before = counter_value("serve.static_served")
         reply = client._call(LayoutRequest("never-submitted", "all"))
         assert isinstance(reply, LayoutResponse)
         assert reply.ok
         assert reply.source == SOURCE_STATIC
-        assert reply.layout["units"]
+        assert reply.layout == layout_to_dict(
+            SpikeOptimizer(binary, synthesize_profile(binary)).layout("all")
+        )
         assert counter_value("serve.static_served") == before + 1
         # The per-combo static document is built once and reused.
         again = client._call(LayoutRequest("also-never-submitted", "all"))

@@ -14,13 +14,17 @@ recreates its footprint exactly:
     ``ArtifactStore.save`` calls — the very calls pre-pipeline
     ``Experiment.persist()`` made, with the pre-pipeline artifact
     names, and zero :class:`~repro.pipeline.runner.PipelineRunner`
-    involvement.
+    involvement.  The ``base`` and ``all`` layouts of the app and the
+    kernel under every profile source are written the same way, under
+    the names in :data:`LAYOUTS` (the kernel ``base`` layout is never
+    persisted).
 
 ``replay``
     Open a fresh experiment on that store and touch every persistent
-    stage through the pipeline.  Exit 0 only if **100 % of the stage
-    records are cache hits** (no miss, no off) and the runner's
-    ``status()`` sees every persistent stage ``ready``.
+    stage through the pipeline, the layouts through
+    ``Experiment.layout``/``kernel_layout``.  Exit 0 only if **100 % of
+    the stage records are cache hits** (no miss, no off) and the
+    runner's ``status()`` sees every persistent stage ``ready``.
 
 CI runs the pair back to back in the ``pipeline-equivalence`` job and
 follows up with figure/scenario output comparisons.
@@ -39,13 +43,28 @@ sys.path.insert(0, str(ROOT / "src"))
 from repro.harness import Experiment, quick_experiment  # noqa: E402
 from repro.harness.store import (  # noqa: E402
     ArtifactStore,
+    save_layout,
     save_profile,
     save_program,
     save_trace,
 )
 
 #: Stage records a warm replay of the persistent products must produce.
-PERSISTENT_STAGES = ("codegen", "profile", "trace")
+PERSISTENT_STAGES = ("codegen", "profile", "trace", "layout")
+
+#: The persisted layouts, pinned by artifact name:
+#: ``(kernel, profile source, combo, artifact name)``.
+LAYOUTS = (
+    (False, "measured", "base", "layout-base.json"),
+    (False, "measured", "all", "layout-all.json"),
+    (False, "static", "base", "layout-static-base.json"),
+    (False, "static", "all", "layout-static-all.json"),
+    (False, "hybrid", "base", "layout-hybrid-base.json"),
+    (False, "hybrid", "all", "layout-hybrid-all.json"),
+    (True, "measured", "all", "klayout-all.json"),
+    (True, "static", "all", "klayout-static-all.json"),
+    (True, "hybrid", "all", "klayout-hybrid-all.json"),
+)
 
 
 def _fresh_experiment(store=None) -> Experiment:
@@ -68,12 +87,19 @@ def write_legacy(store: ArtifactStore) -> int:
         ("profile-app.npz", exp.profile, save_profile),
         ("profile-kernel.npz", exp.kernel_profile, save_profile),
         ("trace.npz", exp.trace, save_trace),
+    ) + tuple(
+        (
+            name,
+            exp.optimizer_for(source, kernel=kernel).layout(combo),
+            save_layout,
+        )
+        for kernel, source, combo, name in LAYOUTS
     )
     total = 0
     for name, obj, saver in artifacts:
         size = store.save(fingerprint, name, obj, saver)
         total += size
-        print(f"  {name:<20} {size:>9} bytes")
+        print(f"  {name:<24} {size:>9} bytes")
     print(
         f"legacy cache written: {len(artifacts)} artifacts, "
         f"{total} bytes under {fingerprint}"
@@ -96,6 +122,8 @@ def replay(store: ArtifactStore) -> int:
         return 1
 
     exp.app, exp.kernel, exp.profile, exp.kernel_profile, exp.trace  # noqa: B018
+    for kernel, source, combo, _name in LAYOUTS:
+        (exp.kernel_layout if kernel else exp.layout)(combo, source)
 
     states = exp.runlog.cache_states()
     hits = states.count("hit")
