@@ -8,13 +8,12 @@
 """
 
 from conftest import save_table
-from repro.cache import CacheGeometry, simulate_stream_buffers
+from repro.cache import CacheGeometry
 from repro.execution import CombinedAddressMap
 from repro.harness.figures import Table
-from repro.ir import assign_addresses, build_unit_call_graph
+from repro.ir import KERNEL_BASE, assign_addresses, build_unit_call_graph
 from repro.layout import choose_kernel_offset, color_layout
-from repro.osmodel import KERNEL_BASE
-from repro.sim import MemoryHierarchy, simulate
+from repro.sim import MemoryHierarchy, simulate, simulate_stream_buffers
 
 GEOMETRY = CacheGeometry(64 * 1024, 128, 4)
 HIERARCHY = MemoryHierarchy.l1i_only(GEOMETRY)

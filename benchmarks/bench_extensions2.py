@@ -9,12 +9,12 @@
 
 from conftest import save_table
 from repro.analysis import branch_stats, merge_branch_stats
-from repro.cache import CacheGeometry, simulate_victim_cache
+from repro.cache import CacheGeometry
 from repro.execution import CombinedAddressMap
 from repro.harness.figures import Table
 from repro.ir import assign_addresses
 from repro.layout import temporal_order
-from repro.sim import MemoryHierarchy, simulate
+from repro.sim import MemoryHierarchy, simulate, simulate_victim_cache
 
 GEOMETRY = CacheGeometry(64 * 1024, 128, 4)
 HIERARCHY = MemoryHierarchy.l1i_only(GEOMETRY)

@@ -10,8 +10,9 @@ Public entry points:
 * :mod:`repro.db`, :mod:`repro.workloads` -- the mini-DBMS and TPC-B.
 * :mod:`repro.progen`, :mod:`repro.osmodel` -- synthetic binaries.
 * :mod:`repro.execution` -- the CFG interpreter and 4-CPU system model.
-* :mod:`repro.cache`, :mod:`repro.timing` -- memory-system and timing
-  simulators.
+* :mod:`repro.cache` -- the cache geometry; :mod:`repro.sim`,
+  :mod:`repro.timing` -- memory-system and timing simulators.
+* :mod:`repro.pipeline` -- the stage graph and the one process fan-out.
 * :mod:`repro.harness` -- the experiment pipeline behind the
   per-figure benchmarks.
 """

@@ -8,6 +8,7 @@ import numpy as np
 
 from repro.ir import INSTRUCTION_BYTES
 from repro.profiles import Profile
+from repro.sim import expand_line_runs
 
 
 def execution_profile_curve(profile: Profile) -> Tuple[np.ndarray, np.ndarray]:
@@ -43,8 +44,6 @@ def footprint_in_lines(
 ) -> int:
     """Unique cache lines touched by a stream (the paper's packing
     metric: 500KB base vs 315KB optimized in 128-byte lines)."""
-    from repro.cache.icache import expand_line_runs
-
     line_ids, _, _, _ = expand_line_runs(starts, counts, line_bytes)
     return len(np.unique(line_ids)) if len(line_ids) else 0
 
@@ -52,8 +51,6 @@ def footprint_in_lines(
 def union_footprint_in_lines(streams, line_bytes: int) -> int:
     """Unique lines touched across several streams of one binary
     (per-CPU streams share the image -- do NOT sum per-stream counts)."""
-    from repro.cache.icache import expand_line_runs
-
     touched: set = set()
     for starts, counts in streams:
         line_ids, _, _, _ = expand_line_runs(starts, counts, line_bytes)

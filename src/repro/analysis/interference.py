@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.cache.stats import APP, KERNEL, InterferenceMatrix
+from repro.sim import APP, KERNEL, InterferenceMatrix
 
 
 @dataclass

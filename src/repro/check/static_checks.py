@@ -27,6 +27,7 @@ from typing import Dict, Iterator, List, Set, Tuple
 
 from repro.check.diagnostics import CheckContext, Diagnostic, Severity
 from repro.ir.instruction import Terminator
+from repro.staticpred.cfg import CfgInfo
 
 #: Fraction of total block weight the "hot set" covers: the smallest
 #: prefix of blocks (heaviest first) whose counts reach this share.
@@ -156,8 +157,6 @@ def check_branch_directions(ctx: CheckContext) -> Iterator[Diagnostic]:
 def _loop_headers(binary) -> List[int]:
     """Every natural-loop header bid in the binary, via the same loop
     analysis the predictor itself uses."""
-    from repro.staticpred.cfg import CfgInfo
-
     headers: List[int] = []
     for name in binary.proc_order():
         info = CfgInfo(binary.proc(name))

@@ -7,6 +7,8 @@ from __future__ import annotations
 import sys
 from typing import Dict
 
+from repro.pipeline import PipelineRunner
+
 from repro.cli._common import experiment_from, store_from
 
 
@@ -70,8 +72,6 @@ def _cmd_pipeline(args, out) -> int:
     the fingerprint not claimed by a declared stage (dynamic layout
     stages, scenario cells) are rolled up per stage family below.
     """
-    from repro.pipeline import PipelineRunner
-
     if args.no_cache:
         sys.stderr.write("pipeline info: no cache to inspect (--no-cache)\n")
         return 2

@@ -7,7 +7,10 @@ from __future__ import annotations
 import sys
 from typing import Dict, List
 
-from repro.harness import figures
+from repro.analysis import dynamic_footprint_bytes
+from repro.harness import figures, write_benchmark_json
+from repro.harness.figures import Table
+from repro.sim import simulate_grid
 from repro.staticpred import PROFILE_SOURCES
 
 from repro.cli._common import (
@@ -123,8 +126,6 @@ def _cmd_info(args, out) -> int:
 
 
 def _footprint_kb(profile) -> int:
-    from repro.analysis import dynamic_footprint_bytes
-
     return dynamic_footprint_bytes(profile) // 1024
 
 
@@ -155,8 +156,6 @@ def _cmd_figure(args, out) -> int:
         for index, table in enumerate(tables):
             out.write(table.render() + "\n")
             if args.save_json:
-                from repro.harness import write_benchmark_json
-
                 write_benchmark_json(
                     _figure_slug(name, table, index, len(tables)),
                     table,
@@ -188,8 +187,6 @@ def _cmd_sim_bench(args, out) -> int:
     """
     import time as _time
 
-    from repro.sim import simulate_grid
-
     exp = experiment_from(args)
     warm(exp)
     streams = {
@@ -215,8 +212,6 @@ def _cmd_sim_bench(args, out) -> int:
     speedup = timings["classic"] / max(timings["batched"], 1e-9)
     speedup_ok = speedup >= args.min_speedup
 
-    from repro.harness.figures import Table
-
     table = Table(
         title="sim-bench: fig04 sweep, batched vs classic engine",
         columns=["metric", "ratio_ok"],
@@ -232,8 +227,6 @@ def _cmd_sim_bench(args, out) -> int:
     )
     out.write(table.render() + "\n")
     if args.save_json:
-        from repro.harness import write_benchmark_json
-
         write_benchmark_json("sim_fig04", table, args.save_json)
     emit_runlog(exp, args)
     if args.check and not (identical and speedup_ok):

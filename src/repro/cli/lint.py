@@ -5,6 +5,17 @@ from __future__ import annotations
 
 from typing import Dict
 
+from repro.check import (
+    CheckReport,
+    check_all,
+    check_profile,
+    check_static_diff,
+    gate_layout,
+)
+from repro.harness.store import load_layout, load_profile
+from repro.ir import assign_addresses
+from repro.layout import ALL_COMBOS
+
 from repro.cli._common import emit_runlog, experiment_from
 
 
@@ -49,11 +60,6 @@ def register(sub, shared) -> Dict:
 def _cmd_lint(args, out) -> int:
     import json as _json
 
-    from repro.check import CheckReport, check_all, check_profile, gate_layout
-    from repro.harness.store import load_layout, load_profile
-    from repro.ir import assign_addresses
-    from repro.layout import ALL_COMBOS
-
     exp = experiment_from(args)
     report = CheckReport()
 
@@ -86,8 +92,6 @@ def _cmd_lint(args, out) -> int:
                 )
 
     if args.static_diff:
-        from repro.check import check_static_diff
-
         for label, binary, measured, kernel in (
             ("app", exp.app.binary, exp.profile, False),
             ("kernel", exp.kernel.binary, exp.kernel_profile, True),

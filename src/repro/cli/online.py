@@ -6,6 +6,8 @@ from __future__ import annotations
 import sys
 from typing import Dict
 
+from repro.harness.experiment import Experiment
+
 from repro.cli._common import emit_runlog, store_from
 
 
@@ -60,7 +62,6 @@ def register(sub, shared) -> Dict:
 def _cmd_online(args, out) -> int:
     import json
 
-    from repro.harness.experiment import Experiment
     from repro.online import (
         OnlineConfig,
         phased_experiment_config,

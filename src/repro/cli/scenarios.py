@@ -7,6 +7,8 @@ from __future__ import annotations
 import sys
 from typing import Dict
 
+from repro.harness import write_benchmark_json
+from repro.harness.figures import Table
 from repro.staticpred import PROFILE_SOURCES
 
 from repro.cli._common import store_from
@@ -156,8 +158,6 @@ def _cmd_scenarios(args, out) -> int:
             ]
 
         if args.scenarios_command == "list":
-            from repro.harness.figures import Table
-
             table = Table(
                 title="Scenario matrix cells",
                 columns=["scenario", "workload", "hierarchy", "combo",
@@ -187,8 +187,6 @@ def _cmd_scenarios(args, out) -> int:
         return 2
     out.write(result.render() + "\n")
     if args.save_json:
-        from repro.harness import write_benchmark_json
-
         write_benchmark_json("scenarios", result.to_document(), args.save_json)
     if args.report_path:
         pathlib.Path(args.report_path).write_text(
@@ -230,8 +228,6 @@ def _cmd_static_bench(args, out) -> int:
     table = result.to_table()
     out.write(table.render() + "\n")
     if args.save_json:
-        from repro.harness import write_benchmark_json
-
         write_benchmark_json("staticpred", table, args.save_json)
     if args.check and not result.passes():
         sys.stderr.write(

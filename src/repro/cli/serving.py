@@ -6,6 +6,9 @@ from __future__ import annotations
 import sys
 from typing import Dict
 
+from repro.harness import write_benchmark_json
+from repro.harness.experiment import Experiment
+from repro.harness.figures import Table
 from repro.staticpred import PROFILE_SOURCES
 
 from repro.cli._common import emit_runlog, experiment_from, store_from
@@ -145,7 +148,6 @@ def _cmd_serve(args, out) -> int:
 
 
 def _fleet_experiment(args):
-    from repro.harness.experiment import Experiment
     from repro.online import phased_experiment_config
 
     config = phased_experiment_config(
@@ -214,9 +216,6 @@ def _cmd_fleet(args, out) -> int:
             out.write(report.render() + "\n")
 
     if args.save_json:
-        from repro.harness import write_benchmark_json
-        from repro.harness.figures import Table
-
         rows = []
         for name, report in reports.items():
             healthy = report.healthy_epochs

@@ -2,7 +2,6 @@
 
 from repro.execution.interpreter import CfgWalker
 from repro.execution.mp import (
-    DATA_BASE,
     LOG_BASE,
     OltpSystem,
     PRIVATE_BASE,
@@ -19,7 +18,6 @@ __all__ = [
     "CfgWalker",
     "CombinedAddressMap",
     "CpuTrace",
-    "DATA_BASE",
     "KERNEL_PID",
     "LOG_BASE",
     "OltpSystem",

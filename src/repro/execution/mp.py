@@ -25,11 +25,10 @@ from repro.db.pages import PAGE_SIZE
 from repro.errors import DeadlockError
 from repro.execution.interpreter import CfgWalker
 from repro.execution.trace import CpuTrace, SystemTrace
+from repro.ir import DATA_BASE
 from repro.progen.builder import CompiledProgram
 from repro.workloads.tpcb import TpcbConfig, TpcbWorkload
 
-#: Base address of the shared database buffer region (data stream).
-DATA_BASE = 0x40000000
 #: Base of per-process private memory (stack / sort heaps / cursors).
 PRIVATE_BASE = 0x80000000
 PRIVATE_STRIDE = 1 << 22

@@ -14,9 +14,8 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.ir import AddressMap, INSTRUCTION_BYTES
+from repro.ir import INSTRUCTION_BYTES, KERNEL_BASE, AddressMap
 from repro.ir.layout import trace_fetch_counts
-from repro.osmodel.kernel import KERNEL_BASE
 
 #: Process id used for kernel-initiated work with no process context.
 KERNEL_PID = -1
@@ -82,7 +81,7 @@ class CombinedAddressMap:
     """Concatenated app+kernel address maps over the combined id space.
 
     Application blocks keep their app-layout addresses; kernel blocks
-    are offset by :data:`KERNEL_BASE`.
+    are offset by :data:`repro.ir.KERNEL_BASE`.
     """
 
     def __init__(

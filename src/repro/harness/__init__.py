@@ -11,7 +11,6 @@ from repro.harness.experiment import (
     uniprocessor_experiment,
 )
 from repro.harness import figures
-from repro.harness.parallel import parallel_map, resolve_jobs
 from repro.harness.results import (
     RESULTS_SCHEMA_VERSION,
     read_history,
@@ -19,7 +18,6 @@ from repro.harness.results import (
     table_payload,
     write_benchmark_json,
 )
-from repro.harness.runlog import RunLog, StageRecord
 from repro.harness.store import (
     ArtifactStore,
     StoreInfo,
@@ -39,9 +37,7 @@ __all__ = [
     "Experiment",
     "ExperimentConfig",
     "RESULTS_SCHEMA_VERSION",
-    "RunLog",
     "STREAM_SCOPES",
-    "StageRecord",
     "StoreInfo",
     "StreamSet",
     "default_cache_dir",
@@ -52,9 +48,7 @@ __all__ = [
     "load_profile",
     "load_program",
     "load_trace",
-    "parallel_map",
     "read_history",
-    "resolve_jobs",
     "run_id",
     "save_layout",
     "save_profile",

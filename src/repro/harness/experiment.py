@@ -17,7 +17,7 @@ and per-combo layouts straight from the cache instead of regenerating
 them.  The artifact names and cache keys are unchanged from the
 pre-pipeline harness, so existing cache directories replay warm.  Every
 stage records wall time and cache hit/miss in the experiment's
-:class:`~repro.harness.runlog.RunLog`.
+:class:`~repro.pipeline.runlog.RunLog`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import numpy as np
 
 from repro.errors import ConfigError, SimulationError
 from repro.execution import CombinedAddressMap, OltpSystem, SystemConfig, SystemTrace
-from repro.harness.runlog import RunLog
 from repro.harness.store import (
     ArtifactStore,
     load_layout,
@@ -48,7 +47,7 @@ from repro.harness.store import (
 from repro.ir import Layout, assign_addresses, baseline_layout
 from repro.layout import Combo, SpikeOptimizer
 from repro.osmodel import KernelCodeConfig, build_kernel_program
-from repro.pipeline import ArtifactSpec, PipelineRunner, Stage, StageGraph
+from repro.pipeline import ArtifactSpec, PipelineRunner, RunLog, Stage, StageGraph
 from repro.profiles import PixieProfiler, Profile
 from repro.progen import AppCodeConfig, CompiledProgram, build_app_program
 from repro.staticpred import (
@@ -58,6 +57,7 @@ from repro.staticpred import (
     synthesize_profile,
 )
 from repro.workloads import TpcbConfig
+from repro.workloads.dss import DssConfig, DssWorkload
 
 #: Valid scopes for :meth:`Experiment.streams`.
 STREAM_SCOPES = ("app", "kernel", "combined", "per-process")
@@ -581,8 +581,6 @@ def uniprocessor_experiment() -> Experiment:
 def dss_experiment() -> Experiment:
     """The DSS comparison experiment: the same generated binaries and
     database, driven by read-only aggregation queries."""
-    from repro.workloads.dss import DssConfig, DssWorkload
-
     config = ExperimentConfig(
         profile_transactions=48,
         measure_transactions=48,

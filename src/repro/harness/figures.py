@@ -20,10 +20,10 @@ from repro.analysis import (
     sequence_lengths,
     union_footprint_in_lines,
 )
-from repro.cache import CacheGeometry, ICacheResult
+from repro.cache import CacheGeometry
 from repro.harness.experiment import Experiment
-from repro.pipeline import StreamHandoff, resilient_map
-from repro.sim import MemoryHierarchy, simulate, simulate_grid
+from repro.pipeline import resilient_map, shared_state
+from repro.sim import ICacheResult, MemoryHierarchy, simulate, simulate_grid
 from repro.layout import PAPER_COMBOS
 from repro.timing import (
     ALPHA_21164,
@@ -131,28 +131,37 @@ def fig03_execution_profile(exp: Experiment) -> Table:
 
 # -- parallel fan-out ---------------------------------------------------------
 #
-# The sweep figures replay prepared streams through many independent
-# cache geometries.  The Figure 4/5 direct-mapped grid goes through
-# repro.sim.simulate_grid (batched single-pass engine, fanned per
-# stream).  The LRU figures materialize streams in the parent
-# and publish them through repro.pipeline's StreamHandoff; the
-# fork-based pool in resilient_map lets workers inherit them without
-# pickling multi-megabyte arrays, and retries the fan-out with backoff
-# if a worker is killed.  Cells are pure functions of (geometry,
-# streams), and the map preserves input order, so --jobs N output is
-# bit-identical to serial.
+# The Figure 4/5 grid goes through repro.sim.simulate_grid.  The LRU
+# figures hand their streams to resilient_map as shared= state, which
+# forked workers inherit without pickling.  Cells are pure and the map
+# keeps input order, so --jobs N output is bit-identical to serial.
 
 
 def _lru_cell(cell: Tuple[str, int, int, int]) -> int:
     combo, size, line, assoc = cell
     return simulate(
-        StreamHandoff.get(combo),
+        shared_state()[combo],
         MemoryHierarchy.l1i_only(CacheGeometry(size, line, assoc)),
     ).misses
 
 
 def _jobs(exp: Experiment, jobs: Optional[int]) -> Optional[int]:
     return exp.jobs if jobs is None else jobs
+
+
+def _lru_misses(
+    exp: Experiment,
+    combos: Sequence[str],
+    cells: List[Tuple[str, int, int, int]],
+    jobs: Optional[int],
+) -> Dict[Tuple[str, int, int, int], int]:
+    """LRU misses per cell, fanned out over the app streams of ``combos``."""
+    streams = {combo: list(exp.streams(combo, scope="app")) for combo in combos}
+    return dict(
+        zip(cells, resilient_map(
+            _lru_cell, cells, jobs=_jobs(exp, jobs), shared=streams
+        ))
+    )
 
 
 # -- Figures 4 and 5 ----------------------------------------------------------
@@ -219,19 +228,13 @@ def fig06_associativity(exp: Experiment, jobs: Optional[int] = None) -> Table:
     """Miss rate vs associativity at fixed size/line (Figure 6)."""
     combos = ("base", "all")
     with exp.runlog.stage("sweep", "fig06"):
-        handoff = StreamHandoff(
-            {combo: list(exp.streams(combo, scope="app")) for combo in combos}
-        )
-        with handoff:
-            cells = [
-                (combo, size, 128, assoc)
-                for size in SWEEP_SIZES
-                for combo in combos
-                for assoc in (1, 4)
-            ]
-            misses = dict(
-                zip(cells, resilient_map(_lru_cell, cells, jobs=_jobs(exp, jobs)))
-            )
+        cells = [
+            (combo, size, 128, assoc)
+            for size in SWEEP_SIZES
+            for combo in combos
+            for assoc in (1, 4)
+        ]
+        misses = _lru_misses(exp, combos, cells, jobs)
     rows = []
     for size in SWEEP_SIZES:
         row = [size // 1024]
@@ -257,18 +260,10 @@ def fig07_ablation(
 ) -> Table:
     """Optimization-combination ablation at fixed geometry (Figure 7)."""
     with exp.runlog.stage("sweep", "fig07"):
-        handoff = StreamHandoff(
-            {combo: list(exp.streams(combo, scope="app")) for combo in combos}
-        )
-        with handoff:
-            cells = [
-                (combo, size, 128, 4)
-                for combo in combos
-                for size in SWEEP_SIZES
-            ]
-            misses = dict(
-                zip(cells, resilient_map(_lru_cell, cells, jobs=_jobs(exp, jobs)))
-            )
+        cells = [
+            (combo, size, 128, 4) for combo in combos for size in SWEEP_SIZES
+        ]
+        misses = _lru_misses(exp, combos, cells, jobs)
     rows = []
     for combo in combos:
         rows.append(

@@ -9,7 +9,13 @@ from repro.ir.flowgraph import (
     flow_graph_from_block_counts,
     flow_graph_from_edge_counts,
 )
-from repro.ir.instruction import INSTRUCTION_BYTES, SEGMENT_ENDING, Terminator
+from repro.ir.instruction import (
+    DATA_BASE,
+    INSTRUCTION_BYTES,
+    KERNEL_BASE,
+    SEGMENT_ENDING,
+    Terminator,
+)
 from repro.ir.layout import (
     AddressMap,
     CodeUnit,
@@ -25,9 +31,11 @@ __all__ = [
     "BasicBlock",
     "Binary",
     "CodeUnit",
+    "DATA_BASE",
     "FlowEdge",
     "FlowGraph",
     "INSTRUCTION_BYTES",
+    "KERNEL_BASE",
     "Layout",
     "Procedure",
     "SEGMENT_ENDING",

@@ -14,6 +14,14 @@ import enum
 #: Bytes per instruction (Alpha has fixed 32-bit instructions).
 INSTRUCTION_BYTES = 4
 
+#: Base virtual address of the kernel image.  Note that instruction
+#: caches index with low address bits, so kernel and application code
+#: still collide in the cache -- the interference the paper measures.
+KERNEL_BASE = 0x1000000
+
+#: Base address of the shared database buffer region (data stream).
+DATA_BASE = 0x40000000
+
 
 class Terminator(enum.Enum):
     """How control leaves a basic block.

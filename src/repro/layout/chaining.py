@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro import obs
+from repro.check.structural import verify_chaining
 from repro.ir import FlowGraph, Procedure
 
 
@@ -121,7 +122,5 @@ def chain_blocks(
     rest.sort(key=lambda c: (-int(block_counts[c[0]]), c[0]))
     result = ChainingResult(proc_name=proc.name, chains=[entry_chain] + rest)
     if verify:
-        from repro.check.structural import verify_chaining
-
         verify_chaining(proc, result)
     return result

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro import obs
+from repro.check.structural import verify_unit_permutation
 from repro.ir import Binary, CodeUnit, INSTRUCTION_BYTES, UnitCallGraph
 
 #: Alpha conditional branches reach +/- 1 MB (21-bit word displacement).
@@ -162,8 +163,6 @@ def order_units(
         merges=merges,
     )
     if verify:
-        from repro.check.structural import verify_unit_permutation
-
         verify_unit_permutation(units, result.units)
     return result
 

@@ -21,12 +21,14 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
+from repro.check import verify_layout
 from repro.errors import LayoutError
 from repro.ir import (
     Binary,
     CodeUnit,
     FlowGraph,
     Layout,
+    assign_addresses,
     baseline_layout,
     build_unit_call_graph,
     flow_graph_from_block_counts,
@@ -212,9 +214,6 @@ class SpikeOptimizer:
         with obs.span("layout.build", combo=combo):
             layout = self._build(combo)
         if self.verify:
-            from repro.check import verify_layout
-            from repro.ir.layout import assign_addresses
-
             with obs.span("layout.verify", combo=combo):
                 verify_layout(
                     self.binary,

@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro import obs
+from repro.check.structural import verify_split_units
 from repro.ir import Binary, CodeUnit, SEGMENT_ENDING
 from repro.layout.chaining import ChainingResult
 
@@ -44,8 +45,6 @@ def split_chains(
     obs.counter("layout.split.procedures").inc()
     obs.counter("layout.split.segments").inc(len(units))
     if verify:
-        from repro.check.structural import verify_split_units
-
         verify_split_units(binary, chaining.proc_name, units)
     return units
 
@@ -69,8 +68,6 @@ def split_procedure_source_order(
     if segment:
         units.append(_make_unit(proc_name, len(units), segment, entry_bid))
     if verify:
-        from repro.check.structural import verify_split_units
-
         verify_split_units(binary, proc_name, units)
     return units
 

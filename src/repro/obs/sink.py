@@ -5,7 +5,7 @@ self-contained JSON objects.  The sink must survive the repo's two
 concurrency regimes:
 
 * **threads** — a lock serializes encoding + writing;
-* **fork-based worker processes** (:func:`repro.harness.parallel.parallel_map`)
+* **fork-based worker processes** (:func:`repro.pipeline.parallel_map`)
   — the file descriptor is opened with ``O_APPEND`` and every event is
   written with a *single* ``os.write`` call, so lines from different
   processes interleave whole, never intra-line.

@@ -47,6 +47,7 @@ from repro.online.sampler import (
 )
 from repro.osmodel import KernelCodeConfig
 from repro.progen import AppCodeConfig
+from repro.staticpred import PROFILE_SOURCES
 from repro.workloads import TpcbConfig
 from repro.workloads.phased import Phase, PhasedConfig, PhasedWorkload
 from repro.workloads.tpcb import TpcbWorkload
@@ -96,8 +97,6 @@ class OnlineConfig:
             raise ConfigError(
                 f"shift_after must be >= 1, got {self.shift_after}"
             )
-        from repro.staticpred import PROFILE_SOURCES
-
         if self.profile_source not in PROFILE_SOURCES:
             raise ConfigError(
                 f"unknown profile source {self.profile_source!r}; "

@@ -24,7 +24,7 @@ from typing import Optional, Tuple
 from repro import obs
 from repro.check import gate_layout
 from repro.errors import LayoutError, StageGateError
-from repro.harness.runlog import CACHE_HIT, RunLog
+from repro.pipeline.runlog import CACHE_HIT, RunLog
 from repro.harness.store import ArtifactStore, load_layout, save_layout
 from repro.ir import AddressMap, Binary, Layout, assign_addresses
 from repro.layout import SpikeOptimizer

@@ -1,14 +1,12 @@
 """Kernel model: the Tru64-style OS binary and its entry points."""
 
 from repro.osmodel.kernel import (
-    KERNEL_BASE,
     KERNEL_HELPERS,
     KernelCodeConfig,
     build_kernel_program,
 )
 
 __all__ = [
-    "KERNEL_BASE",
     "KERNEL_HELPERS",
     "KernelCodeConfig",
     "build_kernel_program",

@@ -1,7 +1,7 @@
 """The kernel binary: Tru64-style syscall/scheduler/interrupt paths.
 
 Kernel routines use the same DSL/IR as the application but live in
-their own binary, placed at :data:`KERNEL_BASE` in the address space.
+their own binary, placed at :data:`repro.ir.KERNEL_BASE` in the address space.
 Entry points are the ``k.*`` events emitted by the engine (I/O, lock
 yields) and by the multiprocessor model (quantum expiry, timer ticks).
 """
@@ -15,11 +15,6 @@ from typing import List, Optional
 from repro.progen.builder import CompiledProgram, build_binary
 from repro.progen.dsl import Loop, Node, RoutineSpec, Straight, SubCall
 from repro.progen.library import generate_code_run
-
-#: Base virtual address of the kernel image.  Note that instruction
-#: caches index with low address bits, so kernel and application code
-#: still collide in the cache -- the interference the paper measures.
-KERNEL_BASE = 0x1000000
 
 #: Kernel-internal helpers (statically called).
 KERNEL_HELPERS = (

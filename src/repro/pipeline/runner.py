@@ -6,7 +6,7 @@ cache-key scheme: try the :class:`~repro.harness.store.ArtifactStore`
 first (keys are ``(fingerprint, artifact-name)``, so caches written by
 pre-pipeline code replay warm), otherwise build and persist
 atomically.  Every execution is timed and accounted in a
-:class:`~repro.harness.runlog.RunLog` under the stage's
+:class:`~repro.pipeline.runlog.RunLog` under the stage's
 ``name[:detail]`` — run-log lines, ``stage.<name>`` spans, and
 ``pipeline.<name>.seconds`` histograms are byte-compatible with the
 pre-pipeline harness — plus ``pipeline.cache_hits`` /
@@ -25,14 +25,16 @@ stage served from the cache never forces its upstream stages.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.errors import PipelineError, StageGateError
-from repro.harness.runlog import CACHE_HIT, CACHE_MISS, CACHE_OFF, RunLog
-from repro.harness.store import ArtifactStore
 from repro.pipeline.graph import StageGraph
+from repro.pipeline.runlog import CACHE_HIT, CACHE_MISS, CACHE_OFF, RunLog
 from repro.pipeline.stage import Artifact, Stage, StageStatus
+
+if TYPE_CHECKING:  # the harness sits above the pipeline layer
+    from repro.harness.store import ArtifactStore
 
 
 class PipelineRunner:

@@ -11,7 +11,7 @@ anyone downstream sees it.
 :class:`Artifact` is the runner-side handle for one executed stage:
 the computed (or loaded) value plus its cache disposition, mirroring
 the ``cache=hit|miss|off`` accounting of
-:class:`~repro.harness.runlog.StageRecord`.
+:class:`~repro.pipeline.runlog.StageRecord`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional, Tuple
 
 from repro.errors import PipelineError
-from repro.harness.runlog import CACHE_OFF
+from repro.pipeline.runlog import CACHE_OFF
 
 
 @dataclass(frozen=True)

@@ -84,20 +84,6 @@ class Profile:
             for name in self.binary.proc_order()
         }
 
-    def coverage(self, footprint_bytes: int) -> float:
-        """Fraction of dynamic instructions captured by the hottest
-        ``footprint_bytes`` of static code (the paper's Figure 3 curve).
-        """
-        from repro.analysis.footprint import execution_profile_curve
-
-        sizes, fractions = execution_profile_curve(self)
-        captured = 0.0
-        for size, frac in zip(sizes, fractions):
-            if size > footprint_bytes:
-                break
-            captured = frac
-        return captured
-
     def validate(self) -> None:
         """Sanity-check edge counts against block counts.
 

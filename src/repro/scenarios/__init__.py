@@ -8,9 +8,6 @@ turns that matrix into data:
   cell (workload x hierarchy x combo x drift x engine), with a
   validated registry, TOML/JSON matrix files, and fingerprints that
   plug into the artifact-store pipeline cache.
-* :mod:`repro.scenarios.synth` — the seeded synthetic OLTP workload
-  generator (Markov op mixes, hot-set skew, loop depth, phase
-  schedules), a first-class workload next to TPC-B/DSS.
 * :mod:`repro.scenarios.matrix` — the resumable matrix runner:
   crash-safe per-cell persistence, ``repro.check`` gating, and the
   ``BENCH_scenarios`` document.
@@ -19,6 +16,10 @@ turns that matrix into data:
 * :mod:`repro.scenarios.staticbench` — the ``repro static-bench``
   engine: measured vs static vs hybrid profile sources per cell, with
   the OLTP static-recovery gate (``BENCH_staticpred``).
+
+The seeded synthetic workload whose knobs the matrix dials (Markov op
+mixes, hot-set skew, loop depth, phase schedules) lives next to TPC-B
+and DSS in :mod:`repro.workloads.synth`.
 
 See ``docs/SCENARIOS.md`` for the user guide and matrix-file schema.
 """
@@ -40,25 +41,13 @@ from repro.scenarios.spec import (
     registry_names,
     select_specs,
 )
-from repro.scenarios.synth import (
-    MIX_PRESETS,
-    OP_KINDS,
-    SynthPhase,
-    SyntheticConfig,
-    SyntheticWorkload,
-)
 
 __all__ = [
-    "MIX_PRESETS",
-    "OP_KINDS",
     "CellResult",
     "HierarchySpec",
     "MatrixResult",
     "ScenarioSpec",
     "StaticBenchResult",
-    "SynthPhase",
-    "SyntheticConfig",
-    "SyntheticWorkload",
     "WorkloadSpec",
     "default_matrix",
     "load_specs",

@@ -40,12 +40,16 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
+from repro.check import check_all
 from repro.errors import ScenarioError
 from repro.harness.experiment import Experiment
 from repro.harness.figures import Table
-from repro.pipeline import resilient_map
+from repro.harness.results import table_payload
 from repro.harness.store import ArtifactStore
+from repro.ir import assign_addresses
 from repro.layout import Combo
+from repro.pipeline import resilient_map
+from repro.sim import simulate, simulate_grid
 from repro.scenarios.spec import ScenarioSpec, _reject_duplicates
 
 #: Bump when the cached cell payload changes shape (old cells are then
@@ -141,8 +145,6 @@ def _experiment_for(spec: ScenarioSpec, store: Optional[ArtifactStore]) -> Exper
 
 def _simulate_misses(spec: ScenarioSpec, streams) -> int:
     """L1I miss count for one stream set under the cell's engine."""
-    from repro.sim import simulate, simulate_grid
-
     hier = spec.hierarchy
     if spec.engine == "batched":
         size = hier.l1i_kb * 1024
@@ -195,9 +197,6 @@ def _run_cell(task: Tuple[Dict, Optional[str], bool]) -> Dict:
                     / cell.base_misses
                 )
             if verify:
-                from repro.check import check_all
-                from repro.ir import assign_addresses
-
                 layout = exp.layout(cell.combo, spec.profile_source)
                 report = check_all(
                     exp.app.binary,
@@ -364,8 +363,6 @@ class MatrixResult:
     def to_document(self) -> Dict:
         """The ``BENCH_scenarios`` payload: the table plus full cells
         and the family ranking (what the report renders from)."""
-        from repro.harness.results import table_payload
-
         document = table_payload(self.to_table())
         document["cells"] = [cell.to_dict() for cell in self.cells]
         document["families"] = [

@@ -48,6 +48,7 @@ import pathlib
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.cache import CacheGeometry
 from repro.errors import ScenarioError
 from repro.harness.experiment import (
     STREAM_SCOPES,
@@ -56,9 +57,17 @@ from repro.harness.experiment import (
     quick_experiment,
 )
 from repro.layout import Combo
-from repro.scenarios.synth import MIX_PRESETS, OP_KINDS
 from repro.sim import MemoryHierarchy
 from repro.staticpred import PROFILE_SOURCES
+from repro.workloads.dss import DssConfig, DssWorkload
+from repro.workloads.phased import Phase, PhasedConfig, PhasedWorkload
+from repro.workloads.synth import (
+    MIX_PRESETS,
+    OP_KINDS,
+    SynthPhase,
+    SyntheticConfig,
+    SyntheticWorkload,
+)
 
 #: Bump when the canonical spec payload changes shape (invalidates
 #: every cached cell result).
@@ -147,8 +156,6 @@ class HierarchySpec:
 
     def to_hierarchy(self) -> MemoryHierarchy:
         """The :class:`~repro.sim.MemoryHierarchy` this spec names."""
-        from repro.cache import CacheGeometry
-
         l2 = None
         if self.l2_kb:
             l2 = CacheGeometry(self.l2_kb * 1024, self.l2_line, self.l2_assoc)
@@ -340,18 +347,6 @@ class ScenarioSpec:
             return None
 
         def factory(tpcb, _seed_offset):
-            from repro.workloads.dss import DssConfig, DssWorkload
-            from repro.workloads.phased import (
-                Phase,
-                PhasedConfig,
-                PhasedWorkload,
-            )
-            from repro.scenarios.synth import (
-                SynthPhase,
-                SyntheticConfig,
-                SyntheticWorkload,
-            )
-
             if kind == "synthetic":
                 phases = (SynthPhase(spec.workload.mix, 0),)
                 if drift == "shift":

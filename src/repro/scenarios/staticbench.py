@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ScenarioError
+from repro.harness.figures import Table
 from repro.harness.store import ArtifactStore
 from repro.scenarios.matrix import _experiment_for, _simulate_misses
 from repro.scenarios.spec import ScenarioSpec
@@ -92,8 +93,6 @@ class StaticBenchResult:
         on purpose: bench-diff keys the better-direction off the column
         name, and ``recovered`` marks it higher-is-better.
         """
-        from repro.harness.figures import Table
-
         rows = []
         for cell in self.cells:
             for source in PROFILE_SOURCES:

@@ -37,7 +37,6 @@ from typing import Dict, List, Optional, Tuple
 from repro import obs
 from repro.check import gate_layout
 from repro.errors import LayoutError, ProtocolError, ServeError
-from repro.harness.parallel import fork_available
 from repro.harness.store import (
     ArtifactStore,
     layout_from_dict,
@@ -45,6 +44,7 @@ from repro.harness.store import (
 )
 from repro.ir import Binary
 from repro.layout import Combo, SpikeOptimizer
+from repro.pipeline.fanout import fork_available, install_shared, shared_state
 from repro.serve.cache import DEFAULT_MEMORY_ENTRIES, LayoutCache
 from repro.serve.protocol import (
     ErrorResponse,
@@ -65,17 +65,6 @@ from repro.serve.protocol import (
 )
 from repro.staticpred import synthesize_profile
 
-#: Set (in the parent, pre-fork) so pool workers inherit the binary
-#: without per-task pickling; thread-mode executors read it directly.
-_WORKER_BINARY: Optional[Binary] = None
-
-
-def _set_worker_binary(binary: Binary) -> None:
-    """Publish the binary for optimization workers (pre-fork)."""
-    global _WORKER_BINARY
-    _WORKER_BINARY = binary
-
-
 def _optimize_task(
     submit: Optional[ProfileSubmit], combo: str, enqueued_at: float
 ) -> Dict:
@@ -85,10 +74,11 @@ def _optimize_task(
     from the binary's CFG structure (the cold-start fallback).  Returns
     ``{"layout": <layout document>, "queue_wait_ms": ...}``.  The queue
     wait is measured from admission to worker start, so a saturated
-    pool shows up in the ``serve.queue_wait_ms`` histogram.
+    pool shows up in the ``serve.queue_wait_ms`` histogram.  The
+    binary is the executor's shared state (see ``_make_executor``).
     """
     started = time.time()
-    binary = _WORKER_BINARY
+    binary = shared_state()
     if binary is None:
         raise ServeError("optimization worker has no binary configured")
     profile = (
@@ -157,17 +147,22 @@ class LayoutServer:
     # -- lifecycle --------------------------------------------------------
 
     def _make_executor(self) -> Executor:
-        _set_worker_binary(self.binary)
+        """The optimization pool; every worker (thread or forked
+        process) starts with this server's binary as its shared state,
+        inherited over ``fork`` without pickling."""
+        handoff = dict(initializer=install_shared, initargs=(self.binary,))
         if self.config.workers >= 1 and fork_available():
             import multiprocessing
 
             return ProcessPoolExecutor(
                 max_workers=self.config.workers,
                 mp_context=multiprocessing.get_context("fork"),
+                **handoff,
             )
         return ThreadPoolExecutor(
             max_workers=max(1, self.config.workers or 1),
             thread_name_prefix="serve-opt",
+            **handoff,
         )
 
     async def start(self) -> "LayoutServer":

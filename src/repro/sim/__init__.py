@@ -8,11 +8,10 @@ shared trace chunks evaluates every direct-mapped geometry in the grid
 (see :mod:`repro.sim.batch` for the algorithm and
 ``docs/SIMULATION.md`` for the design).
 
-The stack has two layers: the per-level engines live in
-:mod:`repro.cache` (``lru_result``, ``l2_result``, ``itlb_result``,
-``dcache_result``, ``direct_mapped_misses``) and this package is the
-facade that composes them.  The classic engines double as the
-differential oracle for the batched sweep.
+The per-level engines (``icache``, ``l2``, ``tlb``, ``dcache``,
+``streambuf``, ``victim``) live in this package beside the facade, and
+``__all__`` is the one public engine surface.  The classic engines
+double as the differential oracle for the batched sweep.
 """
 
 from __future__ import annotations
@@ -22,30 +21,58 @@ from typing import Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro import obs
-from repro.cache import (
-    DCacheResult,
-    dcache_result,
-    itlb_result,
-    l2_result,
-    lru_result,
-    simulate_l1i_misses,
-)
 from repro.sim.batch import (
     DEFAULT_CHUNK_INSTRUCTIONS,
     ENGINES,
     iter_chunks,
     simulate_grid,
 )
+from repro.sim.dcache import DCacheResult, dcache_result
 from repro.sim.hierarchy import MemoryHierarchy, SimResult
+from repro.sim.icache import (
+    ICacheResult,
+    ICacheSim,
+    collapse_consecutive,
+    direct_mapped_misses,
+    expand_line_runs,
+    lru_result,
+)
+from repro.sim.l2 import L2Result, l2_result, simulate_l1i_misses
+from repro.sim.stats import APP, KERNEL, InterferenceMatrix, LocalityStats
+from repro.sim.streambuf import StreamBufferResult, simulate_stream_buffers
+from repro.sim.tlb import PAGE_BYTES, TlbResult, itlb_result
+from repro.sim.victim import VictimCacheResult, simulate_victim_cache
 
 __all__ = [
+    "APP",
+    "DCacheResult",
     "DEFAULT_CHUNK_INSTRUCTIONS",
     "ENGINES",
+    "ICacheResult",
+    "ICacheSim",
+    "InterferenceMatrix",
+    "KERNEL",
+    "L2Result",
+    "LocalityStats",
     "MemoryHierarchy",
+    "PAGE_BYTES",
     "SimResult",
+    "StreamBufferResult",
+    "TlbResult",
+    "VictimCacheResult",
+    "collapse_consecutive",
+    "dcache_result",
+    "direct_mapped_misses",
+    "expand_line_runs",
     "iter_chunks",
+    "itlb_result",
+    "l2_result",
+    "lru_result",
     "simulate",
     "simulate_grid",
+    "simulate_l1i_misses",
+    "simulate_stream_buffers",
+    "simulate_victim_cache",
 ]
 
 

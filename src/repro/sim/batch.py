@@ -24,9 +24,9 @@ cache size sharing that line size:
   per-chunk miss counts sum to exactly the whole-stream answer: the
   batched grid is bit-identical to the classic per-cell engine.
 
-Fan-out is per CPU stream (not per cell): the stream list is published
-in a module global before the pool forks, so workers read the parent's
-arrays copy-on-write instead of re-pickling them per cell.
+Fan-out is per CPU stream (not per cell): the stream list travels as
+the map's ``shared=`` state, so forked workers read the parent's arrays
+copy-on-write instead of re-pickling them per cell.
 """
 
 from __future__ import annotations
@@ -36,9 +36,11 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.cache import CacheGeometry, direct_mapped_misses
+from repro.cache import CacheGeometry
 from repro.errors import SimulationError
 from repro.ir import INSTRUCTION_BYTES
+from repro.pipeline.fanout import parallel_map, shared_state
+from repro.sim.icache import direct_mapped_misses, span_lines
 
 #: Default chunk budget (instructions) for the batched traversal --
 #: large enough that quick-experiment streams stay one chunk, small
@@ -88,24 +90,6 @@ def iter_chunks(
         if overshoot:
             chunk_counts[-1] -= overshoot
         yield chunk_starts, chunk_counts
-
-
-def _expand_lines(
-    starts: np.ndarray, counts: np.ndarray, line_bytes: int
-) -> np.ndarray:
-    """Line ids touched by each span, in fetch order (lines only -- the
-    sweep needs no word ranges or span indices)."""
-    if len(starts) == 0:
-        return np.zeros(0, dtype=np.int64)
-    ends = starts + counts * INSTRUCTION_BYTES
-    first_line = starts // line_bytes
-    lines_per_span = ((ends - 1) // line_bytes - first_line + 1).astype(np.int64)
-    total = int(lines_per_span.sum())
-    span_of_run = np.repeat(np.arange(len(starts)), lines_per_span)
-    run_start = np.zeros(len(starts), dtype=np.int64)
-    np.cumsum(lines_per_span[:-1], out=run_start[1:])
-    within = np.arange(total, dtype=np.int64) - np.repeat(run_start, lines_per_span)
-    return first_line[span_of_run] + within
 
 
 def _count_chunk(
@@ -174,7 +158,7 @@ def _batched_stream_grid(
     ):
         chunks += 1
         for line, geoms in groups:
-            lines = _expand_lines(chunk_starts, chunk_counts, line)
+            lines, _ = span_lines(chunk_starts, chunk_counts, line)
             if len(lines) == 0:  # defensive; chunks always fetch
                 continue
             keep = np.empty(len(lines), dtype=bool)
@@ -211,21 +195,16 @@ def _batched_stream_grid(
     return misses, chunks, occupancy
 
 
-# -- fan-out plumbing ---------------------------------------------------------
+# -- fan-out tasks ------------------------------------------------------------
 #
-# Streams are published through a module global before the pool forks;
-# workers inherit the parent's arrays copy-on-write (no pickling).  The
-# classic engine publishes the same way but fans per cell, mirroring the
-# historical per-cell pool shape.  This is deliberately not a
-# ``StreamHandoff``: scenario cells run this sweep inside their own
-# handoff-published workers, and entering a handoff clears its global.
-
-#: ``(streams, groups, chunk_instructions)`` of the running fan-out.
-_WORKER_STATE: Tuple = ()
+# Both engines hand ``(streams, groups, chunk_instructions)`` to
+# ``parallel_map`` as ``shared=`` state: the batched engine fans per
+# stream, the classic engine per cell.  Not ``resilient_map``: a
+# profiler wrapping it would move grid worker time out of this layer.
 
 
 def _batched_worker(index: int):
-    streams, groups, chunk_instructions = _WORKER_STATE
+    streams, groups, chunk_instructions = shared_state()
     return _batched_stream_grid(*streams[index], groups, chunk_instructions)
 
 
@@ -234,7 +213,7 @@ def _classic_worker(cell: Tuple[int, int]) -> int:
     geometry = CacheGeometry(size, line, 1)
     return sum(
         direct_mapped_misses(starts, counts, geometry)
-        for starts, counts in _WORKER_STATE[0]
+        for starts, counts in shared_state()[0]
     )
 
 
@@ -256,10 +235,6 @@ def simulate_grid(
     bit-identical counts; classic remains for cross-checking and as
     the degenerate path for exotic geometry lists.
     """
-    # Imported here: repro.harness pulls in figures, which uses this
-    # module -- a top-level import would be circular.
-    from repro.harness.parallel import parallel_map
-
     if engine not in ENGINES:
         raise SimulationError(
             f"unknown engine {engine!r}; valid engines: {', '.join(ENGINES)}"
@@ -268,18 +243,14 @@ def simulate_grid(
     if not stream_list:
         raise SimulationError("no streams supplied")
     groups = _group_geometries(sizes, line_sizes)
-    global _WORKER_STATE
-    _WORKER_STATE = (stream_list, groups, chunk_instructions)
-    try:
-        if engine == "classic":
-            cells = [(size, line) for size in sizes for line in line_sizes]
-            counts = parallel_map(_classic_worker, cells, jobs=jobs)
-            return dict(zip(cells, counts))
-        per_stream = parallel_map(
-            _batched_worker, range(len(stream_list)), jobs=jobs
-        )
-    finally:
-        _WORKER_STATE = ()
+    shared = (stream_list, groups, chunk_instructions)
+    if engine == "classic":
+        cells = [(size, line) for size in sizes for line in line_sizes]
+        counts = parallel_map(_classic_worker, cells, jobs=jobs, shared=shared)
+        return dict(zip(cells, counts))
+    per_stream = parallel_map(
+        _batched_worker, range(len(stream_list)), jobs=jobs, shared=shared
+    )
     grid: Dict[Tuple[int, int], int] = {
         (size, line): 0 for line, geoms in groups for size, _nsets in geoms
     }

@@ -5,11 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from repro.cache.icache import CacheGeometry
+from repro.cache import CacheGeometry
 
 
 @dataclass
 class DCacheResult:
+    """Outcome of one L1D run, with its refill stream for the L2."""
+
     geometry: CacheGeometry
     misses: int
     accesses: int

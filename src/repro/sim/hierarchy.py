@@ -14,11 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.cache.dcache import DCacheResult
-from repro.cache.icache import CacheGeometry, ICacheResult
-from repro.cache.l2 import L2Result
-from repro.cache.tlb import TlbResult
+from repro.cache import CacheGeometry
 from repro.errors import SimulationError
+from repro.sim.dcache import DCacheResult
+from repro.sim.icache import ICacheResult
+from repro.sim.l2 import L2Result
+from repro.sim.tlb import TlbResult
 
 
 @dataclass(frozen=True)

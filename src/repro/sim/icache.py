@@ -21,38 +21,27 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro import obs
+from repro.cache import CacheGeometry
 from repro.errors import SimulationError
-from repro.cache.stats import APP, KERNEL, InterferenceMatrix, LocalityStats
-from repro.ir import INSTRUCTION_BYTES
-from repro.osmodel.kernel import KERNEL_BASE
+from repro.ir import INSTRUCTION_BYTES, KERNEL_BASE
+from repro.sim.stats import APP, KERNEL, InterferenceMatrix, LocalityStats
 
 
-@dataclass(frozen=True)
-class CacheGeometry:
-    """Size / line size / associativity of one cache."""
-
-    size_bytes: int
-    line_bytes: int
-    assoc: int = 1
-
-    def __post_init__(self) -> None:
-        if self.size_bytes % (self.line_bytes * self.assoc):
-            raise SimulationError(
-                f"cache {self.size_bytes}B cannot be divided into "
-                f"{self.assoc}-way sets of {self.line_bytes}B lines"
-            )
-
-    @property
-    def num_sets(self) -> int:
-        return self.size_bytes // (self.line_bytes * self.assoc)
-
-    @property
-    def words_per_line(self) -> int:
-        return self.line_bytes // INSTRUCTION_BYTES
-
-    def __str__(self) -> str:
-        way = "direct-mapped" if self.assoc == 1 else f"{self.assoc}-way"
-        return f"{self.size_bytes // 1024}KB/{self.line_bytes}B/{way}"
+def span_lines(
+    starts: np.ndarray, counts: np.ndarray, line_bytes: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(line_ids, span_of_line)``: every line touched by each span, in
+    fetch order, and the span that touched it (all ``counts > 0``)."""
+    ends = starts + counts * INSTRUCTION_BYTES  # exclusive
+    first_line = starts // line_bytes
+    lines_per_span = ((ends - 1) // line_bytes - first_line + 1).astype(np.int64)
+    total = int(lines_per_span.sum())
+    # Offsets of each run within its span: 0..lines_per_span-1.
+    span_of_run = np.repeat(np.arange(len(starts)), lines_per_span)
+    run_start = np.zeros(len(starts), dtype=np.int64)
+    np.cumsum(lines_per_span[:-1], out=run_start[1:])
+    within = np.arange(total, dtype=np.int64) - np.repeat(run_start, lines_per_span)
+    return first_line[span_of_run] + within, span_of_run
 
 
 def expand_line_runs(
@@ -71,17 +60,8 @@ def expand_line_runs(
     if len(starts) == 0:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty, empty, empty
-    ends = starts + counts * INSTRUCTION_BYTES  # exclusive
-    first_line = starts // line_bytes
-    last_line = (ends - 1) // line_bytes
-    lines_per_span = (last_line - first_line + 1).astype(np.int64)
-    total = int(lines_per_span.sum())
-    # Offsets of each run within its span: 0..lines_per_span-1.
-    span_of_run = np.repeat(np.arange(len(starts)), lines_per_span)
-    run_start = np.zeros(len(starts), dtype=np.int64)
-    np.cumsum(lines_per_span[:-1], out=run_start[1:])
-    within = np.arange(total, dtype=np.int64) - np.repeat(run_start, lines_per_span)
-    line_ids = first_line[span_of_run] + within
+    line_ids, span_of_run = span_lines(starts, counts, line_bytes)
+    ends = starts + counts * INSTRUCTION_BYTES
     words_per_line = line_bytes // INSTRUCTION_BYTES
     line_word0 = line_ids * words_per_line
     span_word_lo = (starts // INSTRUCTION_BYTES)[span_of_run]
@@ -212,10 +192,6 @@ class ICacheSim:
         self.result.unique_lines = len(self._touched)
 
     # -- internals ----------------------------------------------------------------
-
-    @staticmethod
-    def _space(line_id: int, line_bytes: int) -> str:
-        return KERNEL if line_id * line_bytes >= KERNEL_BASE else APP
 
     def _run_plain(self, line_ids: np.ndarray) -> None:
         nsets = self.geometry.num_sets

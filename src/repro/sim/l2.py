@@ -8,8 +8,9 @@ from typing import List, Tuple
 import numpy as np
 
 from repro import obs
-from repro.cache.icache import CacheGeometry, collapse_consecutive, expand_line_runs
-from repro.execution.mp import DATA_BASE
+from repro.cache import CacheGeometry
+from repro.ir import DATA_BASE
+from repro.sim.icache import collapse_consecutive, expand_line_runs
 
 
 def simulate_l1i_misses(
@@ -52,6 +53,8 @@ def simulate_l1i_misses(
 
 @dataclass
 class L2Result:
+    """Outcome of one shared-L2 run, misses split by refill source."""
+
     geometry: CacheGeometry
     accesses: int
     misses_instr: int
@@ -59,6 +62,7 @@ class L2Result:
 
     @property
     def misses(self) -> int:
+        """Instruction plus data misses."""
         return self.misses_instr + self.misses_data
 
 
@@ -80,6 +84,7 @@ class FirstTouchMapper:
         self._next = 0
 
     def translate(self, addresses: np.ndarray) -> np.ndarray:
+        """Physical addresses, giving each unseen page the next frame."""
         pages = addresses >> _PAGE_SHIFT
         offsets = addresses & ((1 << _PAGE_SHIFT) - 1)
         frames = np.empty(len(addresses), dtype=np.int64)

@@ -26,12 +26,15 @@ class InterferenceMatrix:
     cold: Dict[str, int] = field(default_factory=lambda: {APP: 0, KERNEL: 0})
 
     def record(self, missing: str, owner: str) -> None:
+        """Count one miss by ``missing`` that evicted ``owner``'s line."""
         self.counts[missing][owner] += 1
 
     def record_cold(self, missing: str) -> None:
+        """Count one miss by ``missing`` that displaced no line."""
         self.cold[missing] += 1
 
     def misses(self, missing: str) -> int:
+        """All misses by one address space, cold ones included."""
         return sum(self.counts[missing].values()) + self.cold[missing]
 
 

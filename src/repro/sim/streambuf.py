@@ -21,12 +21,15 @@ from typing import List
 
 import numpy as np
 
+from repro.cache import CacheGeometry
 from repro.errors import SimulationError
-from repro.cache.icache import CacheGeometry, collapse_consecutive, expand_line_runs
+from repro.sim.icache import collapse_consecutive, expand_line_runs
 
 
 @dataclass
 class StreamBufferResult:
+    """Outcome of an L1I run backed by instruction stream buffers."""
+
     geometry: CacheGeometry
     num_buffers: int
     depth: int

@@ -16,6 +16,8 @@ PAGE_BYTES = 8192
 
 @dataclass
 class TlbResult:
+    """Outcome of one iTLB run, summed over the per-CPU TLBs."""
+
     entries: int
     misses: int
     accesses: int

@@ -14,12 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.cache import CacheGeometry
 from repro.errors import SimulationError
-from repro.cache.icache import CacheGeometry, collapse_consecutive, expand_line_runs
+from repro.sim.icache import collapse_consecutive, expand_line_runs
 
 
 @dataclass
 class VictimCacheResult:
+    """Outcome of an L1I run with and without a victim buffer."""
+
     geometry: CacheGeometry
     victim_entries: int
     accesses: int

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cache.icache import CacheGeometry
+from repro.cache import CacheGeometry
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,5 @@
 """Workload drivers (TPC-B, DSS, phase-shifting mixes, and the
-synthetic generator).
-
-The synthetic workload lives in :mod:`repro.scenarios.synth` but is a
-first-class citizen of this namespace: ``repro.workloads.SyntheticWorkload``
-et al. resolve lazily (module ``__getattr__``) so importing
-``repro.workloads`` never pulls in the scenarios package — which itself
-imports the harness, which imports this module."""
+synthetic generator)."""
 
 from repro.workloads.dss import (
     DssClient,
@@ -21,6 +15,15 @@ from repro.workloads.phased import (
     PhasedConfig,
     PhasedWorkload,
 )
+from repro.workloads.synth import (
+    MIX_PRESETS,
+    OP_KINDS,
+    SynthPhase,
+    SyntheticClient,
+    SyntheticConfig,
+    SyntheticTransaction,
+    SyntheticWorkload,
+)
 from repro.workloads.tpcb import (
     KEY_COLUMNS,
     SCHEMA,
@@ -34,30 +37,6 @@ from repro.workloads.tpcb import (
     load_database,
     run_transactions,
 )
-
-#: Synthetic-workload symbols re-exported lazily from
-#: :mod:`repro.scenarios.synth` (import cycle avoidance, see above).
-_SYNTH_EXPORTS = (
-    "MIX_PRESETS",
-    "OP_KINDS",
-    "SynthPhase",
-    "SyntheticClient",
-    "SyntheticConfig",
-    "SyntheticTransaction",
-    "SyntheticWorkload",
-)
-
-
-def __getattr__(name):
-    if name in _SYNTH_EXPORTS:
-        from repro.scenarios import synth
-
-        return getattr(synth, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(list(globals()) + list(_SYNTH_EXPORTS))
 
 
 __all__ = [
@@ -82,5 +61,11 @@ __all__ = [
     "create_schema",
     "load_database",
     "run_transactions",
-    *_SYNTH_EXPORTS,
+    "MIX_PRESETS",
+    "OP_KINDS",
+    "SynthPhase",
+    "SyntheticClient",
+    "SyntheticConfig",
+    "SyntheticTransaction",
+    "SyntheticWorkload",
 ]

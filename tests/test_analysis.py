@@ -14,7 +14,7 @@ from repro.analysis import (
     sequence_lengths,
     union_footprint_in_lines,
 )
-from repro.cache.stats import APP, KERNEL, InterferenceMatrix
+from repro.sim import APP, KERNEL, InterferenceMatrix
 from repro.ir import Binary, Procedure, Terminator
 from repro.profiles import PixieProfiler
 

@@ -6,17 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.cache import (
+from repro.cache import CacheGeometry
+from repro.sim import (
     APP,
-    KERNEL,
-    CacheGeometry,
     ICacheSim,
+    KERNEL,
     collapse_consecutive,
     direct_mapped_misses,
     expand_line_runs,
     lru_result,
 )
-from repro.osmodel.kernel import KERNEL_BASE
+from repro.ir import KERNEL_BASE
 
 
 def spans(*pairs):

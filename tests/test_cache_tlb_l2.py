@@ -3,17 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.cache import (
-    CacheGeometry,
+from repro.cache import CacheGeometry
+from repro.sim import (
     PAGE_BYTES,
     dcache_result,
     itlb_result,
     l2_result,
     simulate_l1i_misses,
 )
-from repro.cache.l2 import FirstTouchMapper
+from repro.sim.l2 import FirstTouchMapper
 from repro.errors import SimulationError
-from repro.execution.mp import DATA_BASE
+from repro.ir import DATA_BASE
 
 
 def spans(*pairs):

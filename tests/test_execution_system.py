@@ -8,8 +8,8 @@ from repro.execution import (
     OltpSystem,
     SystemConfig,
 )
-from repro.ir import assign_addresses, baseline_layout
-from repro.osmodel import KERNEL_BASE, KernelCodeConfig, build_kernel_program
+from repro.ir import KERNEL_BASE, assign_addresses, baseline_layout
+from repro.osmodel import KernelCodeConfig, build_kernel_program
 from repro.progen import AppCodeConfig, build_app_program
 from repro.workloads import TpcbConfig
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from repro.errors import LayoutError, SimulationError
-from repro.cache import CacheGeometry, simulate_stream_buffers
+from repro.cache import CacheGeometry
+from repro.sim import simulate_stream_buffers
 from repro.ir import (
     Binary,
     CodeUnit,

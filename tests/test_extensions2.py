@@ -5,7 +5,8 @@ import pytest
 
 from repro.errors import LayoutError, SimulationError
 from repro.analysis import branch_stats, merge_branch_stats
-from repro.cache import CacheGeometry, lru_result, simulate_victim_cache
+from repro.cache import CacheGeometry
+from repro.sim import lru_result, simulate_victim_cache
 from repro.ir import Binary, CodeUnit, Procedure, Terminator
 from repro.layout import build_trg, temporal_order
 

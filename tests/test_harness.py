@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cache import CacheGeometry, direct_mapped_misses
+from repro.cache import CacheGeometry
+from repro.sim import direct_mapped_misses
 from repro.harness import figures, quick_experiment
 
 
@@ -87,13 +88,13 @@ class TestStreamsApi:
             assert not hasattr(exp, legacy)
 
     def test_combined_scope_includes_kernel(self, exp):
-        from repro.osmodel import KERNEL_BASE
+        from repro.ir import KERNEL_BASE
 
         for starts, _counts in exp.streams("base", scope="combined"):
             assert (starts >= KERNEL_BASE).any()
 
     def test_kernel_scope_all_kernel(self, exp):
-        from repro.osmodel import KERNEL_BASE
+        from repro.ir import KERNEL_BASE
 
         for starts, _counts in exp.streams(scope="kernel"):
             assert (starts >= KERNEL_BASE).all()

@@ -5,7 +5,8 @@ import pytest
 
 from repro.db.instrument import CallEvent
 from repro.execution import CfgWalker
-from repro.osmodel import KERNEL_BASE, KernelCodeConfig, build_kernel_program
+from repro.ir import KERNEL_BASE
+from repro.osmodel import KernelCodeConfig, build_kernel_program
 from repro.progen import AppCodeConfig, RoutineSpec, Straight, build_binary
 
 

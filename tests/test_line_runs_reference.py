@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import expand_line_runs
+from repro.sim import expand_line_runs
 from repro.ir import INSTRUCTION_BYTES
 
 

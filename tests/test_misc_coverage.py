@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis import capture_at
 from repro.cache import CacheGeometry
 from repro.errors import (
     BufferPoolError,
@@ -65,13 +66,13 @@ class TestProfileCoverage:
 
     def test_coverage_monotone(self):
         profile = self.make_profile()
-        quarter = profile.coverage(200)
-        half = profile.coverage(400)
+        quarter = capture_at(profile, 200)
+        half = capture_at(profile, 400)
         assert 0.0 <= quarter <= half <= 1.0
 
     def test_coverage_full_footprint(self):
         profile = self.make_profile()
-        assert profile.coverage(800) == pytest.approx(1.0)
+        assert capture_at(profile, 800) == pytest.approx(1.0)
 
     def test_entry_bid(self):
         profile = self.make_profile()

@@ -6,7 +6,7 @@ import collections
 import pytest
 
 from repro import obs
-from repro.harness.parallel import fork_available, parallel_map
+from repro.pipeline import fork_available, parallel_map
 from repro.obs.sink import read_events
 
 

@@ -7,7 +7,7 @@ import pytest
 from repro.cli import main
 from repro.errors import ConfigError, LayoutError
 from repro.harness.experiment import Experiment
-from repro.harness.runlog import CACHE_HIT, CACHE_MISS, CACHE_OFF
+from repro.pipeline.runlog import CACHE_HIT, CACHE_MISS, CACHE_OFF
 from repro.harness.store import ArtifactStore
 from repro.layout import SpikeOptimizer
 from repro.online import (

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro.errors import ParallelError
-from repro.harness.parallel import fork_available, parallel_map, resolve_jobs
+from repro.pipeline import fork_available, parallel_map, resolve_jobs
 
 pytestmark = pytest.mark.skipif(
     not fork_available(), reason="needs fork start method"

@@ -12,23 +12,27 @@ import sys
 import textwrap
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
 from repro.errors import ParallelError, PipelineError, StageGateError
-from repro.harness.runlog import CACHE_HIT, CACHE_MISS, CACHE_OFF, RunLog
+from repro.pipeline.runlog import CACHE_MISS, CACHE_OFF
 from repro.harness.store import ArtifactStore
 from repro.pipeline import (
     ArtifactSpec,
     PipelineRunner,
     Stage,
     StageGraph,
-    StreamHandoff,
+    fork_available,
+    parallel_map,
     resilient_map,
+    shared_state,
 )
 from repro.pipeline import fanout as fanout_mod
+from repro.sim import simulate_grid
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -331,7 +335,7 @@ class TestResilientMap:
     def test_retries_parallel_errors_with_backoff(self, monkeypatch):
         calls = []
 
-        def flaky(fn, items, jobs=None, chunksize=1, timeout=None):
+        def flaky(fn, items, jobs=None, chunksize=1, timeout=None, shared=None):
             calls.append(list(items))
             if len(calls) < 3:
                 raise ParallelError("worker died")
@@ -350,7 +354,8 @@ class TestResilientMap:
         assert obs.counter("pipeline.retries").value == retries + 2
 
     def test_reraises_after_retries_exhausted(self, monkeypatch):
-        def always_dead(fn, items, jobs=None, chunksize=1, timeout=None):
+        def always_dead(fn, items, jobs=None, chunksize=1, timeout=None,
+                        shared=None):
             raise ParallelError("worker died")
 
         monkeypatch.setattr(fanout_mod, "parallel_map", always_dead)
@@ -374,13 +379,69 @@ class TestResilientMap:
         assert resilient_map(lambda x: x + 1, range(5)) == [1, 2, 3, 4, 5]
 
 
-class TestStreamHandoff:
-    def test_publishes_for_the_duration_of_the_block(self):
-        with StreamHandoff({"base": [1, 2], "all": [3]}):
-            assert StreamHandoff.get("base") == [1, 2]
-            assert StreamHandoff.get("all") == [3]
-        with pytest.raises(KeyError):
-            StreamHandoff.get("base")
+class Unpicklable:
+    """Shared state that cannot cross a pickle boundary."""
+
+    def __reduce__(self):
+        raise TypeError("shared state must not be pickled")
+
+
+def _read_shared(item):
+    state = shared_state()
+    return item, state if isinstance(state, (str, tuple)) else type(state).__name__
+
+
+def _nested_serial(item):
+    inner = parallel_map(_read_shared, [item], jobs=1, shared="inner")
+    return inner, shared_state()
+
+
+GRID_SIZES = (1024, 4096)
+GRID_LINES = (32, 64)
+
+
+def _grid_in_worker(_index):
+    return simulate_grid(shared_state(), GRID_SIZES, GRID_LINES, jobs=2)
+
+
+class TestSharedHandoff:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_shared_reaches_tasks(self, jobs):
+        results = resilient_map(
+            _read_shared, [0, 1, 2], jobs=jobs, shared=("streams", 7)
+        )
+        assert results == [(i, ("streams", 7)) for i in range(3)]
+        assert shared_state() is None
+
+    @pytest.mark.skipif(not fork_available(), reason="needs fork start method")
+    def test_forked_workers_inherit_without_pickling(self):
+        results = parallel_map(_read_shared, [0, 1], jobs=2, shared=Unpicklable())
+        assert results == [(0, "Unpicklable"), (1, "Unpicklable")]
+
+    def test_nested_serial_map_restores_outer_state(self):
+        results = parallel_map(_nested_serial, [1, 2], jobs=1, shared="outer")
+        assert results == [([(1, "inner")], "outer"), ([(2, "inner")], "outer")]
+        assert shared_state() is None
+
+    def test_state_restored_when_a_task_raises(self):
+        def boom(_item):
+            raise ValueError("boom")
+
+        with pytest.raises(ValueError, match="boom"):
+            parallel_map(boom, [1], jobs=1, shared="doomed")
+        assert shared_state() is None
+
+    @pytest.mark.skipif(not fork_available(), reason="needs fork start method")
+    def test_grid_inside_a_fanout_worker_matches_serial_classic(self):
+        rng = np.random.default_rng(11)
+        streams = [
+            ((rng.integers(0, 16384, size=300) * 4).astype(np.int64),
+             rng.integers(1, 40, size=300).astype(np.int64))
+            for _ in range(2)
+        ]
+        expected = simulate_grid(streams, GRID_SIZES, GRID_LINES, engine="classic")
+        results = resilient_map(_grid_in_worker, [0, 1], jobs=2, shared=streams)
+        assert results == [expected, expected]
 
 
 class TestCrashResume:

@@ -14,10 +14,9 @@ from repro.harness import (
     Experiment,
     ExperimentConfig,
     figures,
-    parallel_map,
-    resolve_jobs,
 )
 from repro.osmodel import KernelCodeConfig
+from repro.pipeline import parallel_map, resolve_jobs
 from repro.progen import AppCodeConfig
 from repro.workloads import TpcbConfig
 

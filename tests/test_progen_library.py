@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from repro.ir import Terminator
-from repro.osmodel import KERNEL_BASE, KernelCodeConfig, build_kernel_program
+from repro.ir import KERNEL_BASE
+from repro.osmodel import KernelCodeConfig, build_kernel_program
 from repro.progen import AppCodeConfig, build_app_program, generate_code_run
 from repro.progen.builder import iter_nodes
 from repro.progen.dsl import ColdPath, If, Loop, Straight, SubCall

@@ -15,7 +15,8 @@ from repro.analysis import (
     sequence_lengths,
     union_footprint_in_lines,
 )
-from repro.cache import CacheGeometry, direct_mapped_misses, itlb_result
+from repro.cache import CacheGeometry
+from repro.sim import direct_mapped_misses, itlb_result
 from repro.harness import quick_experiment
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.db import Engine
 from repro.errors import WorkloadError
-from repro.scenarios.synth import (
+from repro.workloads.synth import (
     MIX_PRESETS,
     OP_KINDS,
     SynthOp,

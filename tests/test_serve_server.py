@@ -350,3 +350,40 @@ class TestSwapGate:
             assert reply.status == STATUS_OK
         finally:
             handle.stop()
+
+
+class TestPerServerBinary:
+    def test_two_servers_build_with_their_own_binaries(self, serve_env):
+        """Each server's optimization pool carries its own binary: a
+        second server over a different binary must not change what the
+        first one builds with."""
+        from repro.progen import AppCodeConfig, build_app_program
+
+        binary, (profile, _) = serve_env
+        other = build_app_program(
+            AppCodeConfig(scale=0.5, filler_routines=14, filler_instructions=2_000)
+        ).binary
+        assert other.num_blocks != binary.num_blocks
+        other_profile = synthesize_profile(other)
+        first = ServerThread.start(binary, config=ServerConfig(workers=0))
+        try:
+            second = ServerThread.start(other, config=ServerConfig(workers=0))
+            try:
+                reply = make_client(first, max_attempts=1).fetch_layout(
+                    profile, "all"
+                )
+                assert reply.ok, reply
+                assert reply.layout == layout_to_dict(
+                    SpikeOptimizer(binary, profile).layout("all")
+                )
+                reply = make_client(second, max_attempts=1).fetch_layout(
+                    other_profile, "all"
+                )
+                assert reply.ok, reply
+                assert reply.layout == layout_to_dict(
+                    SpikeOptimizer(other, other_profile).layout("all")
+                )
+            finally:
+                second.stop()
+        finally:
+            first.stop()

@@ -9,16 +9,18 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.cache import (
-    CacheGeometry,
+from repro.cache import CacheGeometry
+from repro.errors import SimulationError
+from repro.sim import (
+    MemoryHierarchy,
     dcache_result,
     direct_mapped_misses,
     itlb_result,
     l2_result,
     lru_result,
+    simulate,
+    simulate_grid,
 )
-from repro.errors import SimulationError
-from repro.sim import MemoryHierarchy, simulate, simulate_grid
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 L1I = CacheGeometry(1024, 64, 2)
@@ -101,7 +103,7 @@ class TestFacade:
         assert result.icache.locality is not None
 
     def test_l2_path_matches_manual_composition(self, streams, data_streams):
-        from repro.cache.l2 import simulate_l1i_misses
+        from repro.sim import simulate_l1i_misses
 
         hierarchy = MemoryHierarchy(
             l1i=L1I, l2=L2, dcache=L1I, itlb_entries=32
@@ -141,6 +143,11 @@ class TestFacade:
     "import repro.sim.classic",
     "import repro.sim.sharedmem",
     "from repro.cache import simulate_lru",
+    "import repro.cache.icache",
+    "import repro.harness.parallel",
+    "import repro.harness.runlog",
+    "import repro.scenarios.synth",
+    "from repro.pipeline import StreamHandoff",
 ])
 def test_removed_layers_stay_removed(statement):
     with pytest.raises(ImportError):

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import CacheGeometry, direct_mapped_misses
+from repro.cache import CacheGeometry
 from repro.ir import INSTRUCTION_BYTES
-from repro.sim import iter_chunks, simulate_grid
-from repro.sim.batch import _expand_lines
+from repro.sim import direct_mapped_misses, iter_chunks, simulate_grid
+from repro.sim.icache import span_lines
 
 
 def reference_grid(streams, sizes, lines):
@@ -122,11 +122,9 @@ class TestIterChunks:
             [s * INSTRUCTION_BYTES for s, _ in spans], dtype=np.int64
         )
         counts = np.asarray([c for _, c in spans], dtype=np.int64)
-        whole = _expand_lines(
-            starts[counts > 0], counts[counts > 0], line
-        )
+        whole, _ = span_lines(starts[counts > 0], counts[counts > 0], line)
         pieces = [
-            _expand_lines(cs, cc, line)
+            span_lines(cs, cc, line)[0]
             for cs, cc in iter_chunks(starts, counts, chunk)
         ]
         rejoined = (

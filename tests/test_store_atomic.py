@@ -11,7 +11,7 @@ import pathlib
 
 import pytest
 
-from repro.harness.parallel import fork_available
+from repro.pipeline import fork_available
 from repro.harness.store import ArtifactStore
 
 FINGERPRINT = "stress-fp"

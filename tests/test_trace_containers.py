@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.cache.stats import LocalityStats
+from repro.sim import LocalityStats
 from repro.execution.trace import CpuTrace, SystemTrace
 
 
