@@ -31,10 +31,10 @@ from repro.sim.dcache import DCacheResult, dcache_result
 from repro.sim.hierarchy import MemoryHierarchy, SimResult
 from repro.sim.icache import (
     ICacheResult,
-    ICacheSim,
     collapse_consecutive,
     direct_mapped_misses,
     expand_line_runs,
+    lru_pass,
     lru_result,
 )
 from repro.sim.l2 import L2Result, l2_result, simulate_l1i_misses
@@ -49,7 +49,6 @@ __all__ = [
     "DEFAULT_CHUNK_INSTRUCTIONS",
     "ENGINES",
     "ICacheResult",
-    "ICacheSim",
     "InterferenceMatrix",
     "KERNEL",
     "L2Result",
@@ -67,6 +66,7 @@ __all__ = [
     "iter_chunks",
     "itlb_result",
     "l2_result",
+    "lru_pass",
     "lru_result",
     "simulate",
     "simulate_grid",
@@ -104,10 +104,10 @@ def simulate(
         data_streams: Optional per-CPU ``(addresses, positions)`` data
             accesses; simulated only when ``hierarchy.dcache`` is set.
 
-    Without an L2 the L1I runs the full LRU simulator and
-    ``result.icache`` carries interference/locality detail.  With an L2
-    the L1I runs as a tag array whose refills (merged with L1D refills,
-    instruction refills first per CPU) feed the shared L2.
+    Without an L2 the L1I runs :func:`lru_result` and ``result.icache``
+    carries interference/locality detail.  With an L2 the L1I yields
+    only its refills, which (merged with L1D refills, instruction
+    refills first per CPU) feed the shared L2.
     """
     stream_list = list(streams)
     instructions = sum(int(counts.sum()) for _, counts in stream_list)

@@ -29,8 +29,8 @@ class MemoryHierarchy:
     Attributes:
         l1i: The L1 instruction cache geometry (required).
         l2: Shared unified L2 geometry; ``None`` skips the L2.  When
-            set, the L1I runs as a tag array producing a refill stream
-            (no locality detail) and the L2 sees per-CPU instruction
+            set, the L1I produces only its refill stream (no
+            locality detail) and the L2 sees per-CPU instruction
             refills interleaved with data refills by trace position.
         dcache: L1 data cache geometry; ``None`` skips the data side.
             Only simulated when the caller also passes data streams.

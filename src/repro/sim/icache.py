@@ -5,9 +5,13 @@ address + instructions fetched):
 
 * :func:`direct_mapped_misses` -- vectorized, counts misses only;
   the per-cell reference for the batched Figure 4/5 sweeps.
-* :class:`ICacheSim` -- set-associative LRU with the paper's detailed
-  locality metrics (word usage, reuse, lifetimes, app/kernel
-  interference); used for Figures 6, 7, 9-13.
+* :func:`lru_pass` -- the one set-associative LRU walk.  It returns
+  each miss's index and the line that miss evicted; every associative
+  level (:func:`lru_result` here, and the L1I refill stream, L1D, L2,
+  iTLB, victim cache and stream buffers beside it) derives its result
+  from those two arrays.  :func:`lru_result` adds the paper's detailed
+  locality metrics (word usage, reuse, lifetimes) and the app/kernel
+  interference matrix used for Figures 6, 7, 9-13.
 
 These are the simulation engines; callers compose them through the
 :mod:`repro.sim` facade.
@@ -42,6 +46,50 @@ def span_lines(
     np.cumsum(lines_per_span[:-1], out=run_start[1:])
     within = np.arange(total, dtype=np.int64) - np.repeat(run_start, lines_per_span)
     return first_line[span_of_run] + within, span_of_run
+
+
+def lru_pass(
+    lines: np.ndarray, num_sets: int, assoc: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One LRU walk over ``lines`` in ``num_sets`` sets of ``assoc`` ways.
+
+    Returns ``(miss_at, victims)``: the index of every access that
+    missed, and the line each miss evicted (-1 when its set was not yet
+    full).  Lines map to set ``line % num_sets``.
+    """
+    sets: List[List[int]] = [[] for _ in range(num_sets)]
+    miss_at = []
+    victims = []
+    for i, line in enumerate(lines.tolist()):
+        stack = sets[line % num_sets]  # most recent first
+        if stack and stack[0] == line:
+            continue
+        try:
+            stack.remove(line)
+        except ValueError:
+            miss_at.append(i)
+            victims.append(stack.pop() if len(stack) >= assoc else -1)
+        stack.insert(0, line)
+    return (
+        np.asarray(miss_at, dtype=np.int64),
+        np.asarray(victims, dtype=np.int64),
+    )
+
+
+def record_window_miss_rates(name: str, miss_at: np.ndarray, accesses: int) -> None:
+    """Record each window's miss rate on the ``name`` series.
+
+    The window is ``obs.series_window()`` accesses; every window is
+    recorded, the partial last one included, and only when the stream
+    is longer than one window.
+    """
+    window = obs.series_window()
+    if not window or accesses <= window:
+        return
+    per_window = np.bincount(miss_at // window, minlength=-(-accesses // window))
+    series = obs.series(name)
+    for index, misses in enumerate(per_window.tolist()):
+        series.record(misses / min(window, accesses - index * window))
 
 
 def expand_line_runs(
@@ -108,6 +156,8 @@ def direct_mapped_misses(
     return int((new_set | changed).sum())
 
 
+
+
 @dataclass
 class ICacheResult:
     """Outcome of a set-associative simulation."""
@@ -119,177 +169,70 @@ class ICacheResult:
     misses_kernel: int = 0
     interference: InterferenceMatrix = field(default_factory=InterferenceMatrix)
     locality: Optional[LocalityStats] = None
-    #: Distinct lines touched (footprint, in lines).
-    unique_lines: int = 0
 
 
-class ICacheSim:
-    """Set-associative LRU instruction cache with detailed metrics."""
+def _attribute(
+    result: ICacheResult, missed: np.ndarray, victims: np.ndarray, kernel_line: int
+) -> None:
+    """Split misses by address space and charge every eviction to the
+    victim's owner (the app/kernel interference matrix)."""
+    missing = (missed >= kernel_line).astype(np.int64)
+    # Per miss: 0 = displaced nothing, 1 = an app line, 2 = a kernel line.
+    owner = np.where(victims < 0, 0, 1 + (victims >= kernel_line))
+    cells = np.bincount(3 * missing + owner, minlength=6).tolist()
+    matrix = result.interference
+    for row, space in enumerate((APP, KERNEL)):
+        cold, app, kernel = cells[3 * row : 3 * row + 3]
+        matrix.cold[space] += cold
+        matrix.counts[space][APP] += app
+        matrix.counts[space][KERNEL] += kernel
+    result.misses_app += sum(cells[:3])
+    result.misses_kernel += sum(cells[3:])
 
-    def __init__(self, geometry: CacheGeometry, detail: bool = False) -> None:
-        self.geometry = geometry
-        self.detail = detail
-        nsets = geometry.num_sets
-        # Per-set LRU stacks, most recent first.  Plain mode: lists of
-        # line ids.  Detail mode: lists of [line, load_clock, counts].
-        self._sets = [[] for _ in range(nsets)]
-        self._clock = 0
-        self.result = ICacheResult(
-            geometry=geometry,
-            locality=LocalityStats(words_per_line=geometry.words_per_line)
-            if detail
-            else None,
-        )
-        self._touched: set = set()
 
-    # -- feeding ------------------------------------------------------------
+def _record_locality(
+    locality: LocalityStats,
+    line_ids: np.ndarray,
+    word_lo: np.ndarray,
+    word_hi: np.ndarray,
+    loads: np.ndarray,
+    victims: np.ndarray,
+) -> None:
+    """Record every residency of one stream (Figs. 9-11).
 
-    def access_stream(self, starts: np.ndarray, counts: np.ndarray) -> None:
-        """Run one stream (already in program order) through the cache.
-
-        Totals feed the ``icache.accesses``/``icache.misses`` counters;
-        when a series window is configured (``repro.obs``), the stream
-        is chunked into windows of that many line accesses and each
-        window's miss rate lands on the ``icache.window_miss_rate``
-        series — a time-resolved view of locality over the run.
-        """
-        line_ids, word_lo, word_hi, _ = expand_line_runs(
-            starts, counts, self.geometry.line_bytes
-        )
-        accesses0 = self.result.accesses
-        misses0 = self.result.misses
-        window = obs.series_window()
-        if not self.detail:
-            keep = collapse_consecutive(line_ids)
-            kept = line_ids[keep]
-            if window and len(kept) > window:
-                for lo in range(0, len(kept), window):
-                    before = self.result.misses
-                    chunk = kept[lo : lo + window]
-                    self._run_plain(chunk)
-                    obs.series("icache.window_miss_rate").record(
-                        (self.result.misses - before) / len(chunk)
-                    )
-            else:
-                self._run_plain(kept)
-        else:
-            if window and len(line_ids) > window:
-                for lo in range(0, len(line_ids), window):
-                    before = self.result.misses
-                    hi = lo + window
-                    self._run_detailed(
-                        line_ids[lo:hi], word_lo[lo:hi], word_hi[lo:hi]
-                    )
-                    obs.series("icache.window_miss_rate").record(
-                        (self.result.misses - before)
-                        / len(line_ids[lo:hi])
-                    )
-            else:
-                self._run_detailed(line_ids, word_lo, word_hi)
-        obs.counter("icache.accesses").inc(self.result.accesses - accesses0)
-        obs.counter("icache.misses").inc(self.result.misses - misses0)
-        self._touched.update(np.unique(line_ids).tolist())
-        self.result.unique_lines = len(self._touched)
-
-    # -- internals ----------------------------------------------------------------
-
-    def _run_plain(self, line_ids: np.ndarray) -> None:
-        nsets = self.geometry.num_sets
-        assoc = self.geometry.assoc
-        sets = self._sets
-        kernel_line = KERNEL_BASE // self.geometry.line_bytes
-        misses = 0
-        misses_app = 0
-        misses_kernel = 0
-        interference = self.result.interference
-        inter_counts = interference.counts
-        inter_cold = interference.cold
-        for line in line_ids.tolist():
-            stack = sets[line % nsets]
-            if stack and stack[0] == line:
-                continue
-            try:
-                stack.remove(line)
-            except ValueError:
-                misses += 1
-                missing = KERNEL if line >= kernel_line else APP
-                if missing is APP:
-                    misses_app += 1
-                else:
-                    misses_kernel += 1
-                if len(stack) >= assoc:
-                    victim = stack.pop()
-                    owner = KERNEL if victim >= kernel_line else APP
-                    inter_counts[missing][owner] += 1
-                else:
-                    inter_cold[missing] += 1
-            stack.insert(0, line)
-        self.result.accesses += len(line_ids)
-        self.result.misses += misses
-        self.result.misses_app += misses_app
-        self.result.misses_kernel += misses_kernel
-
-    def _run_detailed(self, line_ids, word_lo, word_hi) -> None:
-        nsets = self.geometry.num_sets
-        assoc = self.geometry.assoc
-        sets = self._sets
-        words_per_line = self.geometry.words_per_line
-        kernel_line = KERNEL_BASE // self.geometry.line_bytes
-        result = self.result
-        interference = result.interference
-        locality = result.locality
-        clock = self._clock
-        lows = word_lo.tolist()
-        highs = word_hi.tolist()
-        for i, line in enumerate(line_ids.tolist()):
-            clock += 1
-            result.accesses += 1
-            stack = sets[line % nsets]
-            entry = None
-            for pos, candidate in enumerate(stack):
-                if candidate[0] == line:
-                    entry = candidate
-                    if pos:
-                        del stack[pos]
-                        stack.insert(0, entry)
-                    break
-            if entry is not None:
-                counts = entry[2]
-                for word in range(lows[i], highs[i] + 1):
-                    counts[word] += 1
-                continue
-            result.misses += 1
-            missing = KERNEL if line >= kernel_line else APP
-            if missing is APP:
-                result.misses_app += 1
-            else:
-                result.misses_kernel += 1
-            if len(stack) >= assoc:
-                victim = stack.pop()
-                owner = KERNEL if victim[0] >= kernel_line else APP
-                interference.record(missing, owner)
-                locality.record_replacement(
-                    np.asarray(victim[2], dtype=np.int64), clock - victim[1]
-                )
-            else:
-                interference.record_cold(missing)
-            counts = [0] * words_per_line
-            for word in range(lows[i], highs[i] + 1):
-                counts[word] = 1
-            stack.insert(0, [line, clock, counts])
-        self._clock = clock
-
-    def finish(self) -> ICacheResult:
-        """Flush resident lines into the locality stats and return."""
-        if self.detail:
-            locality = self.result.locality
-            for stack in self._sets:
-                for entry in stack:
-                    locality.record_replacement(
-                        np.asarray(entry[2], dtype=np.int64),
-                        self._clock - entry[1],
-                    )
-        return self.result
+    ``loads`` holds the stream index of each miss and ``victims`` the
+    line it evicted.  A residency runs from the miss that loads a line
+    to the later miss that evicts it, or to the end of the stream; its
+    lifetime counts accesses between the two.
+    """
+    n = len(line_ids)
+    m = len(loads)
+    width = locality.words_per_line + 1
+    # Each access belongs to its line's latest load: forward-fill the
+    # load index over the line's accesses in sorted order.  A line's
+    # first access always misses, so the fill never crosses lines.
+    order = np.argsort(line_ids, kind="stable")
+    residency_at = np.full(n, -1, dtype=np.int64)
+    residency_at[loads] = np.arange(m)
+    sorted_residency = residency_at[order]
+    fill = np.where(sorted_residency >= 0, np.arange(n), 0)
+    np.maximum.accumulate(fill, out=fill)
+    residency = sorted_residency[fill] * width
+    # Per-residency word counts from a difference array over words.
+    diff = np.bincount(residency + word_lo[order], minlength=m * width)
+    diff -= np.bincount(residency + word_hi[order] + 1, minlength=m * width)
+    word_counts = np.cumsum(diff.reshape(m, width), axis=1)[:, :-1]
+    # The i-th eviction of a line ends that line's i-th residency.
+    loaded = line_ids[loads]
+    by_line = np.argsort(loaded, kind="stable")
+    evicting = np.nonzero(victims >= 0)[0]
+    ev_order = np.argsort(victims[evicting], kind="stable")
+    ev_lines = victims[evicting][ev_order]
+    rank = np.arange(len(ev_lines)) - np.searchsorted(ev_lines, ev_lines)
+    ended = by_line[np.searchsorted(loaded[by_line], ev_lines) + rank]
+    end = np.full(m, n - 1, dtype=np.int64)
+    end[ended] = loads[evicting[ev_order]]
+    locality.record_residencies(word_counts, end - loads)
 
 
 def lru_result(
@@ -301,34 +244,43 @@ def lru_result(
 
     ``streams`` holds one (starts, counts) pair per CPU; each CPU gets
     its own cache (the paper's configuration) and the counts are summed.
+    Totals feed the ``icache.accesses``/``icache.misses`` counters and,
+    with a series window configured (``repro.obs``), each window's miss
+    rate lands on the ``icache.window_miss_rate`` series.  Plain runs
+    count accesses after :func:`collapse_consecutive`; ``detail`` runs
+    count every line access and record the paper's locality metrics.
     """
-    merged: Optional[ICacheResult] = None
+    result = ICacheResult(
+        geometry=geometry,
+        locality=LocalityStats(words_per_line=geometry.words_per_line)
+        if detail
+        else None,
+    )
+    kernel_line = KERNEL_BASE // geometry.line_bytes
+    simulated = False
     for starts, counts in streams:
-        sim = ICacheSim(geometry, detail=detail)
-        sim.access_stream(starts, counts)
-        result = sim.finish()
-        if merged is None:
-            merged = result
+        simulated = True
+        line_ids, word_lo, word_hi, _ = expand_line_runs(
+            starts, counts, geometry.line_bytes
+        )
+        keep = collapse_consecutive(line_ids)
+        runs = line_ids[keep]
+        miss_at, victims = lru_pass(runs, geometry.num_sets, geometry.assoc)
+        if detail:
+            loads = keep[miss_at]
+            accesses = len(line_ids)
+            _record_locality(
+                result.locality, line_ids, word_lo, word_hi, loads, victims
+            )
         else:
-            merged.misses += result.misses
-            merged.accesses += result.accesses
-            merged.misses_app += result.misses_app
-            merged.misses_kernel += result.misses_kernel
-            merged.unique_lines += result.unique_lines
-            for missing in (APP, KERNEL):
-                merged.interference.cold[missing] += result.interference.cold[missing]
-                for owner in (APP, KERNEL):
-                    merged.interference.counts[missing][owner] += (
-                        result.interference.counts[missing][owner]
-                    )
-            if detail:
-                merged.locality.unique_words += result.locality.unique_words
-                merged.locality.word_reuse += result.locality.word_reuse
-                merged.locality.lifetimes += result.locality.lifetimes
-                merged.locality.lines_loaded += result.locality.lines_loaded
-                merged.locality.words_loaded += result.locality.words_loaded
-                merged.locality.words_used += result.locality.words_used
-    if merged is None:
+            loads = miss_at
+            accesses = len(runs)
+        record_window_miss_rates("icache.window_miss_rate", loads, accesses)
+        _attribute(result, runs[miss_at], victims, kernel_line)
+        result.accesses += accesses
+        result.misses += len(miss_at)
+        obs.counter("icache.accesses").inc(accesses)
+        obs.counter("icache.misses").inc(len(miss_at))
+    if not simulated:
         raise SimulationError("no streams supplied")
-    return merged
-
+    return result

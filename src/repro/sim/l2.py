@@ -10,7 +10,12 @@ import numpy as np
 from repro import obs
 from repro.cache import CacheGeometry
 from repro.ir import DATA_BASE
-from repro.sim.icache import collapse_consecutive, expand_line_runs
+from repro.sim.icache import (
+    collapse_consecutive,
+    expand_line_runs,
+    lru_pass,
+    record_window_miss_rates,
+)
 
 
 def simulate_l1i_misses(
@@ -21,34 +26,9 @@ def simulate_l1i_misses(
         starts, counts, geometry.line_bytes
     )
     keep = collapse_consecutive(line_ids)
-    line_ids = line_ids[keep]
-    span_index = span_index[keep]
-    nsets = geometry.num_sets
-    assoc = geometry.assoc
-    tags = np.full((nsets, assoc), -1, dtype=np.int64)
-    miss_addr = []
-    miss_pos = []
-    for i, line in enumerate(line_ids.tolist()):
-        set_idx = line % nsets
-        row = tags[set_idx]
-        hit = False
-        for way in range(assoc):
-            if row[way] == line:
-                if way:
-                    value = row[way]
-                    row[1 : way + 1] = row[:way]
-                    row[0] = value
-                hit = True
-                break
-        if not hit:
-            miss_addr.append(line * geometry.line_bytes)
-            miss_pos.append(int(span_index[i]))
-            row[1:assoc] = row[: assoc - 1]
-            row[0] = line
-    return (
-        np.asarray(miss_addr, dtype=np.int64),
-        np.asarray(miss_pos, dtype=np.int64),
-    )
+    miss_at, _ = lru_pass(line_ids[keep], geometry.num_sets, geometry.assoc)
+    missed = keep[miss_at]
+    return line_ids[missed] * geometry.line_bytes, span_index[missed]
 
 
 @dataclass
@@ -129,44 +109,12 @@ def l2_result(
     if physical:
         addresses = FirstTouchMapper().translate(addresses)
 
-    nsets = geometry.num_sets
-    assoc = geometry.assoc
-    tags = np.full((nsets, assoc), -1, dtype=np.int64)
-    line_ids = addresses // geometry.line_bytes
-    misses_instr = 0
-    misses_data = 0
-    # With an obs series window configured, record each window's
-    # combined miss rate on the ``l2.window_miss_rate`` series.
-    window = obs.series_window()
-    window_start = 0
-    window_misses = 0
-    for i, line in enumerate(line_ids.tolist()):
-        set_idx = line % nsets
-        row = tags[set_idx]
-        hit = False
-        for way in range(assoc):
-            if row[way] == line:
-                if way:
-                    value = row[way]
-                    row[1 : way + 1] = row[:way]
-                    row[0] = value
-                hit = True
-                break
-        if not hit:
-            if is_data[i]:
-                misses_data += 1
-            else:
-                misses_instr += 1
-            if window:
-                window_misses += 1
-            row[1:assoc] = row[: assoc - 1]
-            row[0] = line
-        if window and i + 1 - window_start >= window:
-            obs.series("l2.window_miss_rate").record(
-                window_misses / (i + 1 - window_start)
-            )
-            window_start = i + 1
-            window_misses = 0
+    miss_at, _ = lru_pass(
+        addresses // geometry.line_bytes, geometry.num_sets, geometry.assoc
+    )
+    misses_data = int(is_data[miss_at].sum())
+    misses_instr = len(miss_at) - misses_data
+    record_window_miss_rates("l2.window_miss_rate", miss_at, len(addresses))
     obs.counter("l2.accesses").inc(len(addresses))
     obs.counter("l2.misses_instr").inc(misses_instr)
     obs.counter("l2.misses_data").inc(misses_data)

@@ -29,10 +29,6 @@ class InterferenceMatrix:
         """Count one miss by ``missing`` that evicted ``owner``'s line."""
         self.counts[missing][owner] += 1
 
-    def record_cold(self, missing: str) -> None:
-        """Count one miss by ``missing`` that displaced no line."""
-        self.cold[missing] += 1
-
     def misses(self, missing: str) -> int:
         """All misses by one address space, cold ones included."""
         return sum(self.counts[missing].values()) + self.cold[missing]
@@ -42,8 +38,9 @@ class InterferenceMatrix:
 class LocalityStats:
     """Per-line locality metrics (paper Figures 9, 10, 11).
 
-    Collected at replacement time; lines still resident at the end of
-    the simulation are flushed into the stats by ``ICacheSim.finish``.
+    One entry per residency: a line's stay in the cache from the miss
+    that loads it to its eviction, or to the end of the stream for
+    lines still resident (see :func:`repro.sim.lru_result`).
     """
 
     words_per_line: int = 32
@@ -69,17 +66,26 @@ class LocalityStats:
         if self.lifetimes is None:
             self.lifetimes = np.zeros(self.lifetime_cap + 1, dtype=np.int64)
 
-    def record_replacement(self, word_counts: np.ndarray, lifetime: int) -> None:
-        """Account one evicted line's residency."""
-        used = int((word_counts > 0).sum())
-        self.unique_words[used] += 1
-        self.lines_loaded += 1
-        self.words_loaded += len(word_counts)
-        self.words_used += used
-        capped = np.minimum(word_counts, self.reuse_cap)
+    def record_residencies(
+        self, word_counts: np.ndarray, lifetimes: np.ndarray
+    ) -> None:
+        """Account a batch of line residencies.
+
+        ``word_counts`` has one row per residency: how often each word
+        of the line was fetched while it was resident; ``lifetimes``
+        holds each residency's length in cache accesses.
+        """
+        used = (word_counts > 0).sum(axis=1)
+        self.unique_words += np.bincount(used, minlength=self.words_per_line + 1)
+        self.lines_loaded += len(lifetimes)
+        self.words_loaded += word_counts.size
+        self.words_used += int(used.sum())
+        capped = np.minimum(word_counts, self.reuse_cap).ravel()
         self.word_reuse += np.bincount(capped, minlength=self.reuse_cap + 1)
-        bucket = min(self.lifetime_cap, max(0, int(lifetime).bit_length() - 1))
-        self.lifetimes[bucket] += 1
+        # frexp's exponent is the bit length of an integer lifetime.
+        bits = np.frexp(np.asarray(lifetimes, dtype=np.float64))[1]
+        buckets = np.clip(bits - 1, 0, self.lifetime_cap)
+        self.lifetimes += np.bincount(buckets, minlength=self.lifetime_cap + 1)
 
     @property
     def unused_fraction(self) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.cache import CacheGeometry
 from repro.errors import SimulationError
-from repro.sim.icache import collapse_consecutive, expand_line_runs
+from repro.sim.icache import collapse_consecutive, expand_line_runs, lru_pass
 
 
 @dataclass
@@ -83,28 +83,14 @@ def simulate_stream_buffers(
     if num_buffers < 1 or depth < 1:
         raise SimulationError("need at least one stream buffer of depth 1")
     line_ids, _, _, _ = expand_line_runs(starts, counts, geometry.line_bytes)
-    keep = collapse_consecutive(line_ids)
-    line_ids = line_ids[keep]
+    lines = line_ids[collapse_consecutive(line_ids)]
+    miss_at, _ = lru_pass(lines, geometry.num_sets, geometry.assoc)
 
-    nsets = geometry.num_sets
-    assoc = geometry.assoc
-    sets: List[List[int]] = [[] for _ in range(nsets)]
+    # The L1 fills every miss regardless, so the buffers only see misses.
     buffers = [_StreamBuffer(depth) for _ in range(num_buffers)]
     lru: List[int] = list(range(num_buffers))
-
-    raw_misses = 0
     stream_hits = 0
-    for line in line_ids.tolist():
-        stack = sets[line % nsets]
-        if stack and stack[0] == line:
-            continue
-        try:
-            stack.remove(line)
-            stack.insert(0, line)
-            continue
-        except ValueError:
-            pass
-        raw_misses += 1
+    for line in lines[miss_at].tolist():
         hit_buffer = -1
         for index, buffer in enumerate(buffers):
             if buffer.covers(line):
@@ -119,16 +105,13 @@ def simulate_stream_buffers(
             victim = lru.pop()
             buffers[victim].restart(line, depth)
             lru.insert(0, victim)
-        if len(stack) >= assoc:
-            stack.pop()
-        stack.insert(0, line)
 
     return StreamBufferResult(
         geometry=geometry,
         num_buffers=num_buffers,
         depth=depth,
-        accesses=len(line_ids),
-        raw_misses=raw_misses,
-        misses=raw_misses - stream_hits,
+        accesses=len(lines),
+        raw_misses=len(miss_at),
+        misses=len(miss_at) - stream_hits,
         stream_hits=stream_hits,
     )

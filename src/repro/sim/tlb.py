@@ -9,6 +9,12 @@ import numpy as np
 
 from repro import obs
 from repro.errors import SimulationError
+from repro.sim.icache import (
+    collapse_consecutive,
+    lru_pass,
+    record_window_miss_rates,
+    span_lines,
+)
 
 #: Alpha page size: 8 KB.
 PAGE_BYTES = 8192
@@ -21,7 +27,6 @@ class TlbResult:
     entries: int
     misses: int
     accesses: int
-    unique_pages: int
 
 
 def itlb_result(
@@ -39,61 +44,16 @@ def itlb_result(
         raise SimulationError("iTLB needs at least one entry")
     total_misses = 0
     total_accesses = 0
-    touched: set = set()
     for starts, counts in streams:
         mask = counts > 0
-        s = starts[mask]
-        c = counts[mask]
-        if len(s) == 0:
+        if not mask.any():
             continue
-        first = s // page_bytes
-        last = (s + c * 4 - 1) // page_bytes
-        # Spans rarely cross pages; expand the few that do.
-        pages_per_span = last - first + 1
-        if int(pages_per_span.max(initial=1)) == 1:
-            pages = first
-        else:
-            span_of = np.repeat(np.arange(len(s)), pages_per_span)
-            offsets = np.arange(int(pages_per_span.sum())) - np.repeat(
-                np.concatenate([[0], np.cumsum(pages_per_span)[:-1]]), pages_per_span
-            )
-            pages = first[span_of] + offsets
-        keep = np.ones(len(pages), dtype=bool)
-        keep[1:] = pages[1:] != pages[:-1]
-        pages = pages[keep]
-        touched.update(np.unique(pages).tolist())
-        # LRU over a small entry count: ordered list, most recent first.
-        # With an obs series window configured, the page stream is cut
-        # into windows and each window's miss rate is recorded.
-        window = obs.series_window()
-        page_list = pages.tolist()
-        chunks = (
-            [page_list[i : i + window] for i in range(0, len(page_list), window)]
-            if window and len(page_list) > window
-            else [page_list]
-        )
-        lru: List[int] = []
-        for chunk in chunks:
-            before = total_misses
-            for page in chunk:
-                total_accesses += 1
-                try:
-                    lru.remove(page)
-                except ValueError:
-                    total_misses += 1
-                    if len(lru) >= entries:
-                        lru.pop()
-                lru.insert(0, page)
-            if len(chunks) > 1:
-                obs.series("itlb.window_miss_rate").record(
-                    (total_misses - before) / len(chunk)
-                )
+        pages, _ = span_lines(starts[mask], counts[mask], page_bytes)
+        pages = pages[collapse_consecutive(pages)]
+        miss_at, _ = lru_pass(pages, 1, entries)
+        record_window_miss_rates("itlb.window_miss_rate", miss_at, len(pages))
+        total_accesses += len(pages)
+        total_misses += len(miss_at)
     obs.counter("itlb.accesses").inc(total_accesses)
     obs.counter("itlb.misses").inc(total_misses)
-    return TlbResult(
-        entries=entries,
-        misses=total_misses,
-        accesses=total_accesses,
-        unique_pages=len(touched),
-    )
-
+    return TlbResult(entries=entries, misses=total_misses, accesses=total_accesses)

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.cache import CacheGeometry
 from repro.errors import SimulationError
-from repro.sim.icache import collapse_consecutive, expand_line_runs
+from repro.sim.icache import collapse_consecutive, expand_line_runs, lru_pass
 
 
 @dataclass
@@ -50,45 +50,29 @@ def simulate_victim_cache(
     if victim_entries < 1:
         raise SimulationError("victim cache needs at least one entry")
     line_ids, _, _, _ = expand_line_runs(starts, counts, geometry.line_bytes)
-    keep = collapse_consecutive(line_ids)
-    line_ids = line_ids[keep]
+    lines = line_ids[collapse_consecutive(line_ids)]
+    miss_at, evicted = lru_pass(lines, geometry.num_sets, geometry.assoc)
 
-    nsets = geometry.num_sets
-    assoc = geometry.assoc
-    sets = [[] for _ in range(nsets)]
+    # The buffer only changes on L1 misses: a miss probes it, then the
+    # line the L1 evicted drops in.
     victims: list = []  # LRU, most recent first
-
-    raw_misses = 0
     victim_hits = 0
-    for line in line_ids.tolist():
-        stack = sets[line % nsets]
-        if stack and stack[0] == line:
-            continue
-        try:
-            stack.remove(line)
-            stack.insert(0, line)
-            continue
-        except ValueError:
-            pass
-        raw_misses += 1
+    for line, out in zip(lines[miss_at].tolist(), evicted.tolist()):
         try:
             victims.remove(line)
             victim_hits += 1
         except ValueError:
             pass
-        # Install into L1; the evicted line drops into the victim buffer.
-        if len(stack) >= assoc:
-            evicted = stack.pop()
-            victims.insert(0, evicted)
+        if out >= 0:
+            victims.insert(0, out)
             if len(victims) > victim_entries:
                 victims.pop()
-        stack.insert(0, line)
 
     return VictimCacheResult(
         geometry=geometry,
         victim_entries=victim_entries,
-        accesses=len(line_ids),
-        raw_misses=raw_misses,
-        misses=raw_misses - victim_hits,
+        accesses=len(lines),
+        raw_misses=len(miss_at),
+        misses=len(miss_at) - victim_hits,
         victim_hits=victim_hits,
     )

@@ -9,7 +9,6 @@ from repro.errors import SimulationError
 from repro.cache import CacheGeometry
 from repro.sim import (
     APP,
-    ICacheSim,
     KERNEL,
     collapse_consecutive,
     direct_mapped_misses,
@@ -144,12 +143,6 @@ class TestLruSim:
         assert matrix.misses(APP) == 2
         assert matrix.misses(KERNEL) == 2
 
-    def test_unique_lines_footprint(self):
-        geom = CacheGeometry(1024, 64, 1)
-        starts, counts = spans((0, 32), (0, 32))
-        result = lru_result([(starts, counts)], geom)
-        assert result.unique_lines == 2
-
     def test_multi_stream_merge(self):
         geom = CacheGeometry(1024, 64, 1)
         s1 = spans((0, 16))
@@ -165,47 +158,36 @@ class TestLruSim:
 class TestDetailedStats:
     def test_word_usage_full_line(self):
         geom = CacheGeometry(128, 128, 1)  # single frame of 32 words
-        sim = ICacheSim(geom, detail=True)
         starts, counts = spans((0, 32), (1 << 20, 1))  # full use then evict
-        sim.access_stream(starts, counts)
-        result = sim.finish()
-        locality = result.locality
+        locality = lru_result([(starts, counts)], geom, detail=True).locality
         assert locality.unique_words[32] == 1
 
     def test_word_usage_partial_line(self):
         geom = CacheGeometry(128, 128, 1)
-        sim = ICacheSim(geom, detail=True)
         starts, counts = spans((0, 8), (1 << 20, 1))
-        sim.access_stream(starts, counts)
-        locality = sim.finish().locality
+        locality = lru_result([(starts, counts)], geom, detail=True).locality
         assert locality.unique_words[8] == 1
 
     def test_reuse_counts(self):
         geom = CacheGeometry(128, 128, 1)
-        sim = ICacheSim(geom, detail=True)
         # Fetch words 0..7 three times, then evict.
         starts, counts = spans((0, 8), (0, 8), (0, 8), (1 << 20, 1))
-        sim.access_stream(starts, counts)
-        locality = sim.finish().locality
+        locality = lru_result([(starts, counts)], geom, detail=True).locality
         assert locality.word_reuse[3] == 8   # 8 words used 3x
         assert locality.word_reuse[0] == 24 + 31  # unused words of both lines
 
     def test_unused_fraction(self):
         geom = CacheGeometry(128, 128, 1)
-        sim = ICacheSim(geom, detail=True)
         starts, counts = spans((0, 16), (1 << 20, 1))
-        sim.access_stream(starts, counts)
-        locality = sim.finish().locality
+        locality = lru_result([(starts, counts)], geom, detail=True).locality
         assert locality.words_loaded == 64
         assert locality.words_used == 17
         assert locality.unused_fraction == pytest.approx(1 - 17 / 64)
 
     def test_lifetime_buckets(self):
         geom = CacheGeometry(128, 128, 1)
-        sim = ICacheSim(geom, detail=True)
         starts, counts = spans((0, 4), (1 << 20, 1))
-        sim.access_stream(starts, counts)
-        locality = sim.finish().locality
+        locality = lru_result([(starts, counts)], geom, detail=True).locality
         assert locality.lifetimes.sum() == 2
 
     def test_detail_misses_match_plain(self):

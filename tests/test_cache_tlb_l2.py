@@ -27,7 +27,6 @@ class TestItlb:
         streams = [spans((0, 4), (PAGE_BYTES, 4))]
         result = itlb_result(streams, entries=4)
         assert result.misses == 2
-        assert result.unique_pages == 2
 
     def test_hits_within_page(self):
         streams = [spans((0, 4), (256, 4), (512, 4))]

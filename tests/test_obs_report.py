@@ -191,6 +191,23 @@ class TestBenchDiff:
         assert report.ok
         assert any("64" in note for note in report.notes)
 
+    def test_files_on_one_side_are_notes_not_failures(self, tmp_path):
+        baseline, fresh = self._dirs(tmp_path, [[32, 100], [64, 50]])
+        (baseline / "BENCH_old.json").write_text(
+            json.dumps(fixture_document([[32, 1]]))
+        )
+        (fresh / "BENCH_new.json").write_text(
+            json.dumps(fixture_document([[32, 999]]))
+        )
+        report = compare_dirs(fresh, baseline, threshold_pct=8)
+        assert report.ok
+        assert "old: present in baseline only" in report.notes
+        assert "new: present in fresh run only" in report.notes
+        code, text = run_cli(
+            "bench-diff", str(fresh), "--baseline", str(baseline)
+        )
+        assert code == 0 and "PASS" in text
+
     def test_cli_exit_codes(self, tmp_path):
         baseline, fresh = self._dirs(tmp_path, [[32, 100], [64, 50]])
         code, text = run_cli(

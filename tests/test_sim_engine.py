@@ -148,6 +148,7 @@ class TestFacade:
     "import repro.harness.runlog",
     "import repro.scenarios.synth",
     "from repro.pipeline import StreamHandoff",
+    "from repro.sim import ICacheSim",
 ])
 def test_removed_layers_stay_removed(statement):
     with pytest.raises(ImportError):

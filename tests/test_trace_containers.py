@@ -48,9 +48,11 @@ class TestTraceContainers:
 
 
 class TestLocalityStats:
-    def test_record_replacement_accumulates(self):
+    def test_record_residencies_accumulates(self):
         stats = LocalityStats(words_per_line=8)
-        stats.record_replacement(np.array([2, 1, 0, 0, 0, 0, 0, 3]), lifetime=100)
+        stats.record_residencies(
+            np.array([[2, 1, 0, 0, 0, 0, 0, 3]]), np.array([100])
+        )
         assert stats.lines_loaded == 1
         assert stats.words_loaded == 8
         assert stats.words_used == 3
@@ -58,25 +60,26 @@ class TestLocalityStats:
 
     def test_reuse_capped(self):
         stats = LocalityStats(words_per_line=4, reuse_cap=15)
-        stats.record_replacement(np.array([100, 1, 0, 0]), lifetime=1)
+        stats.record_residencies(np.array([[100, 1, 0, 0]]), np.array([1]))
         assert stats.word_reuse[15] == 1  # capped bucket
         assert stats.word_reuse[1] == 1
         assert stats.word_reuse[0] == 2
 
     def test_lifetime_log2_bucket(self):
         stats = LocalityStats(words_per_line=4)
-        stats.record_replacement(np.array([1, 0, 0, 0]), lifetime=1024)
+        stats.record_residencies(np.array([[1, 0, 0, 0]]), np.array([1024]))
         assert stats.lifetimes[10] == 1
 
     def test_unused_fraction(self):
         stats = LocalityStats(words_per_line=4)
-        stats.record_replacement(np.array([1, 1, 0, 0]), lifetime=1)
+        stats.record_residencies(np.array([[1, 1, 0, 0]]), np.array([1]))
         assert stats.unused_fraction == pytest.approx(0.5)
 
     def test_fraction_helpers_normalize(self):
         stats = LocalityStats(words_per_line=4)
-        stats.record_replacement(np.array([1, 0, 0, 0]), lifetime=2)
-        stats.record_replacement(np.array([1, 1, 1, 1]), lifetime=2)
+        stats.record_residencies(
+            np.array([[1, 0, 0, 0], [1, 1, 1, 1]]), np.array([2, 2])
+        )
         assert stats.unique_words_fractions().sum() == pytest.approx(1.0)
         assert stats.lifetime_fractions().sum() == pytest.approx(1.0)
         assert stats.word_reuse_fractions().sum() == pytest.approx(1.0)
