@@ -12,6 +12,8 @@ from __future__ import annotations
 import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import chain
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import DatabaseError, DuplicateKeyError, KeyNotFoundError
@@ -21,6 +23,12 @@ _NODE_HEADER = struct.Struct("<BHI")  # is_leaf, nkeys, next_leaf
 _KEY = struct.Struct("<q")
 _LEAF_VAL = struct.Struct("<IH")  # page_id, slot
 _CHILD = struct.Struct("<I")
+
+
+@lru_cache(maxsize=1024)
+def _codec(fmt: str) -> struct.Struct:
+    """The compiled struct for a whole key, RID or child array."""
+    return struct.Struct(fmt)
 
 
 @dataclass
@@ -35,33 +43,30 @@ class _Node:
     next_leaf: int = 0
 
     def to_bytes(self) -> bytes:
+        n = len(self.keys)
         parts = [
-            _NODE_HEADER.pack(1 if self.is_leaf else 0, len(self.keys), self.next_leaf)
+            _NODE_HEADER.pack(1 if self.is_leaf else 0, n, self.next_leaf),
+            _codec(f"<{n}q").pack(*self.keys),
         ]
-        parts.extend(_KEY.pack(k) for k in self.keys)
         if self.is_leaf:
-            parts.extend(_LEAF_VAL.pack(*rid) for rid in self.values)
+            rids = _codec("<" + "IH" * len(self.values))
+            parts.append(rids.pack(*chain.from_iterable(self.values)))
         else:
-            parts.extend(_CHILD.pack(c) for c in self.children)
+            parts.append(_codec(f"<{len(self.children)}I").pack(*self.children))
         return b"".join(parts)
 
     @classmethod
     def from_bytes(cls, page_id: int, data: bytes) -> "_Node":
         is_leaf, nkeys, next_leaf = _NODE_HEADER.unpack_from(data, 0)
         pos = _NODE_HEADER.size
-        keys = []
-        for _ in range(nkeys):
-            keys.append(_KEY.unpack_from(data, pos)[0])
-            pos += _KEY.size
+        keys = list(_codec(f"<{nkeys}q").unpack_from(data, pos))
+        pos += nkeys * _KEY.size
         node = cls(page_id=page_id, is_leaf=bool(is_leaf), keys=keys, next_leaf=next_leaf)
         if node.is_leaf:
-            for _ in range(nkeys):
-                node.values.append(_LEAF_VAL.unpack_from(data, pos))
-                pos += _LEAF_VAL.size
+            flat = _codec("<" + "IH" * nkeys).unpack_from(data, pos)
+            node.values = list(zip(flat[0::2], flat[1::2]))
         else:
-            for _ in range(nkeys + 1):
-                node.children.append(_CHILD.unpack_from(data, pos)[0])
-                pos += _CHILD.size
+            node.children = list(_codec(f"<{nkeys + 1}I").unpack_from(data, pos))
         return node
 
 

@@ -4,12 +4,12 @@ The compiled binary's *source order* is what a non-profile-guided
 compiler would emit: prologue, body in source order with error handling
 either inline or banked at the routine's end, epilogue.  The same DSL
 tree, annotated with the compiled block ids, is what the CFG
-interpreter walks at run time.
+interpreter compiles into routine templates at run time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import IRError
@@ -45,6 +45,19 @@ class CompiledProgram:
 
     binary: Binary
     specs: Dict[str, RoutineSpec]
+    #: Routine templates the CFG walker compiled for this program, per
+    #: block offset.  They live and die with the program and are never
+    #: compared, copied or pickled.
+    templates: Dict[int, Dict] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __getstate__(self) -> Dict:
+        return {"binary": self.binary, "specs": self.specs}
+
+    def __setstate__(self, state: Dict) -> None:
+        self.__dict__.update(state)
+        self.templates = {}
 
     def spec(self, name: str) -> RoutineSpec:
         try:

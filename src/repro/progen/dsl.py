@@ -2,9 +2,9 @@
 
 Each logical engine routine (``sql_update``, ``buffer_get``, ...) is
 described as a tree of DSL nodes.  The builder compiles the tree into
-IR basic blocks; the CFG interpreter later *walks the same tree* with
-an event's semantic bindings (branch outcomes, loop trip counts) and
-emits the executed block ids.
+IR basic blocks; the CFG interpreter later compiles *the same tree*
+into a routine template and runs it with an event's semantic bindings
+(branch outcomes, loop trip counts) to emit the executed block ids.
 
 Nodes:
 

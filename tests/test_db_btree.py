@@ -1,11 +1,13 @@
 """Tests for the B+tree index, including hypothesis property tests."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DatabaseError, DuplicateKeyError, KeyNotFoundError
-from repro.db.btree import BTree
+from repro.db.btree import BTree, _Node
 from repro.db.buffer import BufferPool
 from repro.db.storage import PageStore
 
@@ -139,3 +141,86 @@ class TestBTreeProperties:
                 assert tree.search(key) is None
             else:
                 assert tree.search(key) == (1, 0)
+
+
+# -- node codec ---------------------------------------------------------------------
+# A frozen copy of the per-field codec the array codec replaced: one
+# struct call per key, RID and child.
+
+_HEADER = struct.Struct("<BHI")
+_KEY = struct.Struct("<q")
+_RID = struct.Struct("<IH")
+_CHILD = struct.Struct("<I")
+
+
+def reference_to_bytes(node):
+    parts = [_HEADER.pack(1 if node.is_leaf else 0, len(node.keys), node.next_leaf)]
+    parts.extend(_KEY.pack(k) for k in node.keys)
+    if node.is_leaf:
+        parts.extend(_RID.pack(*rid) for rid in node.values)
+    else:
+        parts.extend(_CHILD.pack(c) for c in node.children)
+    return b"".join(parts)
+
+
+def reference_from_bytes(page_id, data):
+    is_leaf, nkeys, next_leaf = _HEADER.unpack_from(data, 0)
+    pos = _HEADER.size
+    keys = []
+    for _ in range(nkeys):
+        keys.append(_KEY.unpack_from(data, pos)[0])
+        pos += _KEY.size
+    node = _Node(page_id=page_id, is_leaf=bool(is_leaf), keys=keys, next_leaf=next_leaf)
+    if node.is_leaf:
+        for _ in range(nkeys):
+            node.values.append(_RID.unpack_from(data, pos))
+            pos += _RID.size
+    else:
+        for _ in range(nkeys + 1):
+            node.children.append(_CHILD.unpack_from(data, pos)[0])
+            pos += _CHILD.size
+    return node
+
+
+UINT32 = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def nodes(draw):
+    n = draw(st.integers(0, 129))
+    keys = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n))
+    node = _Node(page_id=draw(UINT32), is_leaf=draw(st.booleans()), keys=keys,
+                 next_leaf=draw(UINT32))
+    if node.is_leaf:
+        rid = st.tuples(UINT32, st.integers(0, 2**16 - 1))
+        node.values = draw(st.lists(rid, min_size=n, max_size=n))
+    else:
+        node.children = draw(st.lists(UINT32, min_size=n + 1, max_size=n + 1))
+    return node
+
+
+class TestNodeCodec:
+    @settings(max_examples=200)
+    @given(nodes(), st.integers(0, 64))
+    def test_matches_per_field_codec(self, node, padding):
+        data = node.to_bytes()
+        assert data == reference_to_bytes(node)
+        padded = data + b"\x00" * padding  # pages hold fixed-size cells
+        decoded = _Node.from_bytes(node.page_id, padded)
+        assert decoded == reference_from_bytes(node.page_id, padded) == node
+        assert all(type(rid) is tuple for rid in decoded.values)
+
+    def test_tree_pages_decode_identically(self):
+        tree = make_tree(order=6)
+        for key in range(200):
+            tree.insert(key * 7 - 500, (key, key % 5))
+        page_ids = {tree.root_page_id}
+        frontier = [tree.root_page_id]
+        while frontier:
+            node = tree._load(frontier.pop())
+            assert node == reference_from_bytes(node.page_id, tree._pack(node))
+            assert tree._pack(node).startswith(reference_to_bytes(node))
+            fresh = set(node.children) - page_ids
+            page_ids |= fresh
+            frontier.extend(fresh)
+        assert len(page_ids) > 20

@@ -182,8 +182,3 @@ class TestKernelDispatch:
         )
         out = walker.expand([event("k.read")])
         assert (out >= walker.kernel_offset).all()
-
-    def test_is_kernel_bid(self):
-        walker = make_programs([RoutineSpec("r", body=[Straight(1)])])
-        assert not walker.is_kernel_bid(0)
-        assert walker.is_kernel_bid(walker.kernel_offset)
