@@ -54,26 +54,63 @@ def lru_pass(
     """One LRU walk over ``lines`` in ``num_sets`` sets of ``assoc`` ways.
 
     Returns ``(miss_at, victims)``: the index of every access that
-    missed, and the line each miss evicted (-1 when its set was not yet
-    full).  Lines map to set ``line % num_sets``.
+    missed, ascending, and the line each miss evicted (-1 when its set
+    was not yet full).  Lines map to set ``line % num_sets``.
+
+    Sets are independent, so the accesses are stably sorted by set and
+    walked one set after another.  An access repeating its set's
+    previous line hits the MRU way and changes nothing, so it is
+    dropped before the walk; with one way every remaining access misses
+    and evicts its set predecessor, which needs no walk at all.
     """
-    sets: List[List[int]] = [[] for _ in range(num_sets)]
-    miss_at = []
-    victims = []
-    for i, line in enumerate(lines.tolist()):
-        stack = sets[line % num_sets]  # most recent first
-        if stack and stack[0] == line:
-            continue
-        try:
-            stack.remove(line)
-        except ValueError:
-            miss_at.append(i)
-            victims.append(stack.pop() if len(stack) >= assoc else -1)
-        stack.insert(0, line)
-    return (
-        np.asarray(miss_at, dtype=np.int64),
-        np.asarray(victims, dtype=np.int64),
-    )
+    if num_sets < 1:
+        raise SimulationError(f"lru_pass needs num_sets >= 1, got {num_sets}")
+    if assoc < 1:
+        raise SimulationError(f"lru_pass needs assoc >= 1, got {assoc}")
+    n = len(lines)
+    if num_sets == 1:
+        order = np.arange(n)
+    else:
+        key = lines % num_sets
+        if num_sets <= 1 << 16:
+            key = key.astype(np.uint16)  # numpy radix-sorts 16-bit keys
+        order = np.argsort(key, kind="stable")
+    walk = np.asarray(lines[order], dtype=np.int64)
+    # A line has one set, so an equal predecessor is in the same set.
+    changed = np.ones(n, dtype=bool)
+    changed[1:] = walk[1:] != walk[:-1]
+    kept = np.nonzero(changed)[0]
+    walk = walk[kept]
+    first = np.zeros(len(walk), dtype=bool)  # the first access of its set
+    first[:1] = True
+    if num_sets > 1:
+        sets = walk % num_sets
+        first[1:] = sets[1:] != sets[:-1]
+    if assoc == 1:
+        missed = kept
+        victims = np.where(first, -1, np.roll(walk, 1))
+    else:
+        miss_list = []
+        victim_list = []
+        seq = walk.tolist()
+        bounds = np.nonzero(first)[0].tolist() + [len(seq)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            stack: List[int] = []  # most recent first
+            for i in range(lo, hi):
+                line = seq[i]
+                if line in stack:
+                    stack.remove(line)
+                else:
+                    miss_list.append(i)
+                    victim_list.append(stack.pop() if len(stack) >= assoc else -1)
+                stack.insert(0, line)
+        missed = kept[np.asarray(miss_list, dtype=np.int64)]
+        victims = np.asarray(victim_list, dtype=np.int64)
+    miss_at = order[missed]
+    if num_sets > 1:
+        ascending = np.argsort(miss_at)
+        miss_at, victims = miss_at[ascending], victims[ascending]
+    return miss_at, victims
 
 
 def record_window_miss_rates(name: str, miss_at: np.ndarray, accesses: int) -> None:
@@ -129,6 +166,16 @@ def collapse_consecutive(line_ids: np.ndarray) -> np.ndarray:
     return np.nonzero(keep)[0]
 
 
+def collapsed_lines(
+    starts: np.ndarray, counts: np.ndarray, line_bytes: int
+) -> np.ndarray:
+    """Every line the spans fetch, in order, consecutive repeats
+    collapsed: the input of the levels that need no word ranges."""
+    mask = counts > 0
+    line_ids, _ = span_lines(starts[mask], counts[mask], line_bytes)
+    return line_ids[collapse_consecutive(line_ids)]
+
+
 def direct_mapped_misses(
     starts: np.ndarray, counts: np.ndarray, geometry: CacheGeometry
 ) -> int:
@@ -136,9 +183,7 @@ def direct_mapped_misses(
     whole-stream engine)."""
     if geometry.assoc != 1:
         raise SimulationError("direct_mapped_misses needs assoc=1")
-    line_ids, _, _, _ = expand_line_runs(starts, counts, geometry.line_bytes)
-    keep = collapse_consecutive(line_ids)
-    line_ids = line_ids[keep]
+    line_ids = collapsed_lines(starts, counts, geometry.line_bytes)
     if len(line_ids) == 0:
         return 0
     nsets = geometry.num_sets
@@ -260,11 +305,14 @@ def lru_result(
     simulated = False
     for starts, counts in streams:
         simulated = True
-        line_ids, word_lo, word_hi, _ = expand_line_runs(
-            starts, counts, geometry.line_bytes
-        )
-        keep = collapse_consecutive(line_ids)
-        runs = line_ids[keep]
+        if detail:
+            line_ids, word_lo, word_hi, _ = expand_line_runs(
+                starts, counts, geometry.line_bytes
+            )
+            keep = collapse_consecutive(line_ids)
+            runs = line_ids[keep]
+        else:
+            runs = collapsed_lines(starts, counts, geometry.line_bytes)
         miss_at, victims = lru_pass(runs, geometry.num_sets, geometry.assoc)
         if detail:
             loads = keep[miss_at]

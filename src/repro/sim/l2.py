@@ -12,9 +12,9 @@ from repro.cache import CacheGeometry
 from repro.ir import DATA_BASE
 from repro.sim.icache import (
     collapse_consecutive,
-    expand_line_runs,
     lru_pass,
     record_window_miss_rates,
+    span_lines,
 )
 
 
@@ -22,13 +22,13 @@ def simulate_l1i_misses(
     starts: np.ndarray, counts: np.ndarray, geometry: CacheGeometry
 ) -> Tuple[np.ndarray, np.ndarray]:
     """L1I refill stream: (line addresses, block-trace positions)."""
-    line_ids, _lo, _hi, span_index = expand_line_runs(
-        starts, counts, geometry.line_bytes
-    )
+    mask = counts > 0
+    line_ids, span_of_line = span_lines(starts[mask], counts[mask], geometry.line_bytes)
     keep = collapse_consecutive(line_ids)
     miss_at, _ = lru_pass(line_ids[keep], geometry.num_sets, geometry.assoc)
     missed = keep[miss_at]
-    return line_ids[missed] * geometry.line_bytes, span_index[missed]
+    spans = np.nonzero(mask)[0][span_of_line[missed]]
+    return line_ids[missed] * geometry.line_bytes, spans
 
 
 @dataclass
@@ -65,18 +65,18 @@ class FirstTouchMapper:
 
     def translate(self, addresses: np.ndarray) -> np.ndarray:
         """Physical addresses, giving each unseen page the next frame."""
-        pages = addresses >> _PAGE_SHIFT
-        offsets = addresses & ((1 << _PAGE_SHIFT) - 1)
-        frames = np.empty(len(addresses), dtype=np.int64)
+        pages, first, inverse = np.unique(
+            addresses >> _PAGE_SHIFT, return_index=True, return_inverse=True
+        )
         table = self._frames
-        for i, page in enumerate(pages.tolist()):
-            frame = table.get(page)
-            if frame is None:
-                frame = self._next
-                self._next += 1
-                table[page] = frame
-            frames[i] = frame
-        return (frames << _PAGE_SHIFT) | offsets
+        frames = np.array([table.get(page, -1) for page in pages.tolist()], dtype=np.int64)
+        unseen = np.nonzero(frames < 0)[0]
+        unseen = unseen[np.argsort(first[unseen])]  # first-touch order
+        frames[unseen] = np.arange(self._next, self._next + len(unseen))
+        table.update(zip(pages[unseen].tolist(), frames[unseen].tolist()))
+        self._next += len(unseen)
+        offsets = addresses & ((1 << _PAGE_SHIFT) - 1)
+        return (frames[inverse] << _PAGE_SHIFT) | offsets
 
 
 def l2_result(

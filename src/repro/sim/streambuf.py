@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.cache import CacheGeometry
 from repro.errors import SimulationError
-from repro.sim.icache import collapse_consecutive, expand_line_runs, lru_pass
+from repro.sim.icache import collapsed_lines, lru_pass
 
 
 @dataclass
@@ -82,8 +82,7 @@ def simulate_stream_buffers(
     """
     if num_buffers < 1 or depth < 1:
         raise SimulationError("need at least one stream buffer of depth 1")
-    line_ids, _, _, _ = expand_line_runs(starts, counts, geometry.line_bytes)
-    lines = line_ids[collapse_consecutive(line_ids)]
+    lines = collapsed_lines(starts, counts, geometry.line_bytes)
     miss_at, _ = lru_pass(lines, geometry.num_sets, geometry.assoc)
 
     # The L1 fills every miss regardless, so the buffers only see misses.

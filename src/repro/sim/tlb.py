@@ -9,12 +9,7 @@ import numpy as np
 
 from repro import obs
 from repro.errors import SimulationError
-from repro.sim.icache import (
-    collapse_consecutive,
-    lru_pass,
-    record_window_miss_rates,
-    span_lines,
-)
+from repro.sim.icache import collapsed_lines, lru_pass, record_window_miss_rates
 
 #: Alpha page size: 8 KB.
 PAGE_BYTES = 8192
@@ -45,11 +40,7 @@ def itlb_result(
     total_misses = 0
     total_accesses = 0
     for starts, counts in streams:
-        mask = counts > 0
-        if not mask.any():
-            continue
-        pages, _ = span_lines(starts[mask], counts[mask], page_bytes)
-        pages = pages[collapse_consecutive(pages)]
+        pages = collapsed_lines(starts, counts, page_bytes)
         miss_at, _ = lru_pass(pages, 1, entries)
         record_window_miss_rates("itlb.window_miss_rate", miss_at, len(pages))
         total_accesses += len(pages)

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.cache import CacheGeometry
 from repro.errors import SimulationError
-from repro.sim.icache import collapse_consecutive, expand_line_runs, lru_pass
+from repro.sim.icache import collapsed_lines, lru_pass
 
 
 @dataclass
@@ -49,8 +49,7 @@ def simulate_victim_cache(
     """L1 I-cache plus a fully-associative victim buffer."""
     if victim_entries < 1:
         raise SimulationError("victim cache needs at least one entry")
-    line_ids, _, _, _ = expand_line_runs(starts, counts, geometry.line_bytes)
-    lines = line_ids[collapse_consecutive(line_ids)]
+    lines = collapsed_lines(starts, counts, geometry.line_bytes)
     miss_at, evicted = lru_pass(lines, geometry.num_sets, geometry.assoc)
 
     # The buffer only changes on L1 misses: a miss probes it, then the

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache import CacheGeometry
 from repro.sim import (
@@ -104,6 +106,53 @@ class TestFirstTouchMapper:
         mapper = FirstTouchMapper()
         phys = mapper.translate(np.array([123456789], dtype=np.int64))
         assert int(phys[0]) % PAGE_BYTES == 123456789 % PAGE_BYTES
+
+
+class LoopMapper:
+    """The per-address loop ``FirstTouchMapper.translate`` replaced."""
+
+    def __init__(self):
+        self._frames = {}
+        self._next = 0
+
+    def translate(self, addresses):
+        pages = addresses >> 13
+        offsets = addresses & ((1 << 13) - 1)
+        frames = np.empty(len(addresses), dtype=np.int64)
+        table = self._frames
+        for i, page in enumerate(pages.tolist()):
+            frame = table.get(page)
+            if frame is None:
+                frame = self._next
+                self._next += 1
+                table[page] = frame
+            frames[i] = frame
+        return (frames << 13) | offsets
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0, 40 * PAGE_BYTES, DATA_BASE]),
+                st.integers(min_value=0, max_value=12 * PAGE_BYTES),
+            ),
+            max_size=40,
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_first_touch_mapper_matches_loop(calls):
+    """Successive ``translate`` calls on one mapper match the loop, so
+    frames carry across calls."""
+    mapper, loop = FirstTouchMapper(), LoopMapper()
+    for call in calls:
+        addresses = np.array([base + offset for base, offset in call], dtype=np.int64)
+        translated = mapper.translate(addresses)
+        assert translated.dtype == np.int64
+        assert translated.tolist() == loop.translate(addresses).tolist()
 
 
 class TestSharedL2:

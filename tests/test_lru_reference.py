@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.cache import CacheGeometry
+from repro.errors import SimulationError
 from repro.ir import DATA_BASE, INSTRUCTION_BYTES, KERNEL_BASE
 from repro.sim import (
     APP,
@@ -345,6 +346,96 @@ def test_lru_pass_matches_reference(lines, num_sets, assoc):
 def test_lru_pass_empty_stream():
     miss_at, victims = lru_pass(np.zeros(0, dtype=np.int64), 4, 2)
     assert miss_at.tolist() == [] and victims.tolist() == []
+
+
+def check_lru_pass(lines, num_sets, assoc):
+    """``lru_pass`` equals the reference, returns ascending int64 misses
+    with int64 victims, and leaves its input alone; returns its output."""
+    array = np.array(lines, dtype=np.int64)
+    miss_at, victims = lru_pass(array, num_sets, assoc)
+    assert array.tolist() == lines
+    assert miss_at.dtype == np.int64 and victims.dtype == np.int64
+    assert (np.diff(miss_at) > 0).all()
+    expected_at, expected_victims = reference_misses(lines, num_sets, assoc)
+    assert miss_at.tolist() == expected_at
+    assert victims.tolist() == expected_victims
+    return miss_at, victims
+
+
+#: Set counts on both sides of the 16-bit sort key, besides 1-16.
+WIDE_SET_COUNTS = [65_535, 65_536, 65_537, 131_072]
+
+
+@st.composite
+def set_conflicts(draw, num_sets):
+    """Lines of a few sets (the first, the last and their neighbours),
+    several tags per set, so every set sees conflicts."""
+    sets = sorted({0, 1, num_sets - 2, num_sets - 1} & set(range(num_sets)))
+    slot = st.tuples(st.sampled_from(sets), st.integers(min_value=0, max_value=5))
+    return [s + num_sets * tag for s, tag in draw(st.lists(slot, max_size=80))]
+
+
+@settings(max_examples=40)
+@given(st.data(), st.sampled_from(WIDE_SET_COUNTS), st.integers(min_value=1, max_value=4))
+def test_lru_pass_wide_set_counts(data, num_sets, assoc):
+    check_lru_pass(data.draw(set_conflicts(num_sets)), num_sets, assoc)
+
+
+@settings(max_examples=100)
+@given(
+    st.data(),
+    st.integers(min_value=1, max_value=16),
+    st.integers(min_value=1, max_value=4),
+)
+def test_lru_pass_mru_runs_across_sets(data, num_sets, assoc):
+    """Long runs repeating one set's MRU line, interleaved with other
+    sets, so a set's repeats are not always adjacent in the stream."""
+    run = st.tuples(
+        st.integers(min_value=0, max_value=3),  # set
+        st.integers(min_value=0, max_value=3),  # tag
+        st.integers(min_value=1, max_value=25),  # length
+    )
+    lines = []
+    for set_index, tag, length in data.draw(st.lists(run, max_size=12)):
+        lines += [set_index % num_sets + num_sets * tag] * length
+    check_lru_pass(lines, num_sets, assoc)
+
+
+@settings(max_examples=60)
+@given(st.data(), st.integers(min_value=1, max_value=4), st.integers(min_value=2, max_value=64))
+def test_lru_pass_assoc_above_distinct_lines(data, num_sets, assoc):
+    """Fewer distinct lines than ways: only first touches miss."""
+    pool = st.integers(min_value=0, max_value=assoc - 2)
+    lines = data.draw(st.lists(pool, max_size=100))
+    miss_at, victims = check_lru_pass(lines, num_sets, assoc)
+    assert len(miss_at) == len(set(lines)) and (victims == -1).all()
+
+
+@settings(max_examples=80)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([0, KERNEL_BASE // 64, DATA_BASE // 64]),
+            st.integers(min_value=0, max_value=48),
+        ),
+        max_size=100,
+    ),
+    st.sampled_from([1, 2, 3, 4, 16, 64, 65_536, 65_537]),
+    st.integers(min_value=1, max_value=8),
+)
+def test_lru_pass_kernel_and_data_lines(offsets, num_sets, assoc):
+    check_lru_pass([base + offset for base, offset in offsets], num_sets, assoc)
+
+
+@pytest.mark.parametrize(
+    "num_sets, assoc, bad",
+    [(4, 0, "assoc"), (0, 2, "num_sets"), (-3, 2, "num_sets"), (4, -1, "assoc")],
+)
+def test_lru_pass_rejects_bad_geometry(num_sets, assoc, bad):
+    lines = np.arange(8, dtype=np.int64)
+    value = num_sets if bad == "num_sets" else assoc
+    with pytest.raises(SimulationError, match=f"{bad} >= 1, got {value}"):
+        lru_pass(lines, num_sets, assoc)
 
 
 # -- L1I ---------------------------------------------------------------------------

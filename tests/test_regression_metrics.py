@@ -20,6 +20,12 @@ from repro.analysis import (
 from repro.cache import CacheGeometry
 from repro.sim import direct_mapped_misses, itlb_result
 from repro.harness import quick_experiment
+from repro.harness.figures import (
+    detailed_results,
+    fig09_word_usage,
+    fig10_word_reuse,
+    fig11_lifetimes,
+)
 from repro.harness.store import save_trace
 
 
@@ -141,3 +147,62 @@ class TestTracePin:
                 for name in arrays.files
             }
         assert digests == TRACE_SHA256
+
+
+#: The detailed 128KB/128B/4-way runs of Figs. 9-11 (CPU 0's app stream):
+#: misses, accesses and interference counts per combo, then every table
+#: row.  The tables come from the residencies that ``lru_pass``'s victims
+#: delimit, so a kernel that evicts the wrong line moves them.
+RESIDENCY_PIN = {
+    "base": {
+        "misses": 405, "accesses": 48999, "misses_app": 405, "misses_kernel": 0,
+        "cold": {"application": 331, "kernel": 0},
+        "counts": {"application": {"application": 74, "kernel": 0},
+                   "kernel": {"application": 0, "kernel": 0}},
+    },
+    "all": {
+        "misses": 218, "accesses": 47687, "misses_app": 218, "misses_kernel": 0,
+        "cold": {"application": 218, "kernel": 0},
+        "counts": {"application": {"application": 0, "kernel": 0},
+                   "kernel": {"application": 0, "kernel": 0}},
+    },
+}
+FIG09_ROWS = [
+    [1, 2.47, 0.0], [2, 9.14, 0.46], [3, 2.47, 1.38], [4, 3.95, 0.0],
+    [5, 3.21, 0.0], [6, 3.7, 0.46], [7, 2.96, 1.83], [8, 3.95, 0.92],
+    [9, 1.73, 0.46], [10, 3.95, 0.92], [11, 3.7, 1.38], [12, 3.46, 0.0],
+    [13, 1.98, 1.38], [14, 2.22, 2.29], [15, 3.95, 0.46], [16, 3.21, 0.46],
+    [17, 2.72, 1.38], [18, 2.22, 0.92], [19, 1.98, 1.38], [20, 1.98, 1.38],
+    [21, 1.48, 0.92], [22, 1.73, 0.46], [23, 1.73, 1.38], [24, 2.47, 0.46],
+    [25, 0.99, 0.92], [26, 1.73, 0.46], [27, 0.25, 0.0], [28, 2.72, 0.92],
+    [29, 1.23, 0.92], [30, 0.74, 0.46], [31, 0.49, 5.96], [32, 19.51, 69.72],
+]
+FIG10_ROWS = [
+    [0, 49.36, 12.4], [1, 6.4, 7.91], [2, 3.9, 5.4], [3, 2.68, 4.16],
+    [4, 2.29, 4.1], [5, 2.86, 5.48], [6, 1.56, 2.45], [7, 1.57, 2.85],
+    [8, 0.89, 1.75], [9, 0.76, 1.3], [10, 1.2, 2.22], [11, 0.55, 1.16],
+    [12, 0.73, 1.35], [13, 0.58, 1.06], [14, 0.34, 0.66], [15, 24.34, 45.74],
+]
+FIG11_ROWS = [
+    [10, 4.2, 1.38], [11, 10.86, 0.0], [12, 4.2, 0.46], [13, 0.99, 2.29],
+    [14, 0.0, 3.21], [15, 79.75, 92.66],
+]
+
+
+class TestResidencyPin:
+    def test_figs_9_to_11_pinned(self, exp):
+        results = {combo: detailed_results(exp, combo) for combo in RESIDENCY_PIN}
+        for combo, expected in RESIDENCY_PIN.items():
+            result = results[combo]
+            assert {
+                "misses": result.misses,
+                "accesses": result.accesses,
+                "misses_app": result.misses_app,
+                "misses_kernel": result.misses_kernel,
+                "cold": result.interference.cold,
+                "counts": result.interference.counts,
+            } == expected, combo
+        base, opt = results["base"], results["all"]
+        assert fig09_word_usage(base, opt).rows == FIG09_ROWS
+        assert fig10_word_reuse(base, opt).rows == FIG10_ROWS
+        assert fig11_lifetimes(base, opt).rows == FIG11_ROWS
