@@ -37,12 +37,16 @@ class UnitCallGraph:
         return (a, b) if a <= b else (b, a)
 
     def add_weight(self, a: str, b: str, weight: float) -> None:
-        """Accumulate weight on the (undirected) edge a--b."""
+        """Accumulate weight on the (undirected) edge a--b.
+
+        Zero weights are not stored: a missing edge already weighs 0.
+        """
         if a == b:
             return  # self edges never influence placement
         if a not in self._index or b not in self._index:
             raise LayoutError(f"call graph edge references unknown unit: {a!r}/{b!r}")
-        self._weights[self._key(a, b)] += weight
+        if weight:
+            self._weights[self._key(a, b)] += weight
 
     def weight(self, a: str, b: str) -> float:
         return self._weights.get(self._key(a, b), 0.0)

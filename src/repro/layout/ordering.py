@@ -9,15 +9,19 @@ possible merge endpoints is best.  In addition, special care is taken
 to ensure that we rarely require a branch to span more than the maximum
 branch displacement."
 
-Units with no profiled connections (cold code) are appended after the
-ordered hot clusters, preserving their original order.
+Units with no profiled connections stay singletons and are placed by
+the same hottest-first key as the clusters, so cold code (zero heat)
+ends up last, in its original order.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from itertools import chain
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro import obs
 from repro.check.structural import verify_unit_permutation
@@ -38,22 +42,34 @@ class OrderingResult:
     merges: int = 0
 
 
-def _unit_sizes(binary: Binary, units: Sequence[CodeUnit]) -> Dict[str, int]:
-    sizes = {}
-    for unit in units:
-        sizes[unit.name] = sum(
-            binary.block(b).size for b in unit.block_ids
-        ) * INSTRUCTION_BYTES
-    return sizes
+def _unit_sizes_and_heat(
+    binary: Binary, units: Sequence[CodeUnit], block_counts
+) -> Tuple[List[int], List[float]]:
+    """Per-unit byte size and dynamic heat (executed instructions).
 
-
-def _unit_heat(units: Sequence[CodeUnit], binary: Binary, block_counts) -> Dict[str, float]:
-    heat = {}
-    for unit in units:
-        heat[unit.name] = float(
-            sum(int(block_counts[b]) * binary.block(b).size for b in unit.block_ids)
-        )
-    return heat
+    One numpy reduction per quantity over the units' concatenated
+    block ids; heat is the exact integer sum, converted to float.
+    """
+    block_sizes = np.fromiter(
+        (block.size for block in binary.blocks()),
+        dtype=np.int64,
+        count=binary.num_blocks,
+    )
+    lengths = np.fromiter(
+        (len(u.block_ids) for u in units), dtype=np.int64, count=len(units)
+    )
+    bids = np.fromiter(
+        chain.from_iterable(u.block_ids for u in units),
+        dtype=np.int64,
+        count=int(lengths.sum()),
+    )
+    starts = np.zeros(len(units), dtype=np.int64)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    sizes = block_sizes[bids]
+    counts = np.asarray(block_counts)[bids].astype(np.int64)
+    unit_sizes = np.add.reduceat(sizes, starts) * INSTRUCTION_BYTES
+    unit_heat = np.add.reduceat(counts * sizes, starts).astype(np.float64)
+    return unit_sizes.tolist(), unit_heat.tolist()
 
 
 def order_units(
@@ -77,90 +93,113 @@ def order_units(
             within reach.
         verify: Assert the permutation contract on the result
             (:func:`repro.check.verify_unit_permutation`).
+
+    Only units with a positive edge (the hot graph) get cluster state;
+    the rest stay singletons.  The heaviest live edge merges first,
+    ties broken by the smaller ``(lo, hi)`` pair of cluster ids, where
+    hot units keep their relative unit order and every merged cluster
+    takes the next id above all earlier ones.  Renaming a cluster
+    therefore only makes an edge's ``(-w, lo, hi)`` key larger, so an
+    edge whose weight did not change keeps its heap entry and is
+    re-keyed when popped; a merge pushes only the edges whose weight
+    grew (neighbours of both clusters).
     """
     names = [u.name for u in units]
-    original_index = {name: i for i, name in enumerate(names)}
-    sizes = _unit_sizes(binary, units)
-    heat = _unit_heat(units, binary, block_counts)
+    index = {name: i for i, name in enumerate(names)}
+    sizes, heat = _unit_sizes_and_heat(binary, units, block_counts)
+    edges = [(index[a], index[b], w) for a, b, w in graph.edges_by_weight()]
 
-    # Cluster state: cluster id -> ordered list of unit names.
-    clusters: Dict[int, List[str]] = {i: [name] for i, name in enumerate(names)}
-    cluster_of: Dict[str, int] = {name: i for i, name in enumerate(names)}
-    cluster_size: Dict[int, int] = {i: sizes[name] for i, name in enumerate(names)}
-    adj: Dict[int, Dict[int, float]] = {i: {} for i in clusters}
+    # Slot s holds one hot cluster: hot units first, in unit order (so
+    # slot == initial cluster id); a merge keeps the slot with more
+    # neighbours and retires the other into it (``parent``).
+    hot = sorted({u for a, b, _ in edges for u in (a, b)})
+    slot = {u: s for s, u in enumerate(hot)}
+    members: List[Optional[List[int]]] = [[u] for u in hot]
+    size = [sizes[u] for u in hot]
+    adj: List[Optional[Dict[int, float]]] = [{} for _ in hot]
+    cluster_id = list(range(len(hot)))  # slot -> current cluster id
+    slot_of_id = list(range(len(hot)))  # cluster id -> slot at creation
+    parent = list(range(len(hot)))
+    heap: List[Tuple[float, int, int]] = []
+    for a, b, w in edges:
+        sa, sb = slot[a], slot[b]
+        adj[sa][sb] = adj[sb][sa] = w
+        heap.append((-w, min(sa, sb), max(sa, sb)))
+    heapq.heapify(heap)
 
-    heap: List[Tuple[float, int, int, float]] = []
-    for a, b, w in graph.edges_by_weight():
-        ca, cb = cluster_of[a], cluster_of[b]
-        if ca == cb:
-            continue
-        lo, hi = min(ca, cb), max(ca, cb)
-        adj[lo][hi] = adj[lo].get(hi, 0.0) + w
-        adj[hi][lo] = adj[hi].get(lo, 0.0) + w
-    for lo in adj:
-        for hi, w in adj[lo].items():
-            if lo < hi:
-                heapq.heappush(heap, (-w, lo, hi, w))
+    def find(s: int) -> int:
+        root = s
+        while parent[root] != root:
+            root = parent[root]
+        while parent[s] != root:
+            parent[s], s = root, parent[s]
+        return root
+
+    def weight(i: int, j: int) -> float:
+        return graph.weight(names[i], names[j])
 
     refusals = 0
     merges = 0
-    next_id = len(names)
     while heap:
-        neg_w, a, b, w = heapq.heappop(heap)
-        if a not in clusters or b not in clusters:
-            continue  # stale entry
-        if adj[a].get(b, 0.0) != w:
-            continue  # weight superseded by a merge
-        if cluster_size[a] + cluster_size[b] > max_displacement:
+        neg_w, lo, hi = heapq.heappop(heap)
+        sa, sb = find(slot_of_id[lo]), find(slot_of_id[hi])
+        if sa == sb or adj[sa].get(sb) != -neg_w:
+            continue  # merged away, refused, or superseded by a heavier edge
+        a, b = cluster_id[sa], cluster_id[sb]
+        if a > b:
+            a, b, sa, sb = b, a, sb, sa
+        if (a, b) != (lo, hi):
+            heapq.heappush(heap, (neg_w, a, b))  # renamed: re-key lazily
+            continue
+        if size[sa] + size[sb] > max_displacement:
             refusals += 1
             # Drop the edge so the pair is never retried.
-            adj[a].pop(b, None)
-            adj[b].pop(a, None)
+            del adj[sa][sb], adj[sb][sa]
             continue
-        left, right = _best_orientation(clusters[a], clusters[b], graph)
-        merged = left + right
-        cid = next_id
-        next_id += 1
-        clusters[cid] = merged
-        cluster_size[cid] = cluster_size[a] + cluster_size[b]
-        adj[cid] = {}
-        for old in (a, b):
-            for other, weight in adj[old].items():
-                if other in (a, b):
-                    continue
-                adj[cid][other] = adj[cid].get(other, 0.0) + weight
-        for other, weight in adj[cid].items():
-            adj[other].pop(a, None)
-            adj[other].pop(b, None)
-            adj[other][cid] = weight
-            lo, hi = min(cid, other), max(cid, other)
-            heapq.heappush(heap, (-weight, lo, hi, weight))
-        for name in merged:
-            cluster_of[name] = cid
-        del clusters[a], clusters[b]
-        del adj[a], adj[b]
-        del cluster_size[a], cluster_size[b]
+        left, right = _best_orientation(members[sa], members[sb], weight)
+        keep, gone = (sa, sb) if len(adj[sa]) >= len(adj[sb]) else (sb, sa)
+        kept, moved = adj[keep], adj[gone]
+        del kept[gone], moved[keep]
+        new_id = len(slot_of_id)
+        for other, w in moved.items():
+            theirs = adj[other]
+            del theirs[gone]
+            if other in kept:
+                w = kept[other] + w
+                heapq.heappush(heap, (-w, cluster_id[other], new_id))
+            kept[other] = theirs[keep] = w
+        members[keep] = left + right
+        size[keep] += size[gone]
+        cluster_id[keep] = new_id
+        slot_of_id.append(keep)
+        parent[gone] = keep
+        members[gone] = adj[gone] = None
         merges += 1
 
     # Final placement: clusters hottest-first (by total dynamic weight),
-    # deterministic tie-break on the earliest original unit index.
-    def cluster_key(item):
-        cid, members = item
-        total_heat = sum(heat[m] for m in members)
-        return (-total_heat, min(original_index[m] for m in members))
+    # deterministic tie-break on the earliest original unit index.  Cold
+    # units are singletons keyed by their own heat and index.
+    clusters = [m for s, m in enumerate(members) if parent[s] == s]
+    cold = np.ones(len(units), dtype=bool)
+    cold[hot] = False
+    cold_index = np.flatnonzero(cold)
+    key_heat = np.concatenate([
+        np.asarray(heat, dtype=np.float64)[cold_index],
+        np.array([sum(heat[m] for m in c) for c in clusters], dtype=np.float64),
+    ])
+    key_index = np.concatenate([
+        cold_index, np.array([min(c) for c in clusters], dtype=np.int64)
+    ])
+    groups = [[int(i)] for i in cold_index] + clusters
+    ordered: List[CodeUnit] = []
+    for g in np.lexsort((key_index, -key_heat)).tolist():
+        ordered.extend(units[m] for m in groups[g])
 
-    ordered_names: List[str] = []
-    for _cid, members in sorted(clusters.items(), key=cluster_key):
-        ordered_names.extend(members)
-
-    unit_by_name = {u.name: u for u in units}
     obs.counter("layout.order.calls").inc()
     obs.counter("layout.order.merges").inc(merges)
     obs.counter("layout.order.displacement_refusals").inc(refusals)
     result = OrderingResult(
-        units=[unit_by_name[n] for n in ordered_names],
-        displacement_refusals=refusals,
-        merges=merges,
+        units=ordered, displacement_refusals=refusals, merges=merges
     )
     if verify:
         verify_unit_permutation(units, result.units)
@@ -168,8 +207,8 @@ def order_units(
 
 
 def _best_orientation(
-    left: List[str], right: List[str], graph: UnitCallGraph
-) -> Tuple[List[str], List[str]]:
+    left: List[int], right: List[int], weight: Callable[[int, int], float]
+) -> Tuple[List[int], List[int]]:
     """Pick the best of the four concatenations of two clusters.
 
     Scored by the *original* graph weight between the two units that
@@ -184,9 +223,9 @@ def _best_orientation(
         (left[::-1], right[::-1]),
     )
     best = options[0]
-    best_score = graph.weight(best[0][-1], best[1][0])
+    best_score = weight(best[0][-1], best[1][0])
     for option in options[1:]:
-        score = graph.weight(option[0][-1], option[1][0])
+        score = weight(option[0][-1], option[1][0])
         if score > best_score:
             best, best_score = option, score
     return best

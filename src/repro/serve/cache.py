@@ -1,13 +1,16 @@
 """Two-tier layout cache: in-memory LRU over the persistent store.
 
 The server answers most traffic from here.  Tier 1 is a bounded
-in-process LRU of finished layout documents keyed by ``(profile
-fingerprint, combo)``; tier 2 is the content-addressed
-:class:`~repro.harness.store.ArtifactStore` the offline pipeline
-already uses (entries named ``serve-layout-<combo>.json`` under the
-profile fingerprint), so layouts survive server restarts and are
-shared with :class:`~repro.online.relayout.AdaptiveRelayout` runs on
-the same cache directory.
+in-process LRU of served layouts keyed by ``(profile fingerprint,
+combo)``, each held as its wire encoding (:func:`encode_layout`) made
+once when the layout passed the server's swap gate; tier 2 is the
+content-addressed :class:`~repro.harness.store.ArtifactStore` the
+offline pipeline already uses (entries named
+``serve-layout-<combo>.json`` under the profile fingerprint), so
+layouts survive server restarts and are shared with
+:class:`~repro.online.relayout.AdaptiveRelayout` runs on the same
+cache directory.  A disk entry is promoted into memory only after it
+passes the gate.
 
 Every lookup lands in the ``serve.cache_*`` counters: ``cache_hits``
 (memory), ``cache_disk_hits`` (promoted from disk), ``cache_misses``,
@@ -20,11 +23,17 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro import obs
-from repro.harness.store import ArtifactStore, load_layout, save_layout
-from repro.harness.store import layout_from_dict, layout_to_dict
+from repro.harness.store import (
+    ArtifactStore,
+    layout_to_dict,
+    load_layout,
+    save_layout,
+)
+from repro.ir import Layout
+from repro.serve.protocol import RawJSON, encode_json
 
 #: Default number of layout documents the memory tier holds.
 DEFAULT_MEMORY_ENTRIES = 128
@@ -51,12 +60,18 @@ class CacheStats:
         }
 
 
-class LayoutCache:
-    """Thread-safe (fingerprint, combo) -> layout-document cache.
+def encode_layout(layout: Layout) -> RawJSON:
+    """The wire encoding of one layout's
+    :func:`~repro.harness.store.layout_to_dict` document."""
+    return encode_json(layout_to_dict(layout))
 
-    Values are the JSON-ready dicts of
-    :func:`repro.harness.store.layout_to_dict` — exactly what goes on
-    the wire — so a hit serves with zero conversion work.
+
+class LayoutCache:
+    """Thread-safe (fingerprint, combo) -> served-layout cache.
+
+    Memory-tier values are :func:`encode_layout` bytes of layouts that
+    passed the swap gate -- exactly what goes on the wire -- so a hit
+    serves with zero conversion work.
     """
 
     def __init__(
@@ -66,7 +81,7 @@ class LayoutCache:
     ) -> None:
         self.store = store
         self.memory_entries = max(1, memory_entries)
-        self._memory: "OrderedDict[Tuple[str, str], Dict]" = OrderedDict()
+        self._memory: "OrderedDict[Tuple[str, str], RawJSON]" = OrderedDict()
         self._lock = threading.Lock()
         self._stats = CacheStats()
 
@@ -74,55 +89,59 @@ class LayoutCache:
     def _artifact(combo: str) -> str:
         return f"serve-layout-{combo}.json"
 
-    def get(self, fingerprint: str, combo: str) -> Tuple[Optional[Dict], str]:
-        """Look one layout up; returns ``(document, tier)``.
+    def get(
+        self, fingerprint: str, combo: str, gate: Callable[[Layout], bool]
+    ) -> Tuple[Optional[RawJSON], str]:
+        """Look one layout up; returns ``(encoded document, tier)``.
 
         ``tier`` is ``"memory"``, ``"disk"``, or ``""`` on a miss.  A
-        disk hit is promoted into the memory tier.
+        disk entry is served and promoted into the memory tier only when
+        ``gate`` passes it (the disk tier may hold artifacts written by
+        other processes); a rejected entry is a miss.
         """
         key = (fingerprint, combo)
         with self._lock:
-            document = self._memory.get(key)
-            if document is not None:
+            encoded = self._memory.get(key)
+            if encoded is not None:
                 self._memory.move_to_end(key)
                 self._stats.memory_hits += 1
                 obs.counter("serve.cache_hits").inc()
-                return document, "memory"
+                return encoded, "memory"
         if self.store is not None:
             layout = self.store.load(
                 fingerprint, self._artifact(combo), load_layout
             )
-            if layout is not None:
-                document = layout_to_dict(layout)
-                self._insert(key, document)
+            if layout is not None and gate(layout):
+                encoded = encode_layout(layout)
+                self._insert(key, encoded)
                 with self._lock:
                     self._stats.disk_hits += 1
                 obs.counter("serve.cache_disk_hits").inc()
-                return document, "disk"
+                return encoded, "disk"
         with self._lock:
             self._stats.misses += 1
         obs.counter("serve.cache_misses").inc()
         return None, ""
 
-    def put(self, fingerprint: str, combo: str, document: Dict) -> None:
-        """Install one finished (already gated) layout document.
+    def put(self, fingerprint: str, combo: str, layout: Layout) -> RawJSON:
+        """Install one finished (already gated) layout; returns its
+        wire encoding.
 
         The memory tier is updated synchronously; the disk tier write
         is atomic and best-effort (a read-only store degrades to
         memory-only caching).
         """
-        self._insert((fingerprint, combo), document)
+        encoded = encode_layout(layout)
+        self._insert((fingerprint, combo), encoded)
         if self.store is not None:
             self.store.save(
-                fingerprint,
-                self._artifact(combo),
-                layout_from_dict(document),
-                save_layout,
+                fingerprint, self._artifact(combo), layout, save_layout
             )
+        return encoded
 
-    def _insert(self, key: Tuple[str, str], document: Dict) -> None:
+    def _insert(self, key: Tuple[str, str], encoded: RawJSON) -> None:
         with self._lock:
-            self._memory[key] = document
+            self._memory[key] = encoded
             self._memory.move_to_end(key)
             while len(self._memory) > self.memory_entries:
                 self._memory.popitem(last=False)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Type
+from typing import Dict, List, Optional, Type, Union
 
 import numpy as np
 
@@ -180,7 +180,8 @@ class LayoutResponse:
     """The server's answer to a :class:`LayoutRequest`.
 
     ``status`` is ``"ok"`` (``layout`` carries the
-    :func:`repro.harness.store.layout_to_dict` document), ``"rejected"``
+    :func:`repro.harness.store.layout_to_dict` document: a dict once
+    decoded, its :class:`RawJSON` encoding on the server), ``"rejected"``
     (admission control shed the request — retry later), or ``"error"``
     (``error`` says why; e.g. unknown fingerprint, gate failure).
     ``source`` records which tier produced an ok layout; ``queue_wait_ms``
@@ -193,7 +194,7 @@ class LayoutResponse:
     fingerprint: str = ""
     combo: str = ""
     source: str = ""
-    layout: Optional[Dict] = None
+    layout: Union[Dict, "RawJSON", None] = None
     error: str = ""
     queue_wait_ms: float = 0.0
 
@@ -311,18 +312,35 @@ MESSAGE_TYPES: Dict[str, Type] = {
 }
 
 
+class RawJSON(bytes):
+    """A value already encoded as compact JSON (see :func:`encode_json`).
+
+    :func:`encode_message` splices it into the frame verbatim, so a
+    document encoded once is served any number of times without being
+    encoded again.
+    """
+
+
+def encode_json(value) -> RawJSON:
+    """``value`` as the compact JSON that appears inside a frame."""
+    return RawJSON(json.dumps(value, separators=(",", ":")).encode("utf-8"))
+
+
 def encode_message(message) -> bytes:
-    """One message as a complete wire frame (length prefix + JSONL)."""
-    body = (
-        json.dumps(
-            {
-                "v": PROTOCOL_VERSION,
-                "type": message.TYPE,
-                "payload": message.to_wire(),
-            },
-            separators=(",", ":"),
-        ).encode("utf-8")
-        + b"\n"
+    """One message as a complete wire frame (length prefix + JSONL).
+
+    The body is byte-identical to ``json.dumps`` of the envelope with
+    compact separators; payload values that are :class:`RawJSON` are
+    spliced in as they are.
+    """
+    fields = b",".join(
+        encode_json(key) + b":" + (
+            value if isinstance(value, RawJSON) else encode_json(value)
+        )
+        for key, value in message.to_wire().items()
+    )
+    body = b'{"v":%s,"type":%s,"payload":{%s}}\n' % (
+        encode_json(PROTOCOL_VERSION), encode_json(message.TYPE), fields
     )
     return struct.pack("!I", len(body)) + body
 

@@ -14,10 +14,14 @@ Production semantics on top of the offline optimizer:
   ``ProcessPoolExecutor`` workers (``workers >= 1`` on fork-capable
   platforms, the production shape) or an in-process thread pool
   (``workers = 0``, the test/embedded shape).
-* **Swap gate** — every layout leaving the server (freshly built *or*
-  loaded from the disk tier) must pass the ``repro.check`` integrity
-  gate; failures bump ``serve.gate_rejected`` and return an error
+* **Swap gate** — every layout entering the server (freshly built,
+  statically synthesized, *or* loaded from the disk tier) must pass
+  the ``repro.check`` integrity gate before it is encoded, cached or
+  served; failures bump ``serve.gate_rejected`` and return an error
   response rather than a corrupt layout.
+* **Encode once** — a layout that passes the gate is encoded to its
+  wire bytes once (:func:`~repro.serve.cache.encode_layout`); every
+  answer for it splices those bytes into the response frame.
 
 State is per-binary: the server optimizes exactly one binary and
 refuses profiles submitted for any other.  All activity lands in
@@ -37,15 +41,15 @@ from typing import Dict, List, Optional, Tuple
 from repro import obs
 from repro.check import gate_layout
 from repro.errors import LayoutError, ProtocolError, ServeError
-from repro.harness.store import (
-    ArtifactStore,
-    layout_from_dict,
-    layout_to_dict,
-)
-from repro.ir import Binary
+from repro.harness.store import ArtifactStore
+from repro.ir import Binary, Layout
 from repro.layout import Combo, SpikeOptimizer
 from repro.pipeline.fanout import fork_available, install_shared, shared_state
-from repro.serve.cache import DEFAULT_MEMORY_ENTRIES, LayoutCache
+from repro.serve.cache import (
+    DEFAULT_MEMORY_ENTRIES,
+    LayoutCache,
+    encode_layout,
+)
 from repro.serve.protocol import (
     ErrorResponse,
     HealthRequest,
@@ -53,6 +57,7 @@ from repro.serve.protocol import (
     LayoutRequest,
     LayoutResponse,
     ProfileSubmit,
+    RawJSON,
     SOURCE_BUILT,
     SOURCE_COALESCED,
     SOURCE_STATIC,
@@ -72,7 +77,7 @@ def _optimize_task(
 
     ``submit=None`` optimizes against the static profile synthesized
     from the binary's CFG structure (the cold-start fallback).  Returns
-    ``{"layout": <layout document>, "queue_wait_ms": ...}``.  The queue
+    ``{"layout": <Layout>, "queue_wait_ms": ...}``.  The queue
     wait is measured from admission to worker start, so a saturated
     pool shows up in the ``serve.queue_wait_ms`` histogram.  The
     binary is the executor's shared state (see ``_make_executor``).
@@ -86,7 +91,7 @@ def _optimize_task(
         else submit.to_profile(binary)
     )
     return {
-        "layout": layout_to_dict(SpikeOptimizer(binary, profile).layout(combo)),
+        "layout": SpikeOptimizer(binary, profile).layout(combo),
         "queue_wait_ms": max(0.0, (started - enqueued_at) * 1000.0),
     }
 
@@ -132,8 +137,8 @@ class LayoutServer:
         )
         self._profiles: "OrderedDict[str, ProfileSubmit]" = OrderedDict()
         self._inflight: Dict[Tuple[str, str], "asyncio.Future"] = {}
-        #: combo -> gated static-fallback layout document (cold start).
-        self._static_documents: Dict[str, Dict] = {}
+        #: combo -> encoded, gated static-fallback layout (cold start).
+        self._static_documents: Dict[str, RawJSON] = {}
         self._static_inflight: Dict[str, "asyncio.Future"] = {}
         self._pending = 0
         self._executor: Optional[Executor] = None
@@ -288,13 +293,9 @@ class LayoutServer:
             )
         key = (request.fingerprint, combo)
 
-        document, tier = self.cache.get(request.fingerprint, combo)
-        if document is not None and tier == "disk":
-            # Memory-tier entries were gated on insert; the disk tier
-            # may hold artifacts written by other processes, so they
-            # pass the gate on their way out.
-            if not self._gate_ok(document):
-                document = None
+        document, tier = self.cache.get(
+            request.fingerprint, combo, self._gate_ok
+        )
         if document is not None:
             return LayoutResponse(
                 status=STATUS_OK,
@@ -379,12 +380,12 @@ class LayoutServer:
                 combo=combo,
                 error=f"optimization failed: {exc}",
             )
-        document = outcome["layout"]
+        layout = outcome["layout"]
         wait_ms = float(outcome["queue_wait_ms"])
         self._queue_waits_ms.append(wait_ms)
         obs.histogram("serve.queue_wait_ms").record(wait_ms)
         obs.counter("serve.optimizations").inc()
-        if not self._gate_ok(document):
+        if not self._gate_ok(layout):
             return LayoutResponse(
                 status=STATUS_ERROR,
                 fingerprint=submit.fingerprint,
@@ -392,7 +393,7 @@ class LayoutServer:
                 error="built layout failed the repro.check integrity gate",
                 queue_wait_ms=wait_ms,
             )
-        self.cache.put(submit.fingerprint, combo, document)
+        document = self.cache.put(submit.fingerprint, combo, layout)
         return LayoutResponse(
             status=STATUS_OK,
             fingerprint=submit.fingerprint,
@@ -426,7 +427,7 @@ class LayoutServer:
                 obs.counter("serve.coalesced").inc()
             try:
                 with obs.span("serve.static_optimize", combo=combo):
-                    document = (await asyncio.shield(inflight))["layout"]
+                    layout = (await asyncio.shield(inflight))["layout"]
             except Exception as exc:
                 obs.counter("serve.optimize_errors").inc()
                 return LayoutResponse(
@@ -437,7 +438,7 @@ class LayoutServer:
                 )
             finally:
                 self._static_inflight.pop(combo, None)
-            if not self._gate_ok(document):
+            if not self._gate_ok(layout):
                 return LayoutResponse(
                     status=STATUS_ERROR,
                     fingerprint=request.fingerprint,
@@ -447,6 +448,7 @@ class LayoutServer:
                         "integrity gate"
                     ),
                 )
+            document = encode_layout(layout)
             self._static_documents[combo] = document
         obs.counter("serve.static_served").inc()
         return LayoutResponse(
@@ -457,14 +459,12 @@ class LayoutServer:
             layout=document,
         )
 
-    def _gate_ok(self, document: Dict) -> bool:
+    def _gate_ok(self, layout: Layout) -> bool:
         """The :func:`~repro.check.gate_layout` swap gate over one
-        layout document."""
+        layout."""
         with obs.span("serve.gate"):
             try:
-                report = gate_layout(
-                    self.binary, layout_from_dict(document), target="serve"
-                )
+                report = gate_layout(self.binary, layout, target="serve")
             except Exception:
                 report = None
         if report is not None and report.ok:

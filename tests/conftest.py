@@ -20,6 +20,11 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# CI's deep runs (``pytest --hypothesis-profile=deep``) raise the budget
+# of every property test that does not pin its own ``max_examples``.
+settings.register_profile(
+    "deep", parent=settings.get_profile("repro"), max_examples=2000
+)
 settings.load_profile("repro")
 
 

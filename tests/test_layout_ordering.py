@@ -119,6 +119,19 @@ class TestOrderingBehaviour:
         with pytest.raises(LayoutError):
             graph.add_weight("x", "ghost", 1)
 
+    def test_zero_weights_are_not_stored(self):
+        from repro.errors import LayoutError
+
+        graph = UnitCallGraph(["x", "y", "z"])
+        graph.add_weight("x", "y", 0.0)
+        graph.add_weight("y", "z", 2.0)
+        graph.add_weight("z", "y", 0)
+        assert graph._weights == {("y", "z"): 2.0}
+        assert graph.edges_by_weight() == [("y", "z", 2.0)]
+        assert graph.weight("x", "y") == 0.0
+        with pytest.raises(LayoutError):
+            graph.add_weight("x", "ghost", 0.0)
+
     def test_orientation_uses_original_weights(self):
         # Clusters (A,B) and (C,D) with the strongest original link B-C:
         # the merge must join B's end to C's start.

@@ -27,6 +27,8 @@ from repro.harness.figures import (
     fig11_lifetimes,
 )
 from repro.harness.store import save_trace
+from repro.layout import Combo, SpikeOptimizer
+from repro.serve.cache import encode_layout
 
 
 @pytest.fixture(scope="module")
@@ -206,3 +208,123 @@ class TestResidencyPin:
         assert fig09_word_usage(base, opt).rows == FIG09_ROWS
         assert fig10_word_reuse(base, opt).rows == FIG10_ROWS
         assert fig11_lifetimes(base, opt).rows == FIG11_ROWS
+
+
+#: sha256 of every combo's served layout document (``encode_layout``)
+#: for the quick app and kernel under each profile source: layouts
+#: must stay byte-identical whatever the ordering code does inside.
+LAYOUT_SHA256 = {
+    "app/measured/base":
+        "d77ded449f8b0f6fee7e2937f2b20edf6bad95adeff4d1cf0f8388d195e7c385",
+    "app/measured/porder":
+        "109eef99249618cd013af0911023205830a764ded23b6368bf881282b3913bf8",
+    "app/measured/chain":
+        "41574bb350fb31be03cba17de0cbe7511938a626820d5173c915975d7245c2e7",
+    "app/measured/split":
+        "26055f6f3f52bdb0ee95c191ff68d286f076118e009a84c2034b61cc8988dacf",
+    "app/measured/chain+split":
+        "77a2d69ea5c6bd52f71833c32979ce091395283a3efe978470e17fa4900236d1",
+    "app/measured/chain+porder":
+        "1b3e774beff83b8a69eeaa7e5b31acf13f73e0f0e0590a0d736e2b015bfb180e",
+    "app/measured/all":
+        "7560c348dd0e56c092b4fd0a24fd02a4da4b184b9813ed3d87adb46cbe484bf1",
+    "app/measured/hotcold":
+        "43d47b6518288862540e9b9f366ed07cc2129f13cb4ffb6680aa5ba67ac1d919",
+    "app/static/base":
+        "d77ded449f8b0f6fee7e2937f2b20edf6bad95adeff4d1cf0f8388d195e7c385",
+    "app/static/porder":
+        "76de3474912ff1967de795895ffa6a512017a3c51d07410ada655d853e14f478",
+    "app/static/chain":
+        "4d31591fcf48b4b5a75885a71ef45a7ec377d318472665945389870025009735",
+    "app/static/split":
+        "26055f6f3f52bdb0ee95c191ff68d286f076118e009a84c2034b61cc8988dacf",
+    "app/static/chain+split":
+        "0d8eb96ef292951c2599262fab2b63df4c92f964dc52df6d8ab0bd6660cc8ac7",
+    "app/static/chain+porder":
+        "413250f08912073908db5c56536c10f67f772ed24b8e146c517f89bd6d57f21d",
+    "app/static/all":
+        "4d5f2b251e7481f6c0882df3ea09f380f5476aee0ce16a0aae17098ec80fe17a",
+    "app/static/hotcold":
+        "ad875a7c171f3c766690490c6c4da6a264109f51da010c29d8276641df9fe9ef",
+    "app/hybrid/base":
+        "d77ded449f8b0f6fee7e2937f2b20edf6bad95adeff4d1cf0f8388d195e7c385",
+    "app/hybrid/porder":
+        "bdb6f1f8c33783072c51420937ec3671fcf33d5428880226f78927de7a0b82e5",
+    "app/hybrid/chain":
+        "9eb36f8d39df0ca14258b3ea3281f9aaf0c08ba8e8eb5a53a44bd01690ca1da1",
+    "app/hybrid/split":
+        "26055f6f3f52bdb0ee95c191ff68d286f076118e009a84c2034b61cc8988dacf",
+    "app/hybrid/chain+split":
+        "aa8424001009ef756f763bb8cf91049939a5c64d11ae434cfa8743544e61f43b",
+    "app/hybrid/chain+porder":
+        "6e0cefb179a45f52219923d28cc253edb7907dce95f679e0e2d954e13b201b5f",
+    "app/hybrid/all":
+        "3182259a898707703252802022bf2baa62c1bd7f1bfd91dffccc00e77b4ae2d2",
+    "app/hybrid/hotcold":
+        "810dd8e9b449078cde2cb6365a66d5e9a43f0e5697e217fd7d6e7d13af147f16",
+    "kernel/measured/base":
+        "e5958a27b189898a4298070224ad741908b0dbe79eb52b6f6fd75fb96ff98d24",
+    "kernel/measured/porder":
+        "e9b694233efc87f1a0a3e6edbfed17366627ac238a366ec4158242c0ea70ef2b",
+    "kernel/measured/chain":
+        "dbba93b55f8cdf7622833fb9a3597d93aa2bc9d844deda62be2538b7e68c2536",
+    "kernel/measured/split":
+        "eaf3cb03ddd855a9ed01ebde242da66bfcbe38e0e78e7090a9bf684d29f5ca5c",
+    "kernel/measured/chain+split":
+        "1d46bb951379d14dab0fd3c09286aa1493541c937b21c729012b31ac928e3d5c",
+    "kernel/measured/chain+porder":
+        "7b81163ef21f7d14312b5f69481ef907d11ac195379cf8c3d896ea3b0e9594e5",
+    "kernel/measured/all":
+        "42f29b74b681eca4e863fd3028b33ef1e0eaf946bfe7cdf2b2b3e3e2e81bb5d3",
+    "kernel/measured/hotcold":
+        "01320b3cfff3e9bb7ebac08a15d77f334c3b32b00fd17405117c4b554fe5dcfd",
+    "kernel/static/base":
+        "e5958a27b189898a4298070224ad741908b0dbe79eb52b6f6fd75fb96ff98d24",
+    "kernel/static/porder":
+        "8f1aa49d8e2d1759f64d067e085bfc6e39a49838344630d21e9f5e99e028fd76",
+    "kernel/static/chain":
+        "b2db650c7ce68ef3a2e52a9cf0b7b671bde89d80f9e856d13e1213b4f9de26b4",
+    "kernel/static/split":
+        "eaf3cb03ddd855a9ed01ebde242da66bfcbe38e0e78e7090a9bf684d29f5ca5c",
+    "kernel/static/chain+split":
+        "61434e7250f6706d81a26c4739ceaf8ef6d004150497164dec271e95effafad9",
+    "kernel/static/chain+porder":
+        "e943199cbdfcf1ef5c63a0912644998c5fd168e0afbabfc4844c8abb09507f12",
+    "kernel/static/all":
+        "16e364df9b2dc9140e608b4a02bea741d7306fd2a743e08fb3c347884c1c5a52",
+    "kernel/static/hotcold":
+        "a8b07d96af404f58efc005d66ec7b2e1e9b9583b78cbf9e4ef28506b7fd21ef9",
+    "kernel/hybrid/base":
+        "e5958a27b189898a4298070224ad741908b0dbe79eb52b6f6fd75fb96ff98d24",
+    "kernel/hybrid/porder":
+        "c1c9dfe23e862560d9f21c15e38492ee53e33d9cf3bd65b1ef72dcf9218bb62f",
+    "kernel/hybrid/chain":
+        "41ad9213fb60bb4a70ae4c1adffa7e119725d49130e3e13e2fac0f59fcdf17af",
+    "kernel/hybrid/split":
+        "eaf3cb03ddd855a9ed01ebde242da66bfcbe38e0e78e7090a9bf684d29f5ca5c",
+    "kernel/hybrid/chain+split":
+        "823a08f9c5f5115db1af519cb81b4986c25a65094a00ffed39477d64f06b9a3c",
+    "kernel/hybrid/chain+porder":
+        "d5d940d594f159cdef3395e769776423fe0a9a181634d94a22bebf43e05a1a16",
+    "kernel/hybrid/all":
+        "be20f6ee5bdb1da5381bd9658501d931e886937beffbb1da31d120e996d5a191",
+    "kernel/hybrid/hotcold":
+        "00c383f34970daad071021c0f1a0910288505068a3726aa2811f0c6980b1daf0",
+}
+
+
+class TestLayoutPin:
+    def test_every_combo_layout_pinned(self, exp):
+        digests = {}
+        for side, program in (("app", exp.app), ("kernel", exp.kernel)):
+            for source in ("measured", "static", "hybrid"):
+                optimizer = SpikeOptimizer(
+                    program.binary,
+                    exp.profile_for(source, kernel=side == "kernel"),
+                )
+                for combo in Combo.names():
+                    encoded = encode_layout(optimizer.layout(combo))
+                    digests[f"{side}/{source}/{combo}"] = hashlib.sha256(
+                        encoded
+                    ).hexdigest()
+        assert digests == LAYOUT_SHA256

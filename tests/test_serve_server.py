@@ -9,7 +9,8 @@ import pytest
 
 from repro import obs
 from repro.errors import ServeError
-from repro.harness.store import ArtifactStore, layout_to_dict
+from repro.check import gate_layout
+from repro.harness.store import ArtifactStore, layout_from_dict, layout_to_dict
 from repro.layout import SpikeOptimizer
 from repro.serve import server as server_module
 from repro.serve.client import ClientConfig, LayoutClient
@@ -348,6 +349,49 @@ class TestSwapGate:
             assert reply.source == SOURCE_BUILT  # not the corrupt entry
             assert counter_value("serve.gate_rejected") == before + 1
             assert reply.status == STATUS_OK
+        finally:
+            handle.stop()
+
+
+    def test_corrupt_disk_entry_is_never_promoted(self, serve_env, tmp_path):
+        # A restarted server that does not know the profile finds a
+        # corrupt disk entry: it must fail the gate on every request and
+        # never reach the memory tier, so both answers are static.
+        binary, (profile, _) = serve_env
+        store = ArtifactStore(tmp_path / "store")
+        handle = ServerThread.start(
+            binary, store=store, config=ServerConfig(workers=0)
+        )
+        try:
+            client = make_client(handle)
+            client.submit_profile(profile)
+            assert client.fetch_layout(profile, "all").ok
+        finally:
+            handle.stop()
+        path = store.path(profile.fingerprint(), "serve-layout-all.json")
+        document = json.loads(path.read_text())
+        document["units"][0]["block_ids"] = document["units"][0][
+            "block_ids"
+        ][1:]
+        path.write_text(json.dumps(document))
+
+        handle = ServerThread.start(
+            binary, store=store, config=ServerConfig(workers=0)
+        )
+        try:
+            client = make_client(handle, max_attempts=1)
+            before = counter_value("serve.gate_rejected")
+            replies = [
+                client._call(LayoutRequest(profile.fingerprint(), "all"))
+                for _ in range(2)
+            ]
+            assert [r.source for r in replies] == [SOURCE_STATIC] * 2
+            assert counter_value("serve.gate_rejected") == before + 2
+            assert len(handle.server.cache) == 0
+            for reply in replies:
+                assert gate_layout(
+                    binary, layout_from_dict(reply.layout), target="test"
+                ).ok
         finally:
             handle.stop()
 
