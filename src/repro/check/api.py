@@ -80,18 +80,19 @@ _STATIC_RUNNER = CheckRunner([
 
 
 def check_layout(
-    binary, layout, address_map=None, target: str = ""
+    binary, layout, address_map=None, target: str = "", *, structure: bool = True
 ) -> CheckReport:
     """Run the layout-integrity family (``LAY*``).
 
-    Structure passes always run.  Address passes need an
+    Structure passes run unless ``structure=False`` (the caller already
+    ran them and they came back clean).  Address passes need an
     ``address_map`` and only run when the structure came back clean --
     address arithmetic over a layout that places blocks twice (or not
     at all) would just produce noise after the real finding.
     """
     target = target or getattr(layout, "name", "")
     ctx = CheckContext(binary=binary, layout=layout, target=target)
-    report = _STRUCTURE_RUNNER.run(ctx)
+    report = _STRUCTURE_RUNNER.run(ctx) if structure else CheckReport()
     if address_map is not None and report.ok:
         ctx.address_map = address_map
         report.extend(_ADDRESS_RUNNER.run(ctx))
@@ -103,14 +104,18 @@ def gate_layout(binary, layout, target: str = "") -> CheckReport:
 
     Structure passes run on their own first: ``assign_addresses``
     refuses structurally broken layouts outright, and the gate must
-    *report* corruption, not crash on it.  Only a clean structure gets
-    an address map and the full :func:`check_layout` run.
+    *report* corruption, not crash on it.  Only a clean structure is
+    placed and gets the address passes.  The report's ``address_map``
+    hands that placement back (None when the structure failed), so no
+    caller places the layout a second time.
     """
     report = check_layout(binary, layout, target=target)
     if report.ok:
-        report = check_layout(
-            binary, layout, assign_addresses(binary, layout), target=target
-        )
+        address_map = assign_addresses(binary, layout)
+        report.extend(check_layout(
+            binary, layout, address_map, target=target, structure=False
+        ))
+        report.address_map = address_map
     return report
 
 

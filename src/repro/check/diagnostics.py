@@ -130,6 +130,9 @@ class CheckReport:
 
     def __init__(self, diagnostics: Optional[Iterable[Diagnostic]] = None) -> None:
         self.diagnostics: List[Diagnostic] = list(diagnostics or ())
+        #: The placement :func:`~repro.check.gate_layout` checked (None
+        #: when the structure failed, or for any other report).
+        self.address_map: object = None
 
     def add(self, diagnostic: Diagnostic) -> None:
         """Append one finding."""

@@ -73,11 +73,21 @@ class _Node:
 class BTree:
     """A B+tree index: int key -> RID."""
 
-    def __init__(self, name: str, pool, order: int = 128) -> None:
+    def __init__(
+        self,
+        name: str,
+        pool,
+        order: int = 128,
+        root_page_id: Optional[int] = None,
+        height: int = 1,
+    ) -> None:
         """Args:
         name: Index name (for diagnostics).
         pool: Buffer pool.
         order: Maximum keys per node before it splits.
+        root_page_id: Attach to a tree whose nodes are already on
+            pages (a restored database); None allocates an empty root.
+        height: Levels of the attached tree.
         """
         if order < 4:
             raise DatabaseError(f"btree order must be >= 4, got {order}")
@@ -98,13 +108,15 @@ class BTree:
                 f"btree order {order} needs {self._node_bytes}-byte nodes, "
                 f"too large for one page"
             )
-        root = _Node(page_id=0, is_leaf=True)
-        page = pool.new_page()
-        root.page_id = page.page_id
-        page.insert(self._pack(root))
-        pool.unpin(page.page_id, dirty=True)
-        self.root_page_id = root.page_id
-        self.height = 1
+        if root_page_id is None:
+            root = _Node(page_id=0, is_leaf=True)
+            page = pool.new_page()
+            root.page_id = page.page_id
+            page.insert(self._pack(root))
+            pool.unpin(page.page_id, dirty=True)
+            root_page_id = root.page_id
+        self.root_page_id = root_page_id
+        self.height = height
         #: Hook fired after each descent: f(levels_visited, found).
         self.on_descent: Optional[Callable[[int, bool], None]] = None
 

@@ -53,17 +53,19 @@ class CallTrace:
     :meth:`take`), so memory stays bounded no matter how long a run is.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, salts: int = 0) -> None:
         self.root = CallEvent("root")
         self._stack: List[CallEvent] = [self.root]
-        self._salt = 0
+        #: Salts drawn so far; a trace continuing a restored database
+        #: starts from the count its load left behind.
+        self.salts = salts
 
     def _next_salt(self) -> int:
         # A cheap avalanche over an op counter; the CFG interpreter uses
         # the salt to resolve pseudo-random ("?p") branch conditions so
         # generated warm code takes data-dependent paths deterministically.
-        self._salt += 1
-        return (self._salt * 2654435761) & 0x7FFFFFFF
+        self.salts += 1
+        return (self.salts * 2654435761) & 0x7FFFFFFF
 
     @contextmanager
     def op(self, name: str, **bindings) -> Iterator[CallEvent]:
@@ -109,6 +111,27 @@ class NullTrace:
 
     def take(self) -> List[CallEvent]:
         return []
+
+
+class SaltCounter(NullTrace):
+    """Builds no events but advances the salt counter exactly as
+    :class:`CallTrace` would (one salt per ``op`` or ``leaf``).
+
+    A database loaded through it ends with the same salt counter as a
+    traced load, which is what a later traced run continues from.
+    """
+
+    def __init__(self) -> None:
+        self.salts = 0
+
+    @contextmanager
+    def op(self, name: str, **bindings) -> Iterator[CallEvent]:
+        self.salts += 1
+        yield _NULL_EVENT
+
+    def leaf(self, name: str, **bindings) -> CallEvent:
+        self.salts += 1
+        return _NULL_EVENT
 
 
 class _NullEvent:

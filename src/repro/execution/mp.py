@@ -18,8 +18,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.errors import SimulationError
-from repro.db import CallTrace, Engine, LockWait
+from repro.errors import ConfigError, SimulationError
+from repro.db import CallTrace, DatabaseSnapshot, Engine, LockWait
 from repro.db.instrument import CallEvent
 from repro.db.pages import PAGE_SIZE
 from repro.errors import DeadlockError
@@ -27,7 +27,7 @@ from repro.execution.interpreter import CfgWalker
 from repro.execution.trace import CpuTrace, SystemTrace
 from repro.ir import DATA_BASE
 from repro.progen.builder import CompiledProgram
-from repro.workloads.tpcb import TpcbConfig, TpcbWorkload
+from repro.workloads.tpcb import TpcbConfig, TpcbWorkload, database_scale
 
 #: Base of per-process private memory (stack / sort heaps / cursors).
 PRIVATE_BASE = 0x80000000
@@ -89,22 +89,40 @@ class OltpSystem:
         pool_capacity: int = 2048,
         btree_order: int = 64,
         workload=None,
+        database: Optional[DatabaseSnapshot] = None,
     ) -> None:
         """``workload`` is any object with ``load(engine)`` and
         ``client(pid)`` (returning per-process transaction factories);
-        defaults to TPC-B over ``tpcb_config``."""
+        defaults to TPC-B over ``tpcb_config``.
+
+        ``database`` is a snapshot of the loaded database
+        (:func:`~repro.workloads.snapshot_database`): it is restored
+        instead of calling ``workload.load``, and the run continues the
+        load's salt counter.  The workload must name the TPC-B scale it
+        loads (its ``tpcb`` attribute), and that scale must match the
+        snapshot's.
+        """
         self.app = app
         self.kernel = kernel
         self.tpcb_config = tpcb_config or TpcbConfig()
         self.workload = workload or TpcbWorkload(self.tpcb_config)
         self.config = system_config or SystemConfig()
         self.walker = CfgWalker(app, kernel)
-        self.trace = CallTrace()
+        self.trace = CallTrace(salts=0 if database is None else database.salt)
         self.engine = Engine(
             pool_capacity=pool_capacity, btree_order=btree_order, trace=self.trace
         )
-        self.workload.load(self.engine)
-        self.trace.take()  # discard load-phase events
+        if database is None:
+            self.workload.load(self.engine)
+            self.trace.take()  # discard load-phase events
+        else:
+            loads = getattr(self.workload, "tpcb", None)
+            if loads is None or database_scale(loads) != database.scale:
+                raise ConfigError(
+                    f"database snapshot of scale {database.scale} does not "
+                    f"match the workload's database"
+                )
+            database.restore(self.engine)
         self._rng = random.Random(self.config.seed)
         self._sizes = np.array(
             [b.size for b in app.binary.blocks()]

@@ -38,16 +38,26 @@ from repro.harness.store import (
     load_layout,
     load_profile,
     load_program,
+    load_snapshot,
     load_trace,
     save_layout,
     save_profile,
     save_program,
+    save_snapshot,
     save_trace,
 )
-from repro.ir import Layout, assign_addresses, baseline_layout
+from repro.check import CheckReport, check_all
+from repro.ir import AddressMap, Layout, assign_addresses, baseline_layout
 from repro.layout import Combo, SpikeOptimizer
 from repro.osmodel import KernelCodeConfig, build_kernel_program
-from repro.pipeline import ArtifactSpec, PipelineRunner, RunLog, Stage, StageGraph
+from repro.pipeline import (
+    ArtifactSpec,
+    PipelineRunner,
+    RunLog,
+    Stage,
+    StageGraph,
+    share_key,
+)
 from repro.profiles import PixieProfiler, Profile
 from repro.progen import AppCodeConfig, CompiledProgram, build_app_program
 from repro.staticpred import (
@@ -56,7 +66,7 @@ from repro.staticpred import (
     invert_enabled,
     synthesize_profile,
 )
-from repro.workloads import TpcbConfig
+from repro.workloads import TpcbConfig, database_scale, snapshot_database
 from repro.workloads.dss import DssConfig, DssWorkload
 
 #: Valid scopes for :meth:`Experiment.streams`.
@@ -201,6 +211,8 @@ class Experiment:
         #: The layouts kept out of the graph; see the class docstring.
         self._transient_layouts: Dict[Tuple[bool, str, str], Layout] = {}
         self._amaps: Dict[Tuple[str, str, str], CombinedAddressMap] = {}
+        self._placements: Dict[Tuple[bool, str, str], AddressMap] = {}
+        self._gate_reports: Dict[Tuple[str, str], CheckReport] = {}
 
     # -- cache plumbing -----------------------------------------------------
 
@@ -218,19 +230,39 @@ class Experiment:
         because the combo space is open-ended.
         """
         graph = StageGraph()
+        config = self.config
         graph.add(Stage(
             name="codegen", detail="app",
             outputs=(ArtifactSpec("app.pkl", load_program, save_program),),
-            build=lambda _: build_app_program(self.config.app),
+            build=lambda _: build_app_program(config.app),
+            share_key=share_key("codegen:app", asdict(config.app)),
         ))
         graph.add(Stage(
             name="codegen", detail="kernel",
             outputs=(ArtifactSpec("kernel.pkl", load_program, save_program),),
-            build=lambda _: build_kernel_program(self.config.kernel),
+            build=lambda _: build_kernel_program(config.kernel),
+            share_key=share_key("codegen:kernel", asdict(config.kernel)),
+        ))
+        # The loaded database: keyed by what the load reads, so every
+        # workload and seed over one scale shares it.
+        database_key = database_scale(config.tpcb) + (
+            config.pool_capacity, config.btree_order,
+        )
+        graph.add(Stage(
+            name="database",
+            outputs=(ArtifactSpec(
+                "database.snap",
+                lambda path: load_snapshot(path, database_key),
+                save_snapshot,
+            ),),
+            build=lambda _: snapshot_database(
+                config.tpcb, config.pool_capacity, config.btree_order
+            ),
+            share_key=share_key("database", list(database_key)),
         ))
         graph.add(Stage(
             name="profile",
-            inputs=("codegen:app", "codegen:kernel"),
+            inputs=("codegen:app", "codegen:kernel", "database"),
             outputs=(
                 ArtifactSpec(
                     "profile-app.npz",
@@ -247,7 +279,7 @@ class Experiment:
         ))
         graph.add(Stage(
             name="trace",
-            inputs=("codegen:app", "codegen:kernel"),
+            inputs=("codegen:app", "codegen:kernel", "database"),
             outputs=(ArtifactSpec("trace.npz", load_trace, save_trace),),
             build=lambda _: self._run_system(
                 self.config.measure_transactions, 1
@@ -324,6 +356,12 @@ class Experiment:
         workload = None
         if self.config.workload_factory is not None:
             workload = self.config.workload_factory(tpcb, tpcb_seed_offset)
+        # Restore the shared database stage when the workload loads the
+        # configured TPC-B scale; any other workload loads its own.
+        loads = tpcb if workload is None else getattr(workload, "tpcb", None)
+        database = None
+        if loads is not None and database_scale(loads) == database_scale(tpcb):
+            database = self.pipeline.value("database")
         system = OltpSystem(
             self.app,
             self.kernel,
@@ -332,6 +370,7 @@ class Experiment:
             pool_capacity=self.config.pool_capacity,
             btree_order=self.config.btree_order,
             workload=workload,
+            database=database,
         )
         return system.run(transactions, warmup=self.config.warmup_transactions)
 
@@ -479,14 +518,40 @@ class Experiment:
             _check_source(profile_source or self.profile_source),
         )
         if key not in self._amaps:
-            app_map = assign_addresses(
-                self.app.binary, self.layout(key[0], key[2])
+            self._amaps[key] = CombinedAddressMap(
+                self._placement(False, key[0], key[2]),
+                self._placement(True, key[1], key[2]),
             )
-            kernel_map = assign_addresses(
-                self.kernel.binary, self.kernel_layout(key[1], key[2])
-            )
-            self._amaps[key] = CombinedAddressMap(app_map, kernel_map)
         return self._amaps[key]
+
+    def _placement(self, kernel: bool, combo: str, source: str) -> AddressMap:
+        """The one ``assign_addresses`` of one layout (cached per side,
+        combo and source; the kernel baseline ignores the source)."""
+        if kernel and combo == "base":
+            source = "measured"
+        key = (kernel, combo, source)
+        if key not in self._placements:
+            program = self.kernel if kernel else self.app
+            self._placements[key] = assign_addresses(
+                program.binary, self._layout(kernel, combo, source)
+            )
+        return self._placements[key]
+
+    def gate_report(self, combo: str, source: str = "measured") -> CheckReport:
+        """:func:`~repro.check.check_all` over the application layout
+        of one combo: layout integrity on the placement the streams
+        use, the profile checks, and the quality lints.  Computed once
+        per (combo, source)."""
+        key = (Combo.parse(combo).value, _check_source(source))
+        if key not in self._gate_reports:
+            self._gate_reports[key] = check_all(
+                self.app.binary,
+                profile=self.profile_for(key[1]),
+                layout=self.layout(*key),
+                address_map=self._placement(False, *key),
+                target=f"app/{key[0]}",
+            )
+        return self._gate_reports[key]
 
     # -- measurement trace ----------------------------------------------------------
 

@@ -23,6 +23,12 @@ reruns of any figure skip codegen, profiling, and tracing entirely::
     <root>/<fingerprint>/trace.npz         measurement trace
     <root>/<fingerprint>/layout-<combo>.json
     <root>/<fingerprint>/klayout-<combo>.json
+    <root>/<fingerprint>/database.snap     loaded TPC-B database
+
+Artifacts whose build reads only part of the configuration (the
+programs, the database) are also hard-linked under a *share key*
+directory, ``<root>/<share key>/<name>``, so experiments that differ
+elsewhere reuse one file (see :class:`~repro.pipeline.stage.Stage`).
 """
 
 from __future__ import annotations
@@ -35,14 +41,16 @@ import pickle
 import shutil
 import uuid
 from dataclasses import dataclass
-from typing import Dict, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
 from repro import obs
-from repro.errors import SimulationError
+from repro.db.snapshot import DatabaseSnapshot
+from repro.errors import DatabaseError, SimulationError
 from repro.execution.trace import CpuTrace, SystemTrace
 from repro.ir import Binary, CodeUnit, Layout
+from repro.pipeline.stage import SHARE_PREFIX
 from repro.profiles import Profile
 
 LOGGER = logging.getLogger("repro.harness")
@@ -204,6 +212,28 @@ def load_program(path: PathLike):
         return pickle.load(handle)
 
 
+def save_snapshot(snapshot: DatabaseSnapshot, path: PathLike) -> None:
+    """Serialize a loaded-database snapshot (checksummed bytes)."""
+    pathlib.Path(path).write_bytes(snapshot.to_bytes())
+
+
+def load_snapshot(
+    path: PathLike, key: Optional[Tuple[int, ...]] = None
+) -> DatabaseSnapshot:
+    """Load a snapshot written by :func:`save_snapshot`.
+
+    A truncated or damaged file raises; so does a snapshot whose
+    :attr:`~repro.db.snapshot.DatabaseSnapshot.key` differs from the
+    expected ``key`` (cache readers treat both as a miss).
+    """
+    snapshot = DatabaseSnapshot.from_bytes(pathlib.Path(path).read_bytes())
+    if key is not None and snapshot.key != tuple(key):
+        raise DatabaseError(
+            f"{path}: database snapshot of {snapshot.key}, expected {tuple(key)}"
+        )
+    return snapshot
+
+
 def default_cache_dir() -> pathlib.Path:
     """The default artifact cache location.
 
@@ -314,12 +344,31 @@ class ArtifactStore:
         obs.counter("store.bytes_written").inc(size)
         return size
 
+    def link(self, source: str, target: str, name: str) -> bool:
+        """Hard-link the ``(source, name)`` artifact as ``(target,
+        name)``, replacing any file there; returns False when the link
+        cannot be made (nothing to link, or a filesystem without hard
+        links) -- the caller then treats the artifact as not shared."""
+        src, dst = self.path(source, name), self.path(target, name)
+        tmp = dst.with_name(f".tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}-{name}")
+        try:
+            dst.parent.mkdir(parents=True, exist_ok=True)
+            os.link(src, tmp)
+            os.replace(tmp, dst)
+        except OSError:
+            return False
+        finally:
+            tmp.unlink(missing_ok=True)
+        return True
+
     def info(self) -> StoreInfo:
         """Count cached experiments, files, and bytes."""
         experiments = files = total = 0
         if self.root.is_dir():
             for entry in sorted(self.root.iterdir()):
-                if not entry.is_dir():
+                # Share-key directories only hold links to files that
+                # an experiment directory already counts.
+                if not entry.is_dir() or entry.name.startswith(SHARE_PREFIX):
                     continue
                 experiments += 1
                 for artifact in entry.iterdir():
@@ -338,7 +387,7 @@ class ArtifactStore:
             for entry in list(self.root.iterdir()):
                 if entry.is_dir():
                     shutil.rmtree(entry)
-                    removed += 1
+                    removed += not entry.name.startswith(SHARE_PREFIX)
         return removed
 
     def __repr__(self) -> str:

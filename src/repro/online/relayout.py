@@ -147,12 +147,16 @@ class AdaptiveRelayout:
                 f"checks ({len(report.errors)} error(s)):\n{shown}"
             ) from None
         layout = artifact.value
+        # The gate (when on) already placed the value it passed.
+        address_map = getattr(state.get("report"), "address_map", None)
+        if address_map is None:
+            address_map = assign_addresses(self.binary, layout)
         if artifact.hit:
             # The optimizer is rebuilt lazily: a cached layout needs
             # no chaining until a later incremental rebuild asks.
             return RelayoutResult(
                 layout=layout,
-                address_map=assign_addresses(self.binary, layout),
+                address_map=address_map,
                 optimizer=SpikeOptimizer(self.binary, profile),
                 rebuilt_procs=(),
                 reused_chains=0,
@@ -162,7 +166,7 @@ class AdaptiveRelayout:
         obs.counter("online.reused_chains").inc(state["reused"])
         return RelayoutResult(
             layout=layout,
-            address_map=assign_addresses(self.binary, layout),
+            address_map=address_map,
             optimizer=state["optimizer"],
             rebuilt_procs=state["rebuilt"],
             reused_chains=state["reused"],

@@ -38,7 +38,13 @@ from repro.pipeline.fanout import (
 from repro.pipeline.graph import StageGraph
 from repro.pipeline.runlog import RunLog, StageRecord
 from repro.pipeline.runner import PipelineRunner
-from repro.pipeline.stage import Artifact, ArtifactSpec, Stage, StageStatus
+from repro.pipeline.stage import (
+    Artifact,
+    ArtifactSpec,
+    Stage,
+    StageStatus,
+    share_key,
+)
 
 __all__ = [
     "Artifact",
@@ -53,5 +59,6 @@ __all__ = [
     "parallel_map",
     "resilient_map",
     "resolve_jobs",
+    "share_key",
     "shared_state",
 ]

@@ -5,7 +5,10 @@ stages with exactly the cache semantics of the harness's historical
 cache-key scheme: try the :class:`~repro.harness.store.ArtifactStore`
 first (keys are ``(fingerprint, artifact-name)``, so caches written by
 pre-pipeline code replay warm), otherwise build and persist
-atomically.  Every execution is timed and accounted in a
+atomically.  A stage with a ``share_key`` also links its outputs
+under that key and, on a miss, links them back in from it, so
+experiments whose configurations differ only where the stage does not
+read share one file.  Every execution is timed and accounted in a
 :class:`~repro.pipeline.runlog.RunLog` under the stage's
 ``name[:detail]`` — run-log lines, ``stage.<name>`` spans, and
 ``pipeline.<name>.seconds`` histograms are byte-compatible with the
@@ -31,7 +34,7 @@ from repro import obs
 from repro.errors import PipelineError, StageGateError
 from repro.pipeline.graph import StageGraph
 from repro.pipeline.runlog import CACHE_HIT, CACHE_MISS, CACHE_OFF, RunLog
-from repro.pipeline.stage import Artifact, Stage, StageStatus
+from repro.pipeline.stage import Artifact, ArtifactSpec, Stage, StageStatus
 
 if TYPE_CHECKING:  # the harness sits above the pipeline layer
     from repro.harness.store import ArtifactStore
@@ -132,11 +135,16 @@ class PipelineRunner:
 
     def _load(self, stage: Stage) -> Any:
         """Every output from the store, or None (any missing/corrupt
-        output — or a gate rejection — degrades the stage to a miss)."""
+        output — or a gate rejection — degrades the stage to a miss).
+
+        An output missing under the experiment fingerprint is first
+        hard-linked in from the stage's share key, when it has one."""
         if self.store is None:
             return None
         values = []
         for spec in stage.outputs:
+            if stage.share_key and not self.store.has(self.fingerprint, spec.name):
+                self.store.link(stage.share_key, self.fingerprint, spec.name)
             obj = self.store.load(self.fingerprint, spec.name, spec.loader)
             if obj is None:
                 return None
@@ -165,11 +173,19 @@ class PipelineRunner:
         if self.store is None:
             return 0
         return sum(
-            self.store.save(self.fingerprint, spec.name, obj, spec.saver)
+            self._save_one(stage, spec, obj)
             for spec, obj in zip(
                 stage.outputs, self._output_values(stage, value)
             )
         )
+
+    def _save_one(self, stage: Stage, spec: ArtifactSpec, obj: Any) -> int:
+        """Write one output under the experiment fingerprint and link
+        it under the stage's share key; returns bytes written."""
+        written = self.store.save(self.fingerprint, spec.name, obj, spec.saver)
+        if written and stage.share_key:
+            self.store.link(self.fingerprint, stage.share_key, spec.name)
+        return written
 
     # -- persistence & introspection ----------------------------------------
 
@@ -196,7 +212,7 @@ class PipelineRunner:
             ):
                 if obj is None or self.store.has(self.fingerprint, spec.name):
                     continue
-                if self.store.save(self.fingerprint, spec.name, obj, spec.saver):
+                if self._save_one(stage, spec, obj):
                     written += 1
         return written
 
@@ -211,6 +227,8 @@ class PipelineRunner:
                 present = size = 0
                 if self.store is not None:
                     path = self.store.path(self.fingerprint, spec.name)
+                    if not path.is_file() and stage.share_key:
+                        path = self.store.path(stage.share_key, spec.name)
                     present = path.is_file()
                     size = path.stat().st_size if present else 0
                 artifacts.append((spec.name, bool(present), size))

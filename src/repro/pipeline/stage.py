@@ -16,6 +16,8 @@ the ``cache=hit|miss|off`` accounting of
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Tuple
 
@@ -59,6 +61,12 @@ class Stage:
     spec, in order.  ``cache_salt`` folds extra state into the graph
     fingerprint for stages whose build closure has no stable
     serialized form.
+
+    ``share_key`` (see :func:`share_key`) names a second store
+    directory for stages whose build reads only part of the experiment
+    configuration: the runner hard-links every saved output there, and
+    a stage missing under the experiment fingerprint links the shared
+    file back in instead of rebuilding.  Empty means not shared.
     """
 
     name: str
@@ -71,6 +79,7 @@ class Stage:
     #: raises :class:`~repro.errors.StageGateError`.
     gate: Optional[Callable[[Any], bool]] = None
     cache_salt: str = ""
+    share_key: str = ""
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -82,6 +91,19 @@ class Stage:
     def key(self) -> str:
         """The unique graph key: ``name`` or ``name:detail``."""
         return f"{self.name}:{self.detail}" if self.detail else self.name
+
+
+#: Directory prefix of share keys (never an experiment fingerprint).
+SHARE_PREFIX = "shared-"
+
+
+def share_key(stage: str, inputs: Any) -> str:
+    """The share key of stage ``stage`` whose build reads exactly
+    ``inputs`` (JSON-serializable): a content hash of both."""
+    canonical = json.dumps(
+        {"stage": stage, "inputs": inputs}, sort_keys=True, separators=(",", ":")
+    )
+    return SHARE_PREFIX + hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:20]
 
 
 @dataclass

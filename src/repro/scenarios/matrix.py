@@ -16,7 +16,9 @@ entry silently degrades to a recompute, never a wrong result.
 **Pipeline reuse.**  Before fanning out, the runner warms each
 *distinct* experiment configuration once, serially — codegen, the
 profiling run, layouts, and the measurement trace land in the store
-(and in the in-process memo, which forked workers inherit).  Cells
+(and in the in-process memo, which forked workers inherit).  The
+programs and the loaded database are keyed by what they read, so
+pipelines that differ only in their workload build them once.  Cells
 that differ only in hierarchy/combo/engine then share one pipeline;
 the fan-out via :func:`~repro.pipeline.fanout.resilient_map` spends
 its time purely on cache simulation (retrying with backoff if a
@@ -25,7 +27,10 @@ worker process is killed mid-sweep).
 **Gated results.**  Each cell's optimized layout runs through the
 :mod:`repro.check` families (``--check`` semantics are always on
 unless ``verify=False``); a failing gate marks the cell rather than
-silently reporting numbers from a corrupt layout.
+silently reporting numbers from a corrupt layout.  The report comes
+from :meth:`~repro.harness.experiment.Experiment.gate_report`: one per
+(combo, profile source) per pipeline, over the placement the cell
+simulated.
 
 A worker failure (bad cell, unexpected exception) produces a
 ``failed`` cell carrying the error text — one broken cell never kills
@@ -40,13 +45,11 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.check import check_all
 from repro.errors import ScenarioError
 from repro.harness.experiment import Experiment
 from repro.harness.figures import Table
 from repro.harness.results import table_payload
 from repro.harness.store import ArtifactStore
-from repro.ir import assign_addresses
 from repro.layout import Combo
 from repro.pipeline import resilient_map
 from repro.sim import simulate, simulate_grid
@@ -197,14 +200,7 @@ def _run_cell(task: Tuple[Dict, Optional[str], bool]) -> Dict:
                     / cell.base_misses
                 )
             if verify:
-                layout = exp.layout(cell.combo, spec.profile_source)
-                report = check_all(
-                    exp.app.binary,
-                    profile=exp.profile_for(spec.profile_source),
-                    layout=layout,
-                    address_map=assign_addresses(exp.app.binary, layout),
-                    target=spec.name,
-                )
+                report = exp.gate_report(cell.combo, spec.profile_source)
                 cell.gate_ok = report.ok
                 cell.gate_errors = len(report.errors)
     except Exception as exc:  # a broken cell must not kill the sweep

@@ -25,14 +25,14 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.cache import CacheGeometry
 from repro.check import gate_layout
 from repro.errors import ConfigError, ServeError
 from repro.harness.store import layout_from_dict
-from repro.ir import assign_addresses
+from repro.ir import AddressMap, assign_addresses
 from repro.layout import Combo, SpikeOptimizer
 from repro.online.sampler import epoch_mpki, epoch_profile, epoch_streams
 from repro.serve.client import ClientConfig, LayoutClient, SOURCE_FALLBACK
@@ -287,13 +287,15 @@ class FleetReport:
         return "\n".join(lines) + "\n"
 
 
-def _gate(binary, document) -> bool:
-    """Re-run the repro.check gate fleet-side on a served document."""
+def _gate(binary, layout) -> Tuple[bool, Optional[AddressMap]]:
+    """Re-run the repro.check gate fleet-side on a served layout;
+    returns the verdict and the gate's placement (None when the gate
+    placed nothing)."""
     try:
-        layout = layout_from_dict(document, binary)
-        return gate_layout(binary, layout, target="fleet").ok
+        report = gate_layout(binary, layout, target="fleet")
     except Exception:
-        return False
+        return False, None
+    return report.ok, report.address_map
 
 
 def run_fleet(
@@ -409,10 +411,10 @@ def run_fleet(
             )
             if served:
                 served_layout = layout_from_dict(served[0].layout, binary)
-                served_mpki, _ = epoch_mpki(
-                    assign_addresses(binary, served_layout), streams, geometry
-                )
-                gate_ok = _gate(binary, served[0].layout)
+                gate_ok, served_map = _gate(binary, served_layout)
+                if served_map is None:
+                    served_map = assign_addresses(binary, served_layout)
+                served_mpki, _ = epoch_mpki(served_map, streams, geometry)
             else:
                 served_mpki, gate_ok = float("nan"), False
             report.epochs.append(

@@ -34,8 +34,10 @@ from repro.workloads.tpcb import (
     TpcbRequest,
     TpcbTransaction,
     create_schema,
+    database_scale,
     load_database,
     run_transactions,
+    snapshot_database,
 )
 
 
@@ -59,8 +61,10 @@ __all__ = [
     "TpcbRequest",
     "TpcbTransaction",
     "create_schema",
+    "database_scale",
     "load_database",
     "run_transactions",
+    "snapshot_database",
     "MIX_PRESETS",
     "OP_KINDS",
     "SynthPhase",

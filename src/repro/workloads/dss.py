@@ -129,6 +129,11 @@ class DssWorkload:
     def __init__(self, config: Optional[DssConfig] = None) -> None:
         self.config = config or DssConfig()
 
+    @property
+    def tpcb(self) -> TpcbConfig:
+        """The TPC-B database :meth:`load` populates."""
+        return self.config.tpcb
+
     def load(self, engine: Engine) -> None:
         load_database(engine, self.config.tpcb)
 

@@ -120,6 +120,11 @@ class PhasedWorkload:
     def __init__(self, config: Optional[PhasedConfig] = None) -> None:
         self.config = config or PhasedConfig()
 
+    @property
+    def tpcb(self) -> TpcbConfig:
+        """The TPC-B database :meth:`load` populates."""
+        return self.config.tpcb
+
     def load(self, engine: Engine) -> None:
         load_database(engine, self.config.tpcb)
 

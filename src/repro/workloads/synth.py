@@ -394,6 +394,11 @@ class SyntheticWorkload:
     def __init__(self, config: Optional[SyntheticConfig] = None) -> None:
         self.config = config or SyntheticConfig()
 
+    @property
+    def tpcb(self) -> TpcbConfig:
+        """The TPC-B database :meth:`load` populates."""
+        return self.config.tpcb
+
     def load(self, engine: Engine) -> None:
         """Populate the shared TPC-B schema the operations run over."""
         load_database(engine, self.config.tpcb)

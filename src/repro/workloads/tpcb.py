@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import WorkloadError
 from repro.db import Engine, int_col, pad_col
+from repro.db.instrument import SaltCounter
+from repro.db.snapshot import DatabaseSnapshot
 from repro.db.txn import Transaction
 
 TELLERS_PER_BRANCH = 10
@@ -92,6 +94,27 @@ def load_database(engine: Engine, config: TpcbConfig) -> None:
             },
         )
     engine.checkpoint()
+
+
+def database_scale(config: TpcbConfig) -> Tuple[int, int, int]:
+    """What :func:`load_database` reads of its config (never the seed)."""
+    return (config.branches, config.accounts_per_branch, config.tellers_per_branch)
+
+
+def snapshot_database(
+    config: TpcbConfig, pool_capacity: int, btree_order: int
+) -> DatabaseSnapshot:
+    """Load a TPC-B database once, through a tracer that counts salts
+    but builds no events, and snapshot it for
+    ``OltpSystem(database=)``."""
+    counter = SaltCounter()
+    engine = Engine(
+        pool_capacity=pool_capacity, btree_order=btree_order, trace=counter
+    )
+    load_database(engine, config)
+    return DatabaseSnapshot.capture(
+        engine, salt=counter.salts, scale=database_scale(config)
+    )
 
 
 @dataclass(frozen=True)
@@ -223,6 +246,11 @@ class TpcbWorkload:
 
     def __init__(self, config: Optional[TpcbConfig] = None) -> None:
         self.config = config or TpcbConfig()
+
+    @property
+    def tpcb(self) -> TpcbConfig:
+        """The TPC-B database :meth:`load` populates."""
+        return self.config
 
     def load(self, engine: Engine) -> None:
         load_database(engine, self.config)

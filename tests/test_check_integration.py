@@ -134,11 +134,38 @@ class TestGateLayout:
         runs = obs.counter("check.runs").value
         report = gate_layout(program.binary, layout, target="gate")
         assert report.ok, report.render()
-        # Structure runner, then structure + address runners.
-        assert obs.counter("check.runs").value == runs + 3
+        # Structure runner, then the address runner alone.
+        assert obs.counter("check.runs").value == runs + 2
+        assert report.address_map is not None
 
     def test_corrupt_layout_is_reported_not_raised(self, program, profile):
         bad = corrupt(SpikeOptimizer(program.binary, profile).layout("all"))
         report = gate_layout(program.binary, bad, target="gate")
         assert "LAY001" in report.codes()
         assert {d.target for d in report.errors} == {"gate"}
+        assert report.address_map is None
+
+    @pytest.mark.parametrize("combo", ["base", "all"])
+    @pytest.mark.parametrize("broken", [False, True])
+    def test_diagnostics_equal_the_two_full_runs(
+        self, program, profile, combo, broken
+    ):
+        # The former gate ran the structure passes twice: once alone,
+        # then again with the address passes.
+        from repro.check import check_layout
+
+        layout = SpikeOptimizer(program.binary, profile).layout(combo)
+        if broken:
+            layout = corrupt(layout)
+        want = check_layout(program.binary, layout, target="gate")
+        if want.ok:
+            want = check_layout(
+                program.binary, layout,
+                assign_addresses(program.binary, layout), target="gate",
+            )
+        got = gate_layout(program.binary, layout, target="gate")
+        assert got.render() == want.render()
+        assert got.to_json() == want.to_json()
+        if not broken:
+            placed = assign_addresses(program.binary, layout)
+            assert np.array_equal(got.address_map.addr, placed.addr)

@@ -311,7 +311,7 @@ class TestExperimentPipeline:
             for spec in stage.outputs
         }
         assert persistent == {
-            "app.pkl", "kernel.pkl", "profile-app.npz",
+            "app.pkl", "kernel.pkl", "database.snap", "profile-app.npz",
             "profile-kernel.npz", "trace.npz",
         }
         for name in persistent:

@@ -136,6 +136,32 @@ class TestRunAndResume:
         assert result.cells[0].gate_ok
         assert result.cells[0].gate_errors == 0
 
+    def test_cells_of_one_pipeline_gate_and_place_each_layout_once(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.harness import experiment as experiment_mod
+
+        calls = {"check_all": 0, "assign_addresses": 0}
+
+        def counting(name):
+            original = getattr(experiment_mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(experiment_mod, name, counting(name))
+        monkeypatch.setattr(matrix_mod, "_EXPERIMENT_MEMO", {})
+        result = run_matrix(
+            tpcb_cells(16, 32), store=ArtifactStore(tmp_path / "cache")
+        )
+        assert all(cell.gate_ok for cell in result.cells)
+        # One gate for the shared (all, measured) layout, and one
+        # placement each for app base, app all and the kernel base.
+        assert calls == {"check_all": 1, "assign_addresses": 3}
+
     def test_empty_matrix_rejected(self):
         with pytest.raises(ScenarioError, match="at least one"):
             run_matrix([])
