@@ -9,7 +9,6 @@ from typing import Dict
 from repro.harness import write_benchmark_json
 from repro.harness.experiment import Experiment
 from repro.harness.figures import Table
-from repro.staticpred import PROFILE_SOURCES
 
 from repro.cli._common import emit_runlog, experiment_from, store_from
 
@@ -44,7 +43,7 @@ def register(sub, shared) -> Dict:
         "thread pool)",
     )
     serve.add_argument(
-        "--profile-source", choices=PROFILE_SOURCES, default="static",
+        "--profile-source", choices=("static", "measured"), default="static",
         help="cold-start answer for layout requests with no cached "
         "profile (default static: serve a check-gated layout built "
         "from the static prediction; 'measured' disables the fallback "
@@ -124,7 +123,7 @@ def _cmd_serve(args, out) -> int:
             unix_path=args.unix,
             queue_limit=args.queue_limit,
             workers=args.workers,
-            static_fallback=args.profile_source != "measured",
+            static_fallback=args.profile_source == "static",
         ),
     )
 
@@ -218,7 +217,6 @@ def _cmd_fleet(args, out) -> int:
     if args.save_json:
         rows = []
         for name, report in reports.items():
-            healthy = report.healthy_epochs
             rows.append(
                 [
                     f"{name}_requests_served",
@@ -227,26 +225,15 @@ def _cmd_fleet(args, out) -> int:
             )
             rows.append([f"{name}_gate_ok",
                          int(all(e.gate_ok for e in report.epochs))])
-            if healthy:
-                rows.append(
-                    [
-                        f"{name}_optimizations_bounded",
-                        int(
-                            report.optimizations
-                            <= min(2 * len(healthy), 8)
-                        ),
-                    ]
-                )
+            if report.healthy_epochs:
+                rows.append([f"{name}_optimizations_bounded",
+                             int(report.optimizations_bounded)])
             if report.degraded_epochs:
                 rows.append(
                     [f"{name}_fallbacks_used", int(report.fallbacks > 0)]
                 )
-                rows.append(
-                    [
-                        f"{name}_decay_bounded",
-                        int(report.decay_ratio <= 3.0),
-                    ]
-                )
+                rows.append([f"{name}_decay_bounded",
+                             int(report.decay_bounded)])
             rows.append([f"{name}_pass", int(report.passes())])
         table = Table(
             title="serve fleet acceptance (1 = pass)",

@@ -22,14 +22,13 @@ series in :mod:`repro.obs`; ``repro serve`` / ``repro fleet`` are the
 CLI entry points.
 """
 
-from repro.serve.cache import CacheStats, LayoutCache
+from repro.serve.cache import LayoutCache
 from repro.serve.client import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
     CircuitBreaker,
     ClientConfig,
-    ClientStats,
     LayoutClient,
     SOURCE_FALLBACK,
 )
@@ -52,6 +51,7 @@ from repro.serve.protocol import (
     SOURCE_COALESCED,
     SOURCE_DISK,
     SOURCE_MEMORY,
+    SOURCE_STATIC,
     STATUS_ERROR,
     STATUS_OK,
     STATUS_REJECTED,
@@ -71,10 +71,8 @@ __all__ = [
     "BREAKER_CLOSED",
     "BREAKER_HALF_OPEN",
     "BREAKER_OPEN",
-    "CacheStats",
     "CircuitBreaker",
     "ClientConfig",
-    "ClientStats",
     "EpochOutcome",
     "ErrorResponse",
     "FleetConfig",
@@ -94,6 +92,7 @@ __all__ = [
     "SOURCE_DISK",
     "SOURCE_FALLBACK",
     "SOURCE_MEMORY",
+    "SOURCE_STATIC",
     "STATUS_ERROR",
     "STATUS_OK",
     "STATUS_REJECTED",

@@ -7,10 +7,11 @@ once when the layout passed the server's swap gate; tier 2 is the
 content-addressed :class:`~repro.harness.store.ArtifactStore` the
 offline pipeline already uses (entries named
 ``serve-layout-<combo>.json`` under the profile fingerprint), so
-layouts survive server restarts and are shared with
-:class:`~repro.online.relayout.AdaptiveRelayout` runs on the same
-cache directory.  A disk entry is promoted into memory only after it
-passes the gate.
+layouts survive server restarts and are shared by every server on the
+same cache directory (:class:`~repro.online.relayout.AdaptiveRelayout`
+writes its own ``online-layout-<combo>.json`` entries, which the
+server never reads).  A disk entry is promoted into memory only after
+it passes the gate.
 
 Every lookup lands in the ``serve.cache_*`` counters: ``cache_hits``
 (memory), ``cache_disk_hits`` (promoted from disk), ``cache_misses``,
@@ -22,8 +23,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro import obs
 from repro.harness.store import (
@@ -37,27 +37,6 @@ from repro.serve.protocol import RawJSON, encode_json
 
 #: Default number of layout documents the memory tier holds.
 DEFAULT_MEMORY_ENTRIES = 128
-
-
-@dataclass
-class CacheStats:
-    """Counter snapshot for reports and the health endpoint."""
-
-    memory_hits: int = 0
-    disk_hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    entries: int = 0
-
-    def to_dict(self) -> Dict[str, int]:
-        """JSON-ready view."""
-        return {
-            "memory_hits": self.memory_hits,
-            "disk_hits": self.disk_hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "entries": self.entries,
-        }
 
 
 def encode_layout(layout: Layout) -> RawJSON:
@@ -83,7 +62,6 @@ class LayoutCache:
         self.memory_entries = max(1, memory_entries)
         self._memory: "OrderedDict[Tuple[str, str], RawJSON]" = OrderedDict()
         self._lock = threading.Lock()
-        self._stats = CacheStats()
 
     @staticmethod
     def _artifact(combo: str) -> str:
@@ -104,7 +82,6 @@ class LayoutCache:
             encoded = self._memory.get(key)
             if encoded is not None:
                 self._memory.move_to_end(key)
-                self._stats.memory_hits += 1
                 obs.counter("serve.cache_hits").inc()
                 return encoded, "memory"
         if self.store is not None:
@@ -114,12 +91,8 @@ class LayoutCache:
             if layout is not None and gate(layout):
                 encoded = encode_layout(layout)
                 self._insert(key, encoded)
-                with self._lock:
-                    self._stats.disk_hits += 1
                 obs.counter("serve.cache_disk_hits").inc()
                 return encoded, "disk"
-        with self._lock:
-            self._stats.misses += 1
         obs.counter("serve.cache_misses").inc()
         return None, ""
 
@@ -145,19 +118,7 @@ class LayoutCache:
             self._memory.move_to_end(key)
             while len(self._memory) > self.memory_entries:
                 self._memory.popitem(last=False)
-                self._stats.evictions += 1
                 obs.counter("serve.cache_evictions").inc()
-
-    def stats(self) -> CacheStats:
-        """A point-in-time copy of the cache counters."""
-        with self._lock:
-            return CacheStats(
-                memory_hits=self._stats.memory_hits,
-                disk_hits=self._stats.disk_hits,
-                misses=self._stats.misses,
-                evictions=self._stats.evictions,
-                entries=len(self._memory),
-            )
 
     def __len__(self) -> int:
         return len(self._memory)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 import socket
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro import obs
@@ -92,7 +92,7 @@ class CircuitBreaker:
         self.failures = 0
         self.state = BREAKER_CLOSED
         self.opened_at = 0.0
-        #: closed -> open transitions (exposed for reports).
+        #: closed -> open transitions (also ``serve.breaker_trips``).
         self.trips = 0
 
     def allow(self) -> bool:
@@ -122,6 +122,7 @@ class CircuitBreaker:
             self.opened_at = time.monotonic()
             if self.state != BREAKER_OPEN:
                 self.trips += 1
+                obs.counter("serve.breaker_trips").inc()
             self._transition(BREAKER_OPEN)
 
     @property
@@ -132,31 +133,6 @@ class CircuitBreaker:
     def _transition(self, state: int) -> None:
         self.state = state
         obs.series("serve.breaker_state").record(state)
-
-
-@dataclass
-class ClientStats:
-    """What one client endured, for the fleet report."""
-
-    requests: int = 0
-    retries: int = 0
-    fallbacks: int = 0
-    rejected: int = 0
-    errors: int = 0
-    breaker_trips: int = 0
-    sources: Dict[str, int] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict:
-        """JSON-ready view."""
-        return {
-            "requests": self.requests,
-            "retries": self.retries,
-            "fallbacks": self.fallbacks,
-            "rejected": self.rejected,
-            "errors": self.errors,
-            "breaker_trips": self.breaker_trips,
-            "sources": dict(self.sources),
-        }
 
 
 class LayoutClient:
@@ -180,7 +156,6 @@ class LayoutClient:
         self.breaker = CircuitBreaker(
             self.config.breaker_threshold, self.config.breaker_cooldown_s
         )
-        self.stats = ClientStats()
         self._rng = random.Random(self.config.seed)
         #: (fingerprint, combo) -> last layout document served to us.
         self._last_good: Dict[Tuple[str, str], Dict] = {}
@@ -224,7 +199,6 @@ class LayoutClient:
         """
         fingerprint = profile.fingerprint()
         key = (fingerprint, combo)
-        self.stats.requests += 1
         try:
             self._ensure_submitted(profile, fingerprint)
             reply = self._call(LayoutRequest(fingerprint, combo))
@@ -233,8 +207,6 @@ class LayoutClient:
         if isinstance(reply, LayoutResponse) and reply.ok:
             self._last_good[key] = reply.layout
             self._latest_good[combo] = reply.layout
-            source = reply.source or "server"
-            self.stats.sources[source] = self.stats.sources.get(source, 0) + 1
             return reply
         detail = getattr(reply, "error", "") or getattr(
             reply, "message", ""
@@ -271,16 +243,11 @@ class LayoutClient:
         if document is None:
             document = self._latest_good.get(key[1])
         if document is None:
-            self.stats.errors += 1
             obs.counter("serve.client_errors").inc()
             raise ServeError(
                 f"{self.name}: layout service unavailable and no "
                 f"last-known-good layout for {key[0]}/{key[1]}: {cause}"
             ) from cause
-        self.stats.fallbacks += 1
-        self.stats.sources[SOURCE_FALLBACK] = (
-            self.stats.sources.get(SOURCE_FALLBACK, 0) + 1
-        )
         obs.counter("serve.fallbacks").inc()
         return LayoutResponse(
             status=STATUS_OK,
@@ -300,7 +267,6 @@ class LayoutClient:
         last_error: Optional[Exception] = None
         for attempt in range(config.max_attempts):
             if not self.breaker.allow():
-                self.stats.errors += 1
                 obs.counter("serve.client_errors").inc()
                 raise ServeError(
                     f"{self.name}: circuit breaker open "
@@ -308,14 +274,13 @@ class LayoutClient:
                     "failing fast"
                 )
             if attempt:
-                self.stats.retries += 1
                 obs.counter("serve.retries").inc()
                 time.sleep(self._delay(attempt))
             try:
                 reply = self._exchange(message)
             except (ConnectionError, socket.timeout, OSError, ProtocolError) as exc:
                 last_error = exc
-                self._note_failure()
+                self.breaker.record_failure()
                 continue
             if (
                 isinstance(reply, LayoutResponse)
@@ -324,24 +289,15 @@ class LayoutClient:
                 # Load shedding is server-side backpressure, not a
                 # server fault: back off and retry without touching
                 # the breaker.
-                self.stats.rejected += 1
                 last_error = ServeError(reply.error or "request rejected")
                 continue
             self.breaker.record_success()
             return reply
-        self.stats.errors += 1
         obs.counter("serve.client_errors").inc()
         raise ServeError(
             f"{self.name}: request failed after {config.max_attempts} "
             f"attempt(s): {last_error}"
         ) from last_error
-
-    def _note_failure(self) -> None:
-        before = self.breaker.trips
-        self.breaker.record_failure()
-        if self.breaker.trips != before:
-            self.stats.breaker_trips += 1
-            obs.counter("serve.breaker_trips").inc()
 
     def _delay(self, attempt: int) -> float:
         base = min(

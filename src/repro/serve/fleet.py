@@ -15,7 +15,7 @@ Two scenarios:
 * **healthy** — the server stays up; the acceptance gate is that
   coalescing plus the layout cache bound actual optimizations to the
   number of distinct profiles, not the number of requests.
-* **degraded** — the server is killed after ``kill_after`` epochs;
+* **degraded** — the server is stopped after ``kill_after`` epochs;
   clients must finish the remaining (drifted!) epochs on last-known-
   good layouts via the client fallback path, with no unhandled
   exceptions and a bounded, *reported* miss-rate decay.
@@ -37,7 +37,10 @@ from repro.layout import Combo, SpikeOptimizer
 from repro.online.sampler import epoch_mpki, epoch_profile, epoch_streams
 from repro.serve.client import ClientConfig, LayoutClient, SOURCE_FALLBACK
 from repro.serve.protocol import LayoutResponse
-from repro.serve.server import ServerConfig, ServerThread
+from repro.serve.server import ServerConfig, ServerThread, serve_counters
+
+#: Worst degraded-epoch miss-rate decay the acceptance gate allows.
+MAX_DECAY = 3.0
 
 
 @dataclass
@@ -173,15 +176,27 @@ class FleetReport:
             return 1.0
         return max(e.decay for e in degraded)
 
-    def passes(self, max_decay: float = 3.0) -> bool:
-        """The ISSUE acceptance gate for this scenario.
+    @property
+    def optimizations_bounded(self) -> bool:
+        """At most two server builds per healthy epoch, i.e. per
+        distinct profile (one would be perfect; two forgives a cache
+        race), and never more than eight."""
+        return self.optimizations <= min(2 * len(self.healthy_epochs), 8)
+
+    @property
+    def decay_bounded(self) -> bool:
+        """The decay ratio stayed within :data:`MAX_DECAY`."""
+        return self.decay_ratio <= MAX_DECAY
+
+    def passes(self) -> bool:
+        """The acceptance gate for this scenario.
 
         Healthy epochs: every request served, every layout gated, and
-        coalescing + caching bound server work to at most two builds
-        per distinct profile (one would be perfect; two forgives a
-        cache race) — far below one build per request.  Degraded
-        epochs: no unhandled exceptions, every client finished on a
-        fallback layout, and the decay stayed under ``max_decay``.
+        coalescing + caching bound server work
+        (:attr:`optimizations_bounded`) — far below one build per request.
+        Degraded epochs: no unhandled exceptions, every client finished
+        on a fallback layout, and the decay stayed within
+        :data:`MAX_DECAY`.
         """
         if self.unhandled_errors:
             return False
@@ -192,7 +207,7 @@ class FleetReport:
             expected = self.config.clients * len(healthy)
             if sum(e.requests for e in healthy) < expected:
                 return False
-            if self.optimizations > min(2 * len(healthy), 8):
+            if not self.optimizations_bounded:
                 return False
             saved = self.coalesced + self.cache_hits
             if saved < sum(e.requests for e in healthy) - self.optimizations:
@@ -202,7 +217,7 @@ class FleetReport:
                 return False
             if epoch.fallbacks == 0:
                 return False
-        if self.degraded_epochs and not self.decay_ratio <= max_decay:
+        if self.degraded_epochs and not self.decay_bounded:
             return False
         return True
 
@@ -346,7 +361,7 @@ def run_fleet(
         )
         before_remote = _remote_counters(probe)
 
-    before = _serve_counters()
+    before = serve_counters()
     report = FleetReport(config=config)
     clients = [
         LayoutClient(
@@ -440,13 +455,13 @@ def run_fleet(
                 and config.kill_after is not None
                 and epoch_index + 1 == config.kill_after
             ):
-                handle.kill()
+                handle.stop()
     finally:
         if handle is not None:
             report.queue_wait_p95_ms = handle.server.queue_wait_p95_ms()
             handle.stop()
 
-    after = _serve_counters()
+    after = serve_counters()
     after_remote = _remote_counters(probe) if probe is not None else {}
     deltas: Dict[str, int] = {}
     for name in set(after) | set(after_remote):
@@ -465,11 +480,3 @@ def _remote_counters(probe: LayoutClient) -> Dict[str, int]:
     except ServeError:
         return {}
 
-
-def _serve_counters() -> Dict[str, int]:
-    """Current values of every ``serve.*`` counter."""
-    return {
-        name: payload["value"]
-        for name, payload in obs.registry().snapshot().items()
-        if name.startswith("serve.") and payload.get("kind") == "counter"
-    }

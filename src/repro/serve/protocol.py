@@ -9,8 +9,9 @@ prefixes are stripped).  The JSON envelope is::
 
 ``v`` is :data:`PROTOCOL_VERSION`; a server refuses frames from a
 different major version with an :class:`ErrorResponse` rather than
-guessing.  ``type`` selects one of the dataclasses below, each of
-which round-trips through ``to_wire()`` / ``from_wire()``.
+guessing.  ``type`` selects one of the :class:`Message` dataclasses
+below; the payload is that dataclass's fields, encoded and decoded by
+the one generic ``to_wire()`` / ``from_wire()`` pair on the base.
 
 The conversation is strictly request/response: a client sends
 :class:`ProfileSubmit` / :class:`LayoutRequest` / :class:`HealthRequest`
@@ -21,10 +22,12 @@ unix socket.  Framing and payload errors raise
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Type, Union
+from dataclasses import dataclass, field, fields
+from typing import Callable, Dict, List, Optional, Tuple, Type, Union
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -54,8 +57,75 @@ SOURCE_COALESCED = "coalesced"
 SOURCE_STATIC = "static"
 
 
+class RawJSON(bytes):
+    """A value already encoded as compact JSON (see :func:`encode_json`).
+
+    :func:`encode_message` splices it into the frame verbatim, so a
+    document encoded once is served any number of times without being
+    encoded again.
+    """
+
+
+def _coercion(annotation) -> Callable:
+    """How a decoded JSON value becomes a field typed ``annotation``.
+
+    Scalars and ``list``/``dict`` fields are coerced with their type (a
+    list of lists copies each inner list); anything else, such as the
+    layout document union, is kept as decoded.
+    """
+    origin = get_origin(annotation)
+    if origin is list:
+        (item,) = get_args(annotation)
+        if get_origin(item) is list:
+            return lambda value: [list(inner) for inner in value]
+        return list
+    if origin is dict:
+        return dict
+    if annotation in (str, int, float, bool):
+        return annotation
+    return lambda value: value
+
+
+@functools.lru_cache(maxsize=None)
+def _codec(cls) -> Tuple[Tuple[str, Callable], ...]:
+    """``(name, coercion)`` per field of one message class, in
+    declaration order (resolved once per class)."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, _coercion(hints[f.name])) for f in fields(cls))
+
+
+class Message:
+    """Base of every wire message: a dataclass whose fields are its
+    payload.
+
+    Field order sets the payload's key order and each field's
+    annotation its decode coercion.  A field without a default is
+    required: decoding a payload that lacks it raises
+    :class:`~repro.errors.ProtocolError` (the constructor's TypeError,
+    via :func:`decode_body`); a missing optional field takes its
+    default.
+    """
+
+    #: The envelope ``type`` naming this message.
+    TYPE = ""
+
+    def to_wire(self) -> Dict:
+        """JSON-ready payload."""
+        return {name: getattr(self, name) for name, _ in _codec(type(self))}
+
+    @classmethod
+    def from_wire(cls, payload: Dict) -> "Message":
+        """Parse the payload (shape errors raise TypeError or
+        ValueError)."""
+        return cls(**{
+            name: coerce(payload[name])
+            for name, coerce in _codec(cls)
+            if name in payload
+        })
+
+
 @dataclass
-class ProfileSubmit:
+class ProfileSubmit(Message):
     """A client ships one execution profile to the server.
 
     The profile is keyed by its content fingerprint
@@ -107,28 +177,9 @@ class ProfileSubmit:
             profile.edge_counts[(int(src), int(dst))] = int(count)
         return profile
 
-    def to_wire(self) -> Dict:
-        """JSON-ready payload."""
-        return {
-            "binary": self.binary,
-            "fingerprint": self.fingerprint,
-            "block_counts": self.block_counts,
-            "edges": self.edges,
-        }
-
-    @classmethod
-    def from_wire(cls, payload: Dict) -> "ProfileSubmit":
-        """Parse the payload (shape errors raise ProtocolError)."""
-        return cls(
-            binary=str(payload["binary"]),
-            fingerprint=str(payload["fingerprint"]),
-            block_counts=list(payload["block_counts"]),
-            edges=[list(edge) for edge in payload["edges"]],
-        )
-
 
 @dataclass
-class SubmitAck:
+class SubmitAck(Message):
     """Server acknowledgement of a :class:`ProfileSubmit`.
 
     ``known`` is True when the server already held the profile (the
@@ -140,21 +191,9 @@ class SubmitAck:
     fingerprint: str
     known: bool = False
 
-    def to_wire(self) -> Dict:
-        """JSON-ready payload."""
-        return {"fingerprint": self.fingerprint, "known": self.known}
-
-    @classmethod
-    def from_wire(cls, payload: Dict) -> "SubmitAck":
-        """Parse the payload."""
-        return cls(
-            fingerprint=str(payload["fingerprint"]),
-            known=bool(payload["known"]),
-        )
-
 
 @dataclass
-class LayoutRequest:
+class LayoutRequest(Message):
     """Ask for the optimized layout of a previously submitted profile."""
 
     TYPE = "layout_request"
@@ -162,21 +201,9 @@ class LayoutRequest:
     fingerprint: str
     combo: str = "all"
 
-    def to_wire(self) -> Dict:
-        """JSON-ready payload."""
-        return {"fingerprint": self.fingerprint, "combo": self.combo}
-
-    @classmethod
-    def from_wire(cls, payload: Dict) -> "LayoutRequest":
-        """Parse the payload."""
-        return cls(
-            fingerprint=str(payload["fingerprint"]),
-            combo=str(payload.get("combo", "all")),
-        )
-
 
 @dataclass
-class LayoutResponse:
+class LayoutResponse(Message):
     """The server's answer to a :class:`LayoutRequest`.
 
     ``status`` is ``"ok"`` (``layout`` carries the
@@ -194,7 +221,7 @@ class LayoutResponse:
     fingerprint: str = ""
     combo: str = ""
     source: str = ""
-    layout: Union[Dict, "RawJSON", None] = None
+    layout: Union[Dict, RawJSON, None] = None
     error: str = ""
     queue_wait_ms: float = 0.0
 
@@ -203,50 +230,16 @@ class LayoutResponse:
         """True when the response carries a served layout."""
         return self.status == STATUS_OK and self.layout is not None
 
-    def to_wire(self) -> Dict:
-        """JSON-ready payload."""
-        return {
-            "status": self.status,
-            "fingerprint": self.fingerprint,
-            "combo": self.combo,
-            "source": self.source,
-            "layout": self.layout,
-            "error": self.error,
-            "queue_wait_ms": self.queue_wait_ms,
-        }
-
-    @classmethod
-    def from_wire(cls, payload: Dict) -> "LayoutResponse":
-        """Parse the payload."""
-        return cls(
-            status=str(payload["status"]),
-            fingerprint=str(payload.get("fingerprint", "")),
-            combo=str(payload.get("combo", "")),
-            source=str(payload.get("source", "")),
-            layout=payload.get("layout"),
-            error=str(payload.get("error", "")),
-            queue_wait_ms=float(payload.get("queue_wait_ms", 0.0)),
-        )
-
 
 @dataclass
-class HealthRequest:
+class HealthRequest(Message):
     """Liveness / load probe."""
 
     TYPE = "health"
 
-    def to_wire(self) -> Dict:
-        """JSON-ready payload."""
-        return {}
-
-    @classmethod
-    def from_wire(cls, payload: Dict) -> "HealthRequest":
-        """Parse the payload."""
-        return cls()
-
 
 @dataclass
-class HealthResponse:
+class HealthResponse(Message):
     """Server status snapshot: load plus the ``serve.*`` counters."""
 
     TYPE = "health_response"
@@ -257,48 +250,18 @@ class HealthResponse:
     profiles: int = 0
     counters: Dict[str, int] = field(default_factory=dict)
 
-    def to_wire(self) -> Dict:
-        """JSON-ready payload."""
-        return {
-            "status": self.status,
-            "uptime_s": self.uptime_s,
-            "inflight": self.inflight,
-            "profiles": self.profiles,
-            "counters": self.counters,
-        }
-
-    @classmethod
-    def from_wire(cls, payload: Dict) -> "HealthResponse":
-        """Parse the payload."""
-        return cls(
-            status=str(payload.get("status", "ok")),
-            uptime_s=float(payload.get("uptime_s", 0.0)),
-            inflight=int(payload.get("inflight", 0)),
-            profiles=int(payload.get("profiles", 0)),
-            counters=dict(payload.get("counters", {})),
-        )
-
 
 @dataclass
-class ErrorResponse:
+class ErrorResponse(Message):
     """Protocol-level refusal (bad version, unknown type, bad frame)."""
 
     TYPE = "error"
 
-    message: str
-
-    def to_wire(self) -> Dict:
-        """JSON-ready payload."""
-        return {"message": self.message}
-
-    @classmethod
-    def from_wire(cls, payload: Dict) -> "ErrorResponse":
-        """Parse the payload."""
-        return cls(message=str(payload.get("message", "")))
+    message: str = ""
 
 
 #: type string -> message class, for decoding.
-MESSAGE_TYPES: Dict[str, Type] = {
+MESSAGE_TYPES: Dict[str, Type[Message]] = {
     cls.TYPE: cls
     for cls in (
         ProfileSubmit,
@@ -310,15 +273,6 @@ MESSAGE_TYPES: Dict[str, Type] = {
         ErrorResponse,
     )
 }
-
-
-class RawJSON(bytes):
-    """A value already encoded as compact JSON (see :func:`encode_json`).
-
-    :func:`encode_message` splices it into the frame verbatim, so a
-    document encoded once is served any number of times without being
-    encoded again.
-    """
 
 
 def encode_json(value) -> RawJSON:
@@ -371,7 +325,7 @@ def decode_body(body: bytes):
         raise ProtocolError(f"unknown message type {mtype!r}")
     try:
         return cls.from_wire(envelope.get("payload") or {})
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ProtocolError(
             f"malformed {mtype!r} payload: {exc!r}"
         ) from exc

@@ -9,7 +9,8 @@ Production semantics on top of the offline optimizer:
 * **Single-flight coalescing** — concurrent requests for the same
   ``(profile fingerprint, combo)`` share one optimization: the first
   request runs it, the rest await its future and are counted in
-  ``serve.coalesced``.
+  ``serve.coalesced``.  The static cold-start layout takes the same
+  path under the key ``(SOURCE_STATIC, combo)``.
 * **Worker pool** — optimizations run off the event loop: in forked
   ``ProcessPoolExecutor`` workers (``workers >= 1`` on fork-capable
   platforms, the production shape) or an in-process thread pool
@@ -31,12 +32,13 @@ refuses profiles submitted for any other.  All activity lands in
 from __future__ import annotations
 
 import asyncio
+import functools
 import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.check import gate_layout
@@ -69,6 +71,16 @@ from repro.serve.protocol import (
     read_message,
 )
 from repro.staticpred import synthesize_profile
+
+
+def serve_counters() -> Dict[str, int]:
+    """Current value of every ``serve.*`` counter in this process."""
+    return {
+        name: payload["value"]
+        for name, payload in obs.registry().snapshot().items()
+        if name.startswith("serve.") and payload.get("kind") == "counter"
+    }
+
 
 def _optimize_task(
     submit: Optional[ProfileSubmit], combo: str, enqueued_at: float
@@ -139,7 +151,6 @@ class LayoutServer:
         self._inflight: Dict[Tuple[str, str], "asyncio.Future"] = {}
         #: combo -> encoded, gated static-fallback layout (cold start).
         self._static_documents: Dict[str, RawJSON] = {}
-        self._static_inflight: Dict[str, "asyncio.Future"] = {}
         self._pending = 0
         self._executor: Optional[Executor] = None
         self._server: Optional[asyncio.AbstractServer] = None
@@ -282,57 +293,108 @@ class LayoutServer:
 
     async def _handle_layout(self, request: LayoutRequest) -> LayoutResponse:
         obs.counter("serve.requests").inc()
+        fingerprint = request.fingerprint
         try:
             combo = Combo.parse(request.combo).value
         except LayoutError as exc:
             return LayoutResponse(
                 status=STATUS_ERROR,
-                fingerprint=request.fingerprint,
+                fingerprint=fingerprint,
                 combo=request.combo,
                 error=str(exc),
             )
-        key = (request.fingerprint, combo)
 
-        document, tier = self.cache.get(
-            request.fingerprint, combo, self._gate_ok
-        )
+        document, tier = self.cache.get(fingerprint, combo, self._gate_ok)
         if document is not None:
             return LayoutResponse(
                 status=STATUS_OK,
-                fingerprint=request.fingerprint,
+                fingerprint=fingerprint,
                 combo=combo,
                 source=tier,
                 layout=document,
             )
 
+        key = (fingerprint, combo)
+        submit = self._profiles.get(fingerprint)
+        if submit is None and key not in self._inflight:
+            if self.config.static_fallback:
+                return await self._serve_static(fingerprint, combo)
+            return LayoutResponse(
+                status=STATUS_ERROR,
+                fingerprint=fingerprint,
+                combo=combo,
+                error=(
+                    f"unknown profile fingerprint {fingerprint!r}; "
+                    "send profile_submit first"
+                ),
+            )
+        return await self._single_flight(
+            key, submit, functools.partial(self.cache.put, fingerprint, combo)
+        )
+
+    async def _serve_static(
+        self, fingerprint: str, combo: str
+    ) -> LayoutResponse:
+        """Cold start: the fingerprint is unknown, so serve a layout
+        built from the static profile synthesized off the binary's CFG
+        (:mod:`repro.staticpred`) -- gated like any other layout --
+        instead of turning the client away empty-handed.
+
+        The build takes the single-flight path under the key
+        ``(SOURCE_STATIC, combo)``; its encoding is kept for the
+        lifetime of the server (static synthesis is deterministic per
+        binary).
+        """
+        document = self._static_documents.get(combo)
+        if document is None:
+            built = await self._single_flight(
+                (SOURCE_STATIC, combo),
+                None,
+                lambda layout: self._static_documents.setdefault(
+                    combo, encode_layout(layout)
+                ),
+            )
+            if not built.ok:
+                return replace(built, fingerprint=fingerprint)
+            document = built.layout
+        obs.counter("serve.static_served").inc()
+        return LayoutResponse(
+            status=STATUS_OK,
+            fingerprint=fingerprint,
+            combo=combo,
+            source=SOURCE_STATIC,
+            layout=document,
+        )
+
+    async def _single_flight(
+        self,
+        key: Tuple[str, str],
+        submit: Optional[ProfileSubmit],
+        keep: Callable[[Layout], RawJSON],
+    ) -> LayoutResponse:
+        """Build the layout for ``key = (fingerprint, combo)`` once,
+        however many requests ask for it at the same time.
+
+        The first request passes admission control, optimizes ``submit``
+        (the static profile when None) in the pool, gates the layout and
+        hands it to ``keep``, which stores it and returns its encoding.
+        Requests arriving meanwhile await that response and count in
+        ``serve.coalesced``.
+        """
         inflight = self._inflight.get(key)
         if inflight is not None:
             obs.counter("serve.coalesced").inc()
-            template = await asyncio.shield(inflight)
-            response = LayoutResponse(**vars(template))
+            response = LayoutResponse(**vars(await asyncio.shield(inflight)))
             if response.status == STATUS_OK:
                 response.source = SOURCE_COALESCED
             return response
 
-        submit = self._profiles.get(request.fingerprint)
-        if submit is None:
-            if self.config.static_fallback:
-                return await self._serve_static(request, combo)
-            return LayoutResponse(
-                status=STATUS_ERROR,
-                fingerprint=request.fingerprint,
-                combo=combo,
-                error=(
-                    f"unknown profile fingerprint {request.fingerprint!r}; "
-                    "send profile_submit first"
-                ),
-            )
-
+        fingerprint, combo = key
         if self._pending >= self.config.queue_limit:
             obs.counter("serve.rejected").inc()
             return LayoutResponse(
                 status=STATUS_REJECTED,
-                fingerprint=request.fingerprint,
+                fingerprint=fingerprint,
                 combo=combo,
                 error=(
                     f"admission control: {self._pending} optimizations in "
@@ -346,14 +408,39 @@ class LayoutServer:
         self._pending += 1
         obs.series("serve.queue_depth").record(self._pending)
         try:
-            response = await self._optimize(submit, combo)
-        except Exception as exc:  # belt and braces: never strand waiters
+            with obs.span("serve.optimize", combo=combo):
+                outcome = await loop.run_in_executor(
+                    self._executor, _optimize_task, submit, combo, time.time()
+                )
+            layout = outcome["layout"]
+            wait_ms = float(outcome["queue_wait_ms"])
+            self._queue_waits_ms.append(wait_ms)
+            obs.histogram("serve.queue_wait_ms").record(wait_ms)
+            obs.counter("serve.optimizations").inc()
+            if self._gate_ok(layout):
+                response = LayoutResponse(
+                    status=STATUS_OK,
+                    fingerprint=fingerprint,
+                    combo=combo,
+                    source=SOURCE_BUILT,
+                    layout=keep(layout),
+                    queue_wait_ms=wait_ms,
+                )
+            else:
+                response = LayoutResponse(
+                    status=STATUS_ERROR,
+                    fingerprint=fingerprint,
+                    combo=combo,
+                    error="built layout failed the repro.check integrity gate",
+                    queue_wait_ms=wait_ms,
+                )
+        except Exception as exc:  # worker died, layout error, ...
             obs.counter("serve.optimize_errors").inc()
             response = LayoutResponse(
                 status=STATUS_ERROR,
-                fingerprint=request.fingerprint,
+                fingerprint=fingerprint,
                 combo=combo,
-                error=f"internal error: {exc}",
+                error=f"optimization failed: {exc}",
             )
         finally:
             self._pending -= 1
@@ -361,103 +448,6 @@ class LayoutServer:
         if not future.done():
             future.set_result(response)
         return response
-
-    async def _optimize(
-        self, submit: ProfileSubmit, combo: str
-    ) -> LayoutResponse:
-        loop = asyncio.get_event_loop()
-        enqueued = time.time()
-        try:
-            with obs.span("serve.optimize", combo=combo):
-                outcome = await loop.run_in_executor(
-                    self._executor, _optimize_task, submit, combo, enqueued
-                )
-        except Exception as exc:  # worker died, layout error, ...
-            obs.counter("serve.optimize_errors").inc()
-            return LayoutResponse(
-                status=STATUS_ERROR,
-                fingerprint=submit.fingerprint,
-                combo=combo,
-                error=f"optimization failed: {exc}",
-            )
-        layout = outcome["layout"]
-        wait_ms = float(outcome["queue_wait_ms"])
-        self._queue_waits_ms.append(wait_ms)
-        obs.histogram("serve.queue_wait_ms").record(wait_ms)
-        obs.counter("serve.optimizations").inc()
-        if not self._gate_ok(layout):
-            return LayoutResponse(
-                status=STATUS_ERROR,
-                fingerprint=submit.fingerprint,
-                combo=combo,
-                error="built layout failed the repro.check integrity gate",
-                queue_wait_ms=wait_ms,
-            )
-        document = self.cache.put(submit.fingerprint, combo, layout)
-        return LayoutResponse(
-            status=STATUS_OK,
-            fingerprint=submit.fingerprint,
-            combo=combo,
-            source=SOURCE_BUILT,
-            layout=document,
-            queue_wait_ms=wait_ms,
-        )
-
-    async def _serve_static(
-        self, request: LayoutRequest, combo: str
-    ) -> LayoutResponse:
-        """Cold start: the fingerprint is unknown, so serve a layout
-        built from the static profile synthesized off the binary's CFG
-        (:mod:`repro.staticpred`) -- gated like any other layout --
-        instead of turning the client away empty-handed.
-
-        One build per combo, coalesced and cached for the lifetime of
-        the server (static synthesis is deterministic per binary).
-        """
-        document = self._static_documents.get(combo)
-        if document is None:
-            inflight = self._static_inflight.get(combo)
-            if inflight is None:
-                loop = asyncio.get_event_loop()
-                inflight = loop.run_in_executor(
-                    self._executor, _optimize_task, None, combo, time.time()
-                )
-                self._static_inflight[combo] = inflight
-            else:
-                obs.counter("serve.coalesced").inc()
-            try:
-                with obs.span("serve.static_optimize", combo=combo):
-                    layout = (await asyncio.shield(inflight))["layout"]
-            except Exception as exc:
-                obs.counter("serve.optimize_errors").inc()
-                return LayoutResponse(
-                    status=STATUS_ERROR,
-                    fingerprint=request.fingerprint,
-                    combo=combo,
-                    error=f"static fallback failed: {exc}",
-                )
-            finally:
-                self._static_inflight.pop(combo, None)
-            if not self._gate_ok(layout):
-                return LayoutResponse(
-                    status=STATUS_ERROR,
-                    fingerprint=request.fingerprint,
-                    combo=combo,
-                    error=(
-                        "static fallback layout failed the repro.check "
-                        "integrity gate"
-                    ),
-                )
-            document = encode_layout(layout)
-            self._static_documents[combo] = document
-        obs.counter("serve.static_served").inc()
-        return LayoutResponse(
-            status=STATUS_OK,
-            fingerprint=request.fingerprint,
-            combo=combo,
-            source=SOURCE_STATIC,
-            layout=document,
-        )
 
     def _gate_ok(self, layout: Layout) -> bool:
         """The :func:`~repro.check.gate_layout` swap gate over one
@@ -473,17 +463,12 @@ class LayoutServer:
         return False
 
     def _handle_health(self) -> HealthResponse:
-        counters = {
-            name: payload["value"]
-            for name, payload in obs.registry().snapshot().items()
-            if name.startswith("serve.") and payload.get("kind") == "counter"
-        }
         return HealthResponse(
             status="ok",
             uptime_s=max(0.0, time.time() - self._started_at),
             inflight=self._pending,
             profiles=len(self._profiles),
-            counters=counters,
+            counters=serve_counters(),
         )
 
     # -- introspection ----------------------------------------------------
@@ -502,8 +487,7 @@ class ServerThread:
 
     The in-process deployment shape used by the fleet driver and the
     tests: ``start()`` returns once the server is listening; ``stop()``
-    shuts it down gracefully; ``kill()`` tears the listening socket and
-    every open connection down abruptly — the degraded-mode scenario.
+    shuts it down.
     """
 
     def __init__(self, server: LayoutServer) -> None:
@@ -569,7 +553,10 @@ class ServerThread:
                 f"layout server failed to start: {self._startup_error}"
             )
 
-    def _shutdown(self) -> None:
+    def stop(self) -> None:
+        """Stop the loop and join the thread: the listening socket and
+        every open connection close, so clients mid-conversation see a
+        dead server (the fleet's degraded scenario)."""
         loop, thread = self._loop, self._thread
         if loop is None or thread is None:
             return
@@ -578,15 +565,3 @@ class ServerThread:
             thread.join(timeout=10.0)
         self._loop = None
         self._thread = None
-
-    def stop(self) -> None:
-        """Graceful shutdown: stop accepting, close, join the thread."""
-        self._shutdown()
-
-    def kill(self) -> None:
-        """Abrupt death: connections drop mid-conversation.
-
-        From the clients' point of view this is a crashed server —
-        exactly what the degraded-mode fleet scenario exercises.
-        """
-        self._shutdown()

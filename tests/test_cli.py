@@ -308,6 +308,18 @@ class TestProfileSourceFlags:
         assert "tpcb-i32_static" in text
         assert "oltp_static_gate_ok" in text
 
+    def test_serve_rejects_hybrid_profile_source(self, capsys):
+        # serve's cold start is either the static layout or none at all;
+        # it has no hybrid mode to select.  (The unusable socket path
+        # makes an accepted flag fail instead of serving forever.)
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(
+                "serve", "--profile-source", "hybrid",
+                "--unix", "/nonexistent-dir/serve.sock",
+            )
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'hybrid'" in capsys.readouterr().err
+
     def test_lint_static_diff_reports_advisories_only(self):
         code, text = run_cli(
             "lint", "--combo", "base", "--static-diff", "--quiet",

@@ -7,6 +7,7 @@ import pytest
 from repro.harness.store import ArtifactStore, layout_to_dict
 from repro.layout import SpikeOptimizer
 from repro.serve.cache import LayoutCache, encode_layout
+from repro.serve.server import serve_counters
 
 
 @pytest.fixture(scope="module")
@@ -23,24 +24,31 @@ def passes(_layout):
     return True
 
 
+def counted(before, name):
+    """How far the ``serve.cache_<name>`` counter moved since ``before``."""
+    name = f"serve.cache_{name}"
+    return serve_counters().get(name, 0) - before.get(name, 0)
+
+
 def test_memory_tier_round_trip(layouts):
     cache = LayoutCache()
     fp, layout = next(iter(layouts.items()))
+    before = serve_counters()
     assert cache.get(fp, "all", passes) == (None, "")
     encoded = cache.put(fp, "all", layout)
     assert json.loads(encoded) == layout_to_dict(layout)
     got, tier = cache.get(fp, "all", passes)
     assert tier == "memory"
     assert got is encoded
-    stats = cache.stats()
-    assert stats.memory_hits == 1
-    assert stats.misses == 1
-    assert stats.entries == len(cache) == 1
+    assert counted(before, "hits") == 1
+    assert counted(before, "misses") == 1
+    assert len(cache) == 1
 
 
 def test_lru_eviction_order(layouts):
     cache = LayoutCache(memory_entries=2)
     fp, layout = next(iter(layouts.items()))
+    before = serve_counters()
     cache.put(fp, "base", layout)
     cache.put(fp, "hotcold", layout)
     # Touch "base" so "hotcold" becomes the least recently used entry.
@@ -50,7 +58,7 @@ def test_lru_eviction_order(layouts):
     assert cache.get(fp, "hotcold", passes) == (None, "")
     assert cache.get(fp, "base", passes)[1] == "memory"
     assert cache.get(fp, "all", passes)[1] == "memory"
-    assert cache.stats().evictions == 1
+    assert counted(before, "evictions") == 1
 
 
 def test_disk_tier_promotes_to_memory(layouts, tmp_path):
@@ -61,13 +69,13 @@ def test_disk_tier_promotes_to_memory(layouts, tmp_path):
 
     # A fresh cache (fresh process, conceptually) hits the disk tier...
     reborn = LayoutCache(store)
+    before = serve_counters()
     got, tier = reborn.get(fp, "all", passes)
     assert tier == "disk"
     assert got == encode_layout(layout)
     # ...and the hit is promoted into the memory tier.
     assert reborn.get(fp, "all", passes)[1] == "memory"
-    stats = reborn.stats()
-    assert stats.disk_hits == 1 and stats.memory_hits == 1
+    assert counted(before, "disk_hits") == 1 and counted(before, "hits") == 1
 
 
 def test_disk_entry_failing_the_gate_is_not_promoted(layouts, tmp_path):
@@ -75,6 +83,7 @@ def test_disk_entry_failing_the_gate_is_not_promoted(layouts, tmp_path):
     fp, layout = next(iter(layouts.items()))
     LayoutCache(store).put(fp, "all", layout)
     reborn = LayoutCache(store)
+    before = serve_counters()
     seen = []
 
     def rejects(candidate):
@@ -86,8 +95,9 @@ def test_disk_entry_failing_the_gate_is_not_promoted(layouts, tmp_path):
     assert reborn.get(fp, "all", rejects) == (None, "")
     assert [layout_to_dict(c) for c in seen] == [layout_to_dict(layout)] * 2
     assert len(reborn) == 0
-    stats = reborn.stats()
-    assert (stats.memory_hits, stats.disk_hits, stats.misses) == (0, 0, 2)
+    assert [
+        counted(before, name) for name in ("hits", "disk_hits", "misses")
+    ] == [0, 0, 2]
 
 
 def test_distinct_fingerprints_do_not_collide(layouts, tmp_path):

@@ -121,7 +121,6 @@ class TestDroppedConnections:
         assert dropper.connections >= 2  # both attempts hit the wire
         assert counter_value("serve.retries") > retries_before
         assert counter_value("serve.fallbacks") == fallbacks_before + 1
-        assert client.stats.fallbacks == 1
 
     def test_refused_connection_falls_back(self, warm_client):
         client, profile, expected = warm_client
@@ -164,7 +163,6 @@ class TestSlowServer:
         # Two attempts, each bounded by the 0.5 s socket deadline.
         assert elapsed < 5.0
         assert counter_value("serve.retries") > retries_before
-        assert client.stats.retries >= 1
 
 
 class TestMalformedResponses:

@@ -6,6 +6,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
 from repro.serve.protocol import (
@@ -21,6 +23,7 @@ from repro.serve.protocol import (
     ProfileSubmit,
     SubmitAck,
     decode_body,
+    encode_json,
     encode_message,
     read_message_sync,
 )
@@ -173,3 +176,135 @@ class TestProfileSubmit:
         submit.block_counts = submit.block_counts[:-1]
         with pytest.raises(ProtocolError, match="blocks"):
             submit.to_profile(binary)
+
+
+texts = st.text(max_size=12)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | finite | texts,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(texts, children, max_size=4),
+    max_leaves=12,
+)
+documents = st.dictionaries(texts, json_values, max_size=4)
+
+#: One strategy per message type, covering every field.
+MESSAGE_STRATEGIES = {
+    ProfileSubmit: st.builds(
+        ProfileSubmit,
+        binary=texts,
+        fingerprint=texts,
+        block_counts=st.lists(st.integers(), max_size=8),
+        edges=st.lists(
+            st.lists(st.integers(), min_size=3, max_size=3), max_size=4
+        ),
+    ),
+    SubmitAck: st.builds(SubmitAck, fingerprint=texts, known=st.booleans()),
+    LayoutRequest: st.builds(LayoutRequest, fingerprint=texts, combo=texts),
+    LayoutResponse: st.builds(
+        LayoutResponse,
+        status=texts,
+        fingerprint=texts,
+        combo=texts,
+        source=texts,
+        layout=st.none() | documents,
+        error=texts,
+        queue_wait_ms=finite,
+    ),
+    HealthRequest: st.builds(HealthRequest),
+    HealthResponse: st.builds(
+        HealthResponse,
+        status=texts,
+        uptime_s=finite,
+        inflight=st.integers(),
+        profiles=st.integers(),
+        counters=st.dictionaries(texts, st.integers(), max_size=4),
+    ),
+    ErrorResponse: st.builds(ErrorResponse, message=texts),
+}
+
+
+class TestCodecProperties:
+    def test_strategies_cover_every_message_type(self):
+        assert set(MESSAGE_STRATEGIES) == set(MESSAGE_TYPES.values())
+
+    @given(st.one_of(*MESSAGE_STRATEGIES.values()))
+    def test_every_message_round_trips(self, message):
+        decoded = roundtrip(message)
+        assert type(decoded) is type(message)
+        assert decoded == message
+
+    @given(documents)
+    def test_raw_layout_frames_like_the_plain_document(self, document):
+        plain = LayoutResponse(status=STATUS_OK, layout=document)
+        raw = LayoutResponse(status=STATUS_OK, layout=encode_json(document))
+        assert encode_message(raw) == encode_message(plain)
+
+
+#: A complete payload per message type, and the fields it may omit.
+FULL_PAYLOADS = {
+    ProfileSubmit: (
+        {"binary": "app", "fingerprint": "f", "block_counts": [1],
+         "edges": [[0, 0, 1]]},
+        set(),
+    ),
+    SubmitAck: ({"fingerprint": "f", "known": True}, {"known"}),
+    LayoutRequest: ({"fingerprint": "f", "combo": "base"}, {"combo"}),
+    LayoutResponse: (
+        {"status": "ok", "fingerprint": "f", "combo": "all",
+         "source": "built", "layout": {"units": []}, "error": "e",
+         "queue_wait_ms": 2.5},
+        {"fingerprint", "combo", "source", "layout", "error",
+         "queue_wait_ms"},
+    ),
+    HealthRequest: ({}, set()),
+    HealthResponse: (
+        {"status": "busy", "uptime_s": 1.0, "inflight": 2, "profiles": 3,
+         "counters": {"serve.requests": 4}},
+        {"status", "uptime_s", "inflight", "profiles", "counters"},
+    ),
+    ErrorResponse: ({"message": "nope"}, {"message"}),
+}
+
+
+def decode_payload(cls, payload):
+    body = json.dumps(
+        {"v": PROTOCOL_VERSION, "type": cls.TYPE, "payload": payload}
+    ).encode()
+    return decode_body(body)
+
+
+class TestMissingFields:
+    """A field without a default is required; an optional one takes its
+    default when the payload omits it."""
+
+    def test_payloads_cover_every_field(self):
+        assert set(FULL_PAYLOADS) == set(MESSAGE_TYPES.values())
+        for cls, (payload, _) in FULL_PAYLOADS.items():
+            assert list(payload) == list(cls.__dataclass_fields__)
+
+    @pytest.mark.parametrize(
+        "cls, name",
+        [
+            pytest.param(cls, name, id=f"{cls.TYPE}.{name}")
+            for cls, (payload, _) in FULL_PAYLOADS.items()
+            for name in payload
+        ],
+    )
+    def test_missing_field(self, cls, name):
+        payload, optional = FULL_PAYLOADS[cls]
+        partial = {k: v for k, v in payload.items() if k != name}
+        if name not in optional:
+            with pytest.raises(ProtocolError, match=f"malformed.*{name}"):
+                decode_payload(cls, partial)
+            return
+        # ``cls(**partial)`` fills the omitted field with its default.
+        assert decode_payload(cls, partial) == cls(**partial)
+
+    def test_submit_ack_known_defaults_to_false(self):
+        assert decode_payload(SubmitAck, {"fingerprint": "f"}) == SubmitAck(
+            fingerprint="f", known=False
+        )
+
+    def test_error_response_message_is_lenient(self):
+        assert decode_payload(ErrorResponse, {}) == ErrorResponse(message="")

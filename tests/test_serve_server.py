@@ -269,6 +269,51 @@ class TestAdmissionControl:
         assert counter_value("serve.rejected") > before
         assert result[0] is not None and result[0].ok
 
+    def test_static_cold_start_is_admitted_like_any_build(
+        self, serve_env, monkeypatch
+    ):
+        # The static build shares the single-flight path: a full queue
+        # sheds it, and once admitted it counts as an optimization.
+        binary, (profile, _) = serve_env
+        release = threading.Event()
+        original = server_module._optimize_task
+
+        def stalled_optimize(submit, combo, enqueued_at):
+            release.wait(timeout=30)
+            return original(submit, combo, enqueued_at)
+
+        monkeypatch.setattr(
+            server_module, "_optimize_task", stalled_optimize
+        )
+        handle = ServerThread.start(
+            binary, store=None, config=ServerConfig(queue_limit=1, workers=0)
+        )
+        blocker = make_client(handle, max_attempts=1)
+        blocker.submit_profile(profile)
+        thread = threading.Thread(
+            target=blocker.fetch_layout, args=(profile, "all")
+        )
+        try:
+            thread.start()
+            deadline = time.monotonic() + 10
+            while handle.server._pending < 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert handle.server._pending == 1
+            cold = make_client(handle, max_attempts=1)
+            with pytest.raises(ServeError, match="admission control"):
+                cold._call(LayoutRequest("never-submitted", "all"))
+            release.set()
+            thread.join(timeout=60)
+            before = counter_value("serve.optimizations")
+            reply = cold._call(LayoutRequest("never-submitted", "all"))
+            assert reply.ok and reply.source == SOURCE_STATIC
+            assert counter_value("serve.optimizations") == before + 1
+        finally:
+            release.set()
+            thread.join(timeout=60)
+            handle.stop()
+        assert not thread.is_alive()
+
     def test_rejected_is_backpressure_not_a_fault(self):
         # A server that sheds every request exhausts the client's
         # attempts, but backpressure must never trip the breaker.
@@ -276,6 +321,7 @@ class TestAdmissionControl:
         listener.bind(("127.0.0.1", 0))
         listener.listen(8)
         stop = threading.Event()
+        shed = []
 
         def shedding_server():
             while not stop.is_set():
@@ -287,6 +333,7 @@ class TestAdmissionControl:
                     with conn.makefile("rb") as stream:
                         if read_message_sync(stream) is None:
                             continue
+                    shed.append(conn)
                     conn.sendall(
                         encode_message(
                             LayoutResponse(
@@ -304,6 +351,7 @@ class TestAdmissionControl:
                 max_attempts=2, backoff_s=0.01, breaker_threshold=1
             ),
         )
+        retries = counter_value("serve.retries")
         try:
             with pytest.raises(ServeError, match="admission control"):
                 client._call(LayoutRequest("fp", "all"))
@@ -311,8 +359,8 @@ class TestAdmissionControl:
             stop.set()
             listener.close()
             thread.join(timeout=5)
-        assert client.stats.rejected == 2
-        assert client.stats.retries == 1
+        assert len(shed) == 2
+        assert counter_value("serve.retries") == retries + 1
         assert client.breaker.state_name == "closed"
         assert client.breaker.trips == 0
 
