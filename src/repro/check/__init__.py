@@ -8,10 +8,10 @@ reproduction: a diagnostics engine with stable codes
 (:mod:`~repro.check.layout_checks`), profile flow-conservation checks
 (:mod:`~repro.check.profile_checks`), layout-quality lints
 (:mod:`~repro.check.quality_checks`), static-vs-measured differential
-lints (:mod:`~repro.check.static_checks`), the layout gate every
-producer runs before publishing a layout (:func:`gate_layout`), and the
-cheap post-pass assertions used inside the layout pipeline
-(:mod:`~repro.check.structural`).
+lints (:mod:`~repro.check.static_checks`), the one layout gate every
+producer runs before publishing a layout (:func:`check_all`), and the
+per-pass contracts of the layout pipeline
+(:mod:`~repro.check.structural`), which the tests hold each pass to.
 
 See ``docs/CHECKS.md`` for the full diagnostic catalogue and
 ``repro lint --help`` for the CLI front end.
@@ -23,8 +23,6 @@ from repro.check.api import (
     check_profile,
     check_quality,
     check_static_diff,
-    gate_layout,
-    verify_layout,
 )
 from repro.check.diagnostics import (
     CODES,
@@ -54,9 +52,7 @@ __all__ = [
     "check_profile",
     "check_quality",
     "check_static_diff",
-    "gate_layout",
     "verify_chaining",
-    "verify_layout",
     "verify_split_units",
     "verify_unit_permutation",
 ]

@@ -2,12 +2,12 @@
 
 :func:`check_layout` / :func:`check_profile` / :func:`check_quality`
 bundle the individual passes into the three analysis families and
-return a :class:`~repro.check.diagnostics.CheckReport`;
-:func:`gate_layout` is the one structure-then-addresses gate that the
-online relayout, the layout server, the fleet and ``repro lint
---layout`` run before trusting a layout; :func:`verify_layout` is the
-enforcement wrapper that raises :class:`~repro.errors.LayoutError` when
-a layout fails integrity checks (used by ``SpikeOptimizer(verify=True)``).
+return a :class:`~repro.check.diagnostics.CheckReport`.
+:func:`check_all` is the one layout gate: the experiment, the online
+relayout, the layout server, the fleet and ``repro lint`` all run it
+before trusting a layout.  Given no placement, it checks the structure
+first and places only a clean layout, so corruption is reported, never
+raised.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from repro.check.static_checks import (
     check_static_cold_hot,
     check_unreached_sampled,
 )
-from repro.errors import LayoutError
 from repro.ir import assign_addresses
 
 #: Structure-only layout passes (no address map required).
@@ -80,41 +79,32 @@ _STATIC_RUNNER = CheckRunner([
 
 
 def check_layout(
-    binary, layout, address_map=None, target: str = "", *, structure: bool = True
+    binary, layout, address_map=None, target: str = ""
 ) -> CheckReport:
     """Run the layout-integrity family (``LAY*``).
 
-    Structure passes run unless ``structure=False`` (the caller already
-    ran them and they came back clean).  Address passes need an
-    ``address_map`` and only run when the structure came back clean --
-    address arithmetic over a layout that places blocks twice (or not
-    at all) would just produce noise after the real finding.
+    Address passes need an ``address_map`` and only run when the
+    structure came back clean -- address arithmetic over a layout that
+    places blocks twice (or not at all) would just produce noise after
+    the real finding.
     """
+    return _layout_report(binary, layout, address_map, target, place=False)
+
+
+def _layout_report(binary, layout, address_map, target, place) -> CheckReport:
+    """Structure passes, then (over ``address_map``, or a fresh
+    placement when ``place`` is set) the address passes.  A report
+    that checked addresses carries its placement."""
     target = target or getattr(layout, "name", "")
     ctx = CheckContext(binary=binary, layout=layout, target=target)
-    report = _STRUCTURE_RUNNER.run(ctx) if structure else CheckReport()
-    if address_map is not None and report.ok:
+    report = _STRUCTURE_RUNNER.run(ctx)
+    if not report.ok:
+        return report
+    if address_map is None and place:
+        address_map = assign_addresses(binary, layout)
+    if address_map is not None:
         ctx.address_map = address_map
         report.extend(_ADDRESS_RUNNER.run(ctx))
-    return report
-
-
-def gate_layout(binary, layout, target: str = "") -> CheckReport:
-    """The layout gate: structure checks, then addresses.
-
-    Structure passes run on their own first: ``assign_addresses``
-    refuses structurally broken layouts outright, and the gate must
-    *report* corruption, not crash on it.  Only a clean structure is
-    placed and gets the address passes.  The report's ``address_map``
-    hands that placement back (None when the structure failed), so no
-    caller places the layout a second time.
-    """
-    report = check_layout(binary, layout, target=target)
-    if report.ok:
-        address_map = assign_addresses(binary, layout)
-        report.extend(check_layout(
-            binary, layout, address_map, target=target, structure=False
-        ))
         report.address_map = address_map
     return report
 
@@ -153,25 +143,6 @@ def check_static_diff(binary, measured, static, target: str = "") -> CheckReport
     return _STATIC_RUNNER.run(ctx)
 
 
-def verify_layout(
-    binary, layout, address_map=None, target: str = ""
-) -> CheckReport:
-    """Enforcing form of :func:`check_layout`.
-
-    Raises:
-        LayoutError: When any error-severity finding is reported; the
-            message carries the first few findings.
-    """
-    report = check_layout(binary, layout, address_map=address_map, target=target)
-    if not report.ok:
-        shown = "\n".join(d.render() for d in report.errors[:5])
-        raise LayoutError(
-            f"layout {target or getattr(layout, 'name', '?')!r} failed "
-            f"integrity checks ({len(report.errors)} error(s)):\n{shown}"
-        )
-    return report
-
-
 def check_all(
     binary,
     profile=None,
@@ -179,15 +150,22 @@ def check_all(
     address_map=None,
     target: str = "",
 ) -> CheckReport:
-    """Run every applicable family over the supplied artifacts."""
+    """Run every applicable family over the supplied artifacts.
+
+    A ``layout`` gets the structure passes, then the address passes
+    over ``address_map`` -- or, when none is given, over the placement
+    of a structurally clean layout, handed back on the report's
+    ``address_map`` so no caller places it a second time.  A
+    ``profile`` adds the flow checks, and both together the quality
+    lints when everything so far is clean.
+    """
     report = CheckReport()
     if layout is not None:
-        report.extend(check_layout(binary, layout, address_map, target=target))
+        report = _layout_report(binary, layout, address_map, target, place=True)
     if profile is not None:
         report.extend(check_profile(binary, profile, target=target))
-    if (
-        profile is not None and layout is not None
-        and address_map is not None and report.ok
-    ):
-        report.extend(check_quality(binary, profile, layout, address_map, target=target))
+    if profile is not None and report.address_map is not None and report.ok:
+        report.extend(
+            check_quality(binary, profile, layout, report.address_map, target=target)
+        )
     return report

@@ -130,8 +130,9 @@ class CheckReport:
 
     def __init__(self, diagnostics: Optional[Iterable[Diagnostic]] = None) -> None:
         self.diagnostics: List[Diagnostic] = list(diagnostics or ())
-        #: The placement :func:`~repro.check.gate_layout` checked (None
-        #: when the structure failed, or for any other report).
+        #: The placement :func:`~repro.check.check_all` checked the
+        #: addresses of (None when the structure failed or no layout
+        #: was checked).
         self.address_map: object = None
 
     def add(self, diagnostic: Diagnostic) -> None:

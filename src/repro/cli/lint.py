@@ -10,10 +10,8 @@ from repro.check import (
     check_all,
     check_profile,
     check_static_diff,
-    gate_layout,
 )
 from repro.harness.store import load_layout, load_profile
-from repro.ir import assign_addresses
 from repro.layout import ALL_COMBOS
 
 from repro.cli._common import emit_runlog, experiment_from
@@ -69,7 +67,7 @@ def _cmd_lint(args, out) -> int:
         for path in args.layout or ():
             # No binary validation on load: lint must *report* a corrupt
             # layout, not crash on it.
-            report.extend(gate_layout(binary, load_layout(path), target=path))
+            report.extend(check_all(binary, layout=load_layout(path), target=path))
         for path in args.profile or ():
             profile = load_profile(binary, path)
             report.extend(check_profile(binary, profile, target=path))
@@ -82,14 +80,10 @@ def _cmd_lint(args, out) -> int:
         ):
             report.extend(check_profile(binary, profile, target=f"profile:{label}"))
             for combo in combos:
-                layout = optimizer.layout(combo)
-                amap = assign_addresses(binary, layout)
-                report.extend(
-                    check_all(
-                        binary, profile, layout, amap,
-                        target=f"{label}/{combo}",
-                    )
-                )
+                report.extend(check_all(
+                    binary, profile, optimizer.layout(combo),
+                    target=f"{label}/{combo}",
+                ))
 
     if args.static_diff:
         for label, binary, measured, kernel in (

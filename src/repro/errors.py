@@ -74,13 +74,6 @@ class PipelineError(ReproError):
     stage the graph does not declare."""
 
 
-class StageGateError(PipelineError):
-    """A freshly built stage value failed its declared gate hook.
-    Cached values that fail the gate silently degrade to a rebuild;
-    only a *fresh* build failing is an error the caller must handle
-    (fall back, retry, or surface)."""
-
-
 class ScenarioError(ReproError):
     """A scenario specification is invalid (unknown workload kind,
     incompatible engine/hierarchy pair, malformed matrix file) or a

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Dict, Optional, Tuple
@@ -82,10 +81,6 @@ def _check_source(source: str) -> str:
         )
     return source
 
-
-def _verify_enabled() -> bool:
-    """True when ``REPRO_VERIFY`` asks for layout integrity checks."""
-    return os.environ.get("REPRO_VERIFY", "") not in ("", "0")
 
 #: Bump when the canonical fingerprint payload changes shape.
 _FINGERPRINT_VERSION = 1
@@ -432,18 +427,12 @@ class Experiment:
     def optimizer_for(
         self, source: str, *, kernel: bool = False
     ) -> SpikeOptimizer:
-        """A Spike optimizer over one profile source (cached).
-
-        Set ``REPRO_VERIFY=1`` in the environment to run every layout
-        through the ``repro.check`` integrity passes as it is built.
-        """
+        """A Spike optimizer over one profile source (cached)."""
         key = (_check_source(source), kernel)
         if key not in self._optimizers:
             program = self.kernel if kernel else self.app
             self._optimizers[key] = SpikeOptimizer(
-                program.binary,
-                self.profile_for(source, kernel=kernel),
-                verify=_verify_enabled(),
+                program.binary, self.profile_for(source, kernel=kernel)
             )
         return self._optimizers[key]
 

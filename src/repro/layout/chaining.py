@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro import obs
-from repro.check.structural import verify_chaining
 from repro.ir import FlowGraph, Procedure
 
 
@@ -86,7 +85,7 @@ class _ChainSet:
 
 
 def chain_blocks(
-    proc: Procedure, graph: FlowGraph, block_counts, verify: bool = False
+    proc: Procedure, graph: FlowGraph, block_counts
 ) -> ChainingResult:
     """Chain the blocks of one procedure.
 
@@ -95,9 +94,6 @@ def chain_blocks(
         graph: Its flow graph with profile weights.
         block_counts: Array of execution counts indexed by block id,
             used to order the finished chains.
-        verify: Assert the chaining contract (permutation, entry chain
-            first) before returning; raises
-            :class:`~repro.errors.LayoutError` on violation.
     """
     ids = [b.bid for b in proc.blocks]
     chains = _ChainSet(ids)
@@ -120,7 +116,4 @@ def chain_blocks(
     # Decreasing execution count of the chain's first block; ties break
     # on source order (block id) for determinism.
     rest.sort(key=lambda c: (-int(block_counts[c[0]]), c[0]))
-    result = ChainingResult(proc_name=proc.name, chains=[entry_chain] + rest)
-    if verify:
-        verify_chaining(proc, result)
-    return result
+    return ChainingResult(proc_name=proc.name, chains=[entry_chain] + rest)

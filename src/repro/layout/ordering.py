@@ -24,7 +24,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.check.structural import verify_unit_permutation
 from repro.ir import Binary, CodeUnit, INSTRUCTION_BYTES, UnitCallGraph
 
 #: Alpha conditional branches reach +/- 1 MB (21-bit word displacement).
@@ -78,7 +77,6 @@ def order_units(
     graph: UnitCallGraph,
     block_counts,
     max_displacement: int = DEFAULT_MAX_DISPLACEMENT,
-    verify: bool = False,
 ) -> OrderingResult:
     """Order code units by Pettis--Hansen call-graph coalescing.
 
@@ -91,8 +89,6 @@ def order_units(
         max_displacement: Merges that would grow a cluster beyond this
             many bytes are refused, keeping intra-cluster branches
             within reach.
-        verify: Assert the permutation contract on the result
-            (:func:`repro.check.verify_unit_permutation`).
 
     Only units with a positive edge (the hot graph) get cluster state;
     the rest stay singletons.  The heaviest live edge merges first,
@@ -198,12 +194,9 @@ def order_units(
     obs.counter("layout.order.calls").inc()
     obs.counter("layout.order.merges").inc(merges)
     obs.counter("layout.order.displacement_refusals").inc(refusals)
-    result = OrderingResult(
+    return OrderingResult(
         units=ordered, displacement_refusals=refusals, merges=merges
     )
-    if verify:
-        verify_unit_permutation(units, result.units)
-    return result
 
 
 def _best_orientation(

@@ -14,6 +14,10 @@ x-axes) to a code layout:
   the segments (the paper's fully optimized binary).
 * ``hotcold``       -- chaining + P-H hot/cold splitting + ordering: the
   algorithm in the stock Spike distribution, kept as a comparator.
+
+The optimizer builds layouts and does not check them.  Each consumer
+gates a finished layout through :func:`repro.check.check_all`; the
+tests hold every pass to its contract in :mod:`repro.check.structural`.
 """
 
 from __future__ import annotations
@@ -21,14 +25,12 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.check import verify_layout
 from repro.errors import LayoutError
 from repro.ir import (
     Binary,
     CodeUnit,
     FlowGraph,
     Layout,
-    assign_addresses,
     baseline_layout,
     build_unit_call_graph,
     flow_graph_from_block_counts,
@@ -53,17 +55,11 @@ class SpikeOptimizer:
         proc_alignment: int = 16,
         segment_alignment: int = 4,
         max_displacement: int = DEFAULT_MAX_DISPLACEMENT,
-        verify: bool = False,
     ) -> None:
         """Whole-procedure layouts keep the compiler's entry alignment
         (``proc_alignment``); split-segment layouts pack code units
         densely (``segment_alignment``) to maximize line utilization,
-        as Spike does once segments become independent units.
-
-        With ``verify=True``, every pass asserts its structural
-        contract (``repro.check.structural``) and each finished layout
-        must pass the full integrity check
-        (:func:`repro.check.verify_layout`) before it is returned."""
+        as Spike does once segments become independent units."""
         if profile.binary is not binary:
             raise LayoutError("profile does not belong to this binary")
         self.binary = binary
@@ -71,7 +67,6 @@ class SpikeOptimizer:
         self.proc_alignment = proc_alignment
         self.segment_alignment = segment_alignment
         self.max_displacement = max_displacement
-        self.verify = verify
         self._chain_cache: Optional[Dict[str, ChainingResult]] = None
         self.last_ordering: Optional[OrderingResult] = None
 
@@ -101,10 +96,7 @@ class SpikeOptimizer:
         for name in self.binary.proc_order():
             if name not in cache:
                 cache[name] = chain_blocks(
-                    self.binary.proc(name),
-                    self.flow_graph(name),
-                    counts,
-                    verify=self.verify,
+                    self.binary.proc(name), self.flow_graph(name), counts
                 )
         return cache
 
@@ -154,17 +146,9 @@ class SpikeOptimizer:
         units: List[CodeUnit] = []
         for name in self.binary.proc_order():
             if chained:
-                units.extend(
-                    split_chains(
-                        self.binary, self.chainings()[name], verify=self.verify
-                    )
-                )
+                units.extend(split_chains(self.binary, self.chainings()[name]))
             else:
-                units.extend(
-                    split_procedure_source_order(
-                        self.binary, name, verify=self.verify
-                    )
-                )
+                units.extend(split_procedure_source_order(self.binary, name))
         return units
 
     def _hotcold_units(self) -> List[CodeUnit]:
@@ -195,7 +179,6 @@ class SpikeOptimizer:
             graph,
             self.profile.block_counts,
             max_displacement=self.max_displacement,
-            verify=self.verify,
         )
         self.last_ordering = result
         return Layout(units=result.units, alignment=self._alignment_for(name), name=name)
@@ -212,16 +195,7 @@ class SpikeOptimizer:
         combo = Combo.parse(combo).value
         obs.counter("layout.builds").inc()
         with obs.span("layout.build", combo=combo):
-            layout = self._build(combo)
-        if self.verify:
-            with obs.span("layout.verify", combo=combo):
-                verify_layout(
-                    self.binary,
-                    layout,
-                    assign_addresses(self.binary, layout),
-                    target=f"{self.binary.name}/{combo}",
-                )
-        return layout
+            return self._build(combo)
 
     def _build(self, combo: str) -> Layout:
         if combo == "base":

@@ -16,20 +16,17 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro import obs
-from repro.check.structural import verify_split_units
 from repro.ir import Binary, CodeUnit, SEGMENT_ENDING
 from repro.layout.chaining import ChainingResult
 
 
 def split_chains(
-    binary: Binary, chaining: ChainingResult, verify: bool = False
+    binary: Binary, chaining: ChainingResult
 ) -> List[CodeUnit]:
     """Split one chained procedure into segment units.
 
     Returns units in chain order; the unit containing the procedure
-    entry block is flagged ``is_entry``.  With ``verify``, the
-    partition contract is asserted before returning
-    (:func:`repro.check.verify_split_units`).
+    entry block is flagged ``is_entry``.
     """
     entry_bid = binary.proc(chaining.proc_name).entry.bid
     units: List[CodeUnit] = []
@@ -44,14 +41,10 @@ def split_chains(
             units.append(_make_unit(chaining.proc_name, len(units), segment, entry_bid))
     obs.counter("layout.split.procedures").inc()
     obs.counter("layout.split.segments").inc(len(units))
-    if verify:
-        verify_split_units(binary, chaining.proc_name, units)
     return units
 
 
-def split_procedure_source_order(
-    binary: Binary, proc_name: str, verify: bool = False
-) -> List[CodeUnit]:
+def split_procedure_source_order(binary: Binary, proc_name: str) -> List[CodeUnit]:
     """Split a procedure's *source-order* blocks into segments.
 
     Used to study splitting without chaining.
@@ -67,8 +60,6 @@ def split_procedure_source_order(
             segment = []
     if segment:
         units.append(_make_unit(proc_name, len(units), segment, entry_bid))
-    if verify:
-        verify_split_units(binary, proc_name, units)
     return units
 
 

@@ -14,6 +14,12 @@ Finished epoch layouts are cached in the
 fingerprint*, so replaying a run (or a different experiment arriving
 at the same sampled profile) hot-swaps the cached layout without
 rebuilding.
+
+Every layout, cached or fresh, passes :func:`repro.check.check_all`
+before it can be swapped in: the online loop runs unattended, so a
+corrupt layout must be refused, not simulated.  A cached layout that
+fails loads as a miss and is rebuilt; a fresh one that fails leaves
+the running layout in place.
 """
 
 from __future__ import annotations
@@ -22,11 +28,11 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro import obs
-from repro.check import gate_layout
-from repro.errors import LayoutError, StageGateError
+from repro.check import CheckReport, check_all
+from repro.errors import LayoutError
 from repro.pipeline.runlog import CACHE_HIT, RunLog
 from repro.harness.store import ArtifactStore, load_layout, save_layout
-from repro.ir import AddressMap, Binary, Layout, assign_addresses
+from repro.ir import AddressMap, Binary, Layout
 from repro.layout import SpikeOptimizer
 from repro.online.drift import drifted_procedures
 from repro.pipeline import ArtifactSpec, PipelineRunner, Stage, StageGraph
@@ -58,7 +64,6 @@ class AdaptiveRelayout:
         store: Optional[ArtifactStore] = None,
         runlog: Optional[RunLog] = None,
         coverage: float = 0.9,
-        verify: bool = True,
     ) -> None:
         self.binary = binary
         self.combo = combo
@@ -66,10 +71,6 @@ class AdaptiveRelayout:
         self.runlog = runlog or RunLog()
         #: Fraction of the weight shift the rebuilt set must cover.
         self.coverage = coverage
-        #: Gate every layout through ``repro.check`` before it can be
-        #: swapped in.  On by default: the online loop runs unattended,
-        #: so a corrupt layout must be refused, not simulated.
-        self.verify = verify
 
     def rebuild(
         self,
@@ -86,10 +87,10 @@ class AdaptiveRelayout:
         ``reference`` and ``profile`` are re-chained; the rest reuse
         the previous chains.  Without them, everything is rebuilt.
 
-        When :attr:`verify` is on, the finished layout must pass the
-        ``repro.check`` integrity gate before it is returned.  A cached
-        layout that fails degrades to a rebuild; a freshly built one
-        that fails bumps the ``online.relayout.rejected`` counter and
+        The layout must pass the ``repro.check`` gate before it is
+        returned.  A cached layout that fails bumps
+        ``online.relayout.rejected_cache`` and is rebuilt; a freshly
+        built one that fails bumps ``online.relayout.rejected`` and
         returns ``fallback`` (the result backing the currently running
         layout) -- or raises :class:`~repro.errors.LayoutError` when no
         fallback exists.
@@ -100,6 +101,15 @@ class AdaptiveRelayout:
         # by the *profile* fingerprint, so each sampled profile gets its
         # own runner namespace over the shared store and run log.
         state: dict = {}
+
+        def load(path) -> Optional[Layout]:
+            layout = load_layout(path)
+            report = self._gate_report(layout)
+            if not report.ok:
+                obs.counter("online.relayout.rejected_cache").inc()
+                return None  # a corrupt cache entry degrades to a rebuild
+            state["report"] = report
+            return layout
 
         def build(_) -> Layout:
             optimizer = SpikeOptimizer(self.binary, profile)
@@ -112,45 +122,39 @@ class AdaptiveRelayout:
                 reused = optimizer.reuse_chainings(previous, drifted)
                 rebuilt = tuple(drifted)
             state.update(optimizer=optimizer, rebuilt=rebuilt, reused=reused)
-            return optimizer.layout(self.combo)
-
-        def gate(layout: Layout) -> bool:
-            if not self.verify:
-                return True
-            state["report"] = self._gate_report(layout)
-            return state["report"].ok
+            layout = optimizer.layout(self.combo)
+            report = state["report"] = self._gate_report(layout)
+            if not report.ok:
+                # Raised before the runner persists the layout.
+                shown = "\n".join(d.render() for d in report.errors[:5])
+                raise LayoutError(
+                    f"online relayout {self.combo!r} failed integrity "
+                    f"checks ({len(report.errors)} error(s)):\n{shown}"
+                )
+            return layout
 
         runner = PipelineRunner(
             StageGraph([Stage(
                 name="relayout", detail=f"{self.combo}@{fingerprint[:8]}",
-                outputs=(ArtifactSpec(name, load_layout, save_layout),),
-                build=build, gate=gate,
+                outputs=(ArtifactSpec(name, load, save_layout),),
+                build=build,
             )]),
             store=self.store,
             fingerprint=fingerprint,
             runlog=self.runlog,
-            # A corrupt cache entry degrades to a rebuild from scratch.
-            on_cache_reject=lambda _stage, _value: obs.counter(
-                "online.relayout.rejected_cache"
-            ).inc(),
         )
         try:
             artifact = runner.artifact(f"relayout:{self.combo}@{fingerprint[:8]}")
-        except StageGateError:
+        except LayoutError:
+            if state.get("report") is None or state["report"].ok:
+                raise  # not a gate refusal (e.g. an unknown combo)
             obs.counter("online.relayout.rejected").inc()
             if fallback is not None:
                 return fallback
-            report = state["report"]
-            shown = "\n".join(d.render() for d in report.errors[:5])
-            raise LayoutError(
-                f"online relayout {self.combo!r} failed integrity "
-                f"checks ({len(report.errors)} error(s)):\n{shown}"
-            ) from None
+            raise
         layout = artifact.value
-        # The gate (when on) already placed the value it passed.
-        address_map = getattr(state.get("report"), "address_map", None)
-        if address_map is None:
-            address_map = assign_addresses(self.binary, layout)
+        # The gate already placed the layout it passed.
+        address_map = state["report"].address_map
         if artifact.hit:
             # The optimizer is rebuilt lazily: a cached layout needs
             # no chaining until a later incremental rebuild asks.
@@ -173,8 +177,10 @@ class AdaptiveRelayout:
             cache=artifact.cache,
         )
 
-    def _gate_report(self, layout: Layout):
-        """Run the :func:`~repro.check.gate_layout` integrity gate."""
+    def _gate_report(self, layout: Layout) -> CheckReport:
+        """Run the :func:`~repro.check.check_all` integrity gate."""
         with obs.span("online.relayout.verify", combo=self.combo):
-            return gate_layout(self.binary, layout, target=f"online/{self.combo}")
+            return check_all(
+                self.binary, layout=layout, target=f"online/{self.combo}"
+            )
 

@@ -3,17 +3,16 @@
 The paper's profile → optimize → layout → simulate dataflow used to be
 re-implemented in each layer (harness experiments, figure sweeps, the
 scenario matrix, online relayout), each hand-wiring its own caching,
-fan-out, tracing, and gating.  This package is the one substrate they
+fan-out and tracing.  This package is the one substrate they
 all run on:
 
 - :class:`~repro.pipeline.stage.Stage` /
   :class:`~repro.pipeline.stage.ArtifactSpec` — one declared step and
   its cacheable products;
 - :class:`~repro.pipeline.graph.StageGraph` — validated, cycle-free,
-  deterministically ordered stage registry with a structural
-  :meth:`~repro.pipeline.graph.StageGraph.fingerprint`;
+  deterministically ordered stage registry;
 - :class:`~repro.pipeline.runner.PipelineRunner` — cache-aware
-  execution with run-log/obs accounting, gate hooks, and artifact keys
+  execution with run-log/obs accounting and artifact keys
   compatible with pre-pipeline caches (existing stores replay warm);
 - :func:`~repro.pipeline.fanout.parallel_map` /
   :func:`~repro.pipeline.fanout.resilient_map` — the one process

@@ -6,14 +6,12 @@ A :class:`StageGraph` is a mutable registry of
 relies on: unique keys, inputs that resolve to declared stages, no
 dependency cycles, and a :meth:`~StageGraph.topological_order` that is
 **deterministic and insertion-order independent** — two graphs with
-the same stages always execute (and fingerprint) identically no
-matter the order the stages were added in.
+the same stages always execute identically no matter the order the
+stages were added in.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Dict, Iterator, List, Optional
 
 from repro.errors import PipelineError
@@ -100,23 +98,3 @@ class StageGraph:
             for deps in remaining.values():
                 deps.difference_update(ready)
         return order
-
-    def fingerprint(self) -> str:
-        """Content hash of the graph *structure* (sha256, 20 hex chars).
-
-        Covers stage keys, sorted inputs, output artifact names, and
-        cache salts — not the build callables, which have no stable
-        serialized form (stages whose behavior changes should bump
-        ``cache_salt``).  Stable under any reordering of ``add`` calls.
-        """
-        payload = [
-            {
-                "key": stage.key,
-                "inputs": sorted(stage.inputs),
-                "outputs": [spec.name for spec in stage.outputs],
-                "salt": stage.cache_salt,
-            }
-            for _, stage in sorted(self._stages.items())
-        ]
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:20]

@@ -15,12 +15,6 @@ read share one file.  Every execution is timed and accounted in a
 pre-pipeline harness — plus ``pipeline.cache_hits`` /
 ``pipeline.cache_misses`` counters.
 
-Gate hooks: a stage's ``gate`` runs on every value.  A cached value
-failing the gate degrades to a rebuild (the ``on_cache_reject``
-callback and the ``pipeline.gate_rejected_cache`` counter record it);
-a *fresh* value failing raises
-:class:`~repro.errors.StageGateError` for the caller to absorb.
-
 Dependencies resolve lazily: ``build`` receives the runner and pulls
 inputs with :meth:`PipelineRunner.value` only when it needs them, so a
 stage served from the cache never forces its upstream stages.
@@ -28,10 +22,10 @@ stage served from the cache never forces its upstream stages.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
 
 from repro import obs
-from repro.errors import PipelineError, StageGateError
+from repro.errors import PipelineError
 from repro.pipeline.graph import StageGraph
 from repro.pipeline.runlog import CACHE_HIT, CACHE_MISS, CACHE_OFF, RunLog
 from repro.pipeline.stage import Artifact, ArtifactSpec, Stage, StageStatus
@@ -50,7 +44,6 @@ class PipelineRunner:
         store: Optional[ArtifactStore] = None,
         fingerprint: str = "",
         runlog: Optional[RunLog] = None,
-        on_cache_reject: Optional[Callable[[Stage, Any], None]] = None,
     ) -> None:
         self.graph = graph
         #: Disk cache for stage outputs (None disables persistence).
@@ -58,9 +51,6 @@ class PipelineRunner:
         #: Cache namespace — artifacts live at ``(fingerprint, name)``.
         self.fingerprint = fingerprint
         self.runlog = runlog or RunLog()
-        #: Called when a *cached* value fails the stage gate (the value
-        #: is then discarded and the stage rebuilt).
-        self.on_cache_reject = on_cache_reject
         self._artifacts: Dict[str, Artifact] = {}
         self._executing: Set[str] = set()
 
@@ -115,12 +105,6 @@ class PipelineRunner:
                         seconds=record.seconds,
                     )
             value = stage.build(self)
-            if stage.gate is not None and not stage.gate(value):
-                obs.counter("pipeline.gate_rejected").inc()
-                raise StageGateError(
-                    f"freshly built value for stage {stage.key!r} failed "
-                    f"its gate"
-                )
             if stage.outputs:
                 record.cache = CACHE_OFF if self.store is None else CACHE_MISS
                 if record.cache == CACHE_MISS:
@@ -134,8 +118,8 @@ class PipelineRunner:
     # -- store plumbing ------------------------------------------------------
 
     def _load(self, stage: Stage) -> Any:
-        """Every output from the store, or None (any missing/corrupt
-        output — or a gate rejection — degrades the stage to a miss).
+        """Every output from the store, or None (any missing, corrupt or
+        refused output degrades the stage to a miss).
 
         An output missing under the experiment fingerprint is first
         hard-linked in from the stage's share key, when it has one."""
@@ -149,13 +133,7 @@ class PipelineRunner:
             if obj is None:
                 return None
             values.append(obj)
-        value = values[0] if len(stage.outputs) == 1 else tuple(values)
-        if stage.gate is not None and not stage.gate(value):
-            obs.counter("pipeline.gate_rejected_cache").inc()
-            if self.on_cache_reject is not None:
-                self.on_cache_reject(stage, value)
-            return None
-        return value
+        return values[0] if len(stage.outputs) == 1 else tuple(values)
 
     def _output_values(self, stage: Stage, value: Any) -> Tuple[Any, ...]:
         """The stage value split per output spec."""

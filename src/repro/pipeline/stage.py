@@ -3,10 +3,8 @@
 A :class:`Stage` declares one pipeline step: its identity (``name``
 plus an optional ``detail``), the stages it consumes (``inputs``), the
 cacheable artifacts it produces (``outputs``, each an
-:class:`ArtifactSpec` naming the file and its loader/saver), the build
-function that computes the value, and an optional ``gate`` every
-value — freshly built *or* loaded from the cache — must pass before
-anyone downstream sees it.
+:class:`ArtifactSpec` naming the file and its loader/saver), and the
+build function that computes the value.
 
 :class:`Artifact` is the runner-side handle for one executed stage:
 the computed (or loaded) value plus its cache disposition, mirroring
@@ -33,7 +31,9 @@ class ArtifactSpec:
     (e.g. ``app.pkl``); ``loader``/``saver`` follow the
     :class:`~repro.harness.store.ArtifactStore` conventions —
     ``loader(path) -> object`` (any failure degrades to a cache miss)
-    and ``saver(object, path) -> None`` (written atomically).
+    and ``saver(object, path) -> None`` (written atomically).  A loader
+    that returns None also reads as a miss, so a consumer can refuse a
+    cached value it does not trust.
     """
 
     name: str
@@ -58,9 +58,7 @@ class Stage:
     :class:`~repro.pipeline.runner.PipelineRunner` (use
     ``runner.value(key)`` to read an input) and returns the stage
     value; a stage with several ``outputs`` returns one value per
-    spec, in order.  ``cache_salt`` folds extra state into the graph
-    fingerprint for stages whose build closure has no stable
-    serialized form.
+    spec, in order.
 
     ``share_key`` (see :func:`share_key`) names a second store
     directory for stages whose build reads only part of the experiment
@@ -74,11 +72,6 @@ class Stage:
     inputs: Tuple[str, ...] = ()
     outputs: Tuple[ArtifactSpec, ...] = ()
     build: Optional[Callable[[Any], Any]] = None
-    #: ``gate(value) -> bool``; False rejects the value.  A rejected
-    #: cached value degrades to a rebuild; a rejected fresh build
-    #: raises :class:`~repro.errors.StageGateError`.
-    gate: Optional[Callable[[Any], bool]] = None
-    cache_salt: str = ""
     share_key: str = ""
 
     def __post_init__(self) -> None:

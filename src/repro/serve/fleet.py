@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.cache import CacheGeometry
-from repro.check import gate_layout
+from repro.check import check_all
 from repro.errors import ConfigError, ServeError
 from repro.harness.store import layout_from_dict
 from repro.ir import AddressMap, assign_addresses
@@ -307,7 +307,7 @@ def _gate(binary, layout) -> Tuple[bool, Optional[AddressMap]]:
     returns the verdict and the gate's placement (None when the gate
     placed nothing)."""
     try:
-        report = gate_layout(binary, layout, target="fleet")
+        report = check_all(binary, layout=layout, target="fleet")
     except Exception:
         return False, None
     return report.ok, report.address_map

@@ -159,7 +159,8 @@ class ProfileSubmit(Message):
         """Rebuild the profile against the server's binary.
 
         Raises :class:`~repro.errors.ProtocolError` when the submission
-        belongs to a different binary (name or block-count mismatch).
+        belongs to a different binary (name or block-count mismatch) or
+        holds a count or edge that is not an integer triple.
         """
         if self.binary != binary.name:
             raise ProtocolError(
@@ -172,9 +173,12 @@ class ProfileSubmit(Message):
                 f"binary has {binary.num_blocks}"
             )
         profile = Profile(binary)
-        profile.block_counts = np.asarray(self.block_counts, dtype=np.int64)
-        for src, dst, count in self.edges:
-            profile.edge_counts[(int(src), int(dst))] = int(count)
+        try:
+            profile.block_counts = np.asarray(self.block_counts, dtype=np.int64)
+            for src, dst, count in self.edges:
+                profile.edge_counts[(int(src), int(dst))] = int(count)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ProtocolError(f"malformed profile counts: {exc}") from None
         return profile
 
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.check import gate_layout
+from repro.check import check_all
 from repro.errors import LayoutError, ProtocolError, ServeError
 from repro.harness.store import ArtifactStore
 from repro.ir import Binary, Layout
@@ -450,11 +450,11 @@ class LayoutServer:
         return response
 
     def _gate_ok(self, layout: Layout) -> bool:
-        """The :func:`~repro.check.gate_layout` swap gate over one
+        """The :func:`~repro.check.check_all` swap gate over one
         layout."""
         with obs.span("serve.gate"):
             try:
-                report = gate_layout(self.binary, layout, target="serve")
+                report = check_all(self.binary, layout=layout, target="serve")
             except Exception:
                 report = None
         if report is not None and report.ok:

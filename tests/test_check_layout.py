@@ -8,9 +8,9 @@ import pytest
 
 from repro.errors import LayoutError
 from repro.check import (
+    check_all,
     check_layout,
     verify_chaining,
-    verify_layout,
     verify_split_units,
     verify_unit_permutation,
 )
@@ -161,12 +161,13 @@ class TestAddressMapMutations:
         codes = check_layout(optimizer.binary, layout, amap).codes()
         assert "LAY008" in codes
 
-    def test_verify_layout_raises_on_corruption(self, optimizer):
+    def test_gate_reports_corrupt_address_map(self, optimizer):
         layout = optimizer.layout("all")
         amap = assign_addresses(optimizer.binary, layout)
         amap.appended_branches.clear()
-        with pytest.raises(LayoutError, match="LAY008"):
-            verify_layout(optimizer.binary, layout, amap)
+        report = check_all(optimizer.binary, layout=layout, address_map=amap)
+        assert not report.ok and "LAY008" in report.codes()
+        assert report.address_map is amap
 
 
 class TestStructuralVerifiers:
@@ -192,9 +193,8 @@ class TestStructuralVerifiers:
         from repro.ir import SEGMENT_ENDING
 
         name = optimizer.binary.proc_order()[0]
-        units = split_chains(
-            optimizer.binary, optimizer.chainings()[name], verify=True
-        )
+        units = split_chains(optimizer.binary, optimizer.chainings()[name])
+        verify_split_units(optimizer.binary, name, units)
         # Fuse across a boundary created by an unconditional transfer
         # (a chain-tail segment may legitimately end without one).
         first = next(

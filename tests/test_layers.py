@@ -1,6 +1,8 @@
 """The package graph has no import cycles: every package imports first
-in a fresh interpreter, and the simulator loads nothing above the IR."""
+in a fresh interpreter, the simulator loads nothing above the IR, and
+the layout optimizer does not load the checks that gate its output."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -42,13 +44,20 @@ SCRIPT = textwrap.dedent("""
     purge()
     import repro.sim
     loaded = sorted({m.split(".")[1] for m in sys.modules if m.startswith("repro.")})
-    print(json.dumps({"names": names, "failures": failures, "sim": loaded}))
+    purge()
+    import repro.layout
+    layout_checks = sorted(m for m in sys.modules if m.startswith("repro.check"))
+    print(json.dumps({
+        "names": names, "failures": failures, "sim": loaded,
+        "layout_checks": layout_checks,
+    }))
 """)
 
 #: Layers above the simulator that ``import repro.sim`` must not load.
 ABOVE_SIM = ("db", "execution", "progen", "workloads", "osmodel", "harness")
 
 
+@functools.lru_cache(maxsize=None)
 def _probe():
     import json
 
@@ -67,3 +76,7 @@ def test_every_package_imports_first_and_sim_stays_below_the_dbms():
     assert "repro.sim" in probe["names"] and "repro.cache" in probe["names"]
     assert probe["failures"] == {}
     assert set(probe["sim"]) & set(ABOVE_SIM) == set()
+
+
+def test_layout_loads_no_check_module():
+    assert _probe()["layout_checks"] == []

@@ -131,7 +131,7 @@ def test_quick_combos_match_reference(exp, side, source, monkeypatch):
     """Every ordering a quick-config combo runs equals the reference's."""
     calls = []
 
-    def checked(binary, units, graph, block_counts, max_displacement, verify):
+    def checked(binary, units, graph, block_counts, max_displacement):
         calls.append(len(units))
         return assert_same_ordering(
             binary, units, graph, block_counts, max_displacement

@@ -9,7 +9,7 @@ import pytest
 
 from repro import obs
 from repro.errors import ServeError
-from repro.check import gate_layout
+from repro.check import check_all
 from repro.harness.store import ArtifactStore, layout_from_dict, layout_to_dict
 from repro.layout import SpikeOptimizer
 from repro.serve import server as server_module
@@ -153,6 +153,25 @@ class TestRequestHandling:
         reply = client._call(submit)
         assert isinstance(reply, ErrorResponse)
         assert "does not match" in reply.message
+        assert counter_value("serve.bad_submissions") == before + 1
+
+    @pytest.mark.parametrize("field", ["block_counts", "edges"])
+    def test_non_numeric_counts_get_error_response(
+        self, running_server, serve_env, field
+    ):
+        _, (profile, _) = serve_env
+        submit = ProfileSubmit.from_profile(profile)
+        if field == "block_counts":
+            submit.block_counts = ["a"] * len(submit.block_counts)
+        else:
+            submit.edges = [[0, 1, "many"]]
+        before = counter_value("serve.bad_submissions")
+        with socket.create_connection(running_server.address, timeout=5) as sock:
+            sock.sendall(encode_message(submit))
+            with sock.makefile("rb") as stream:
+                reply = read_message_sync(stream)
+        assert isinstance(reply, ErrorResponse)
+        assert "malformed profile counts" in reply.message
         assert counter_value("serve.bad_submissions") == before + 1
 
     def test_garbage_frame_gets_error_response(self, running_server):
@@ -437,8 +456,8 @@ class TestSwapGate:
             assert counter_value("serve.gate_rejected") == before + 2
             assert len(handle.server.cache) == 0
             for reply in replies:
-                assert gate_layout(
-                    binary, layout_from_dict(reply.layout), target="test"
+                assert check_all(
+                    binary, layout=layout_from_dict(reply.layout), target="test"
                 ).ok
         finally:
             handle.stop()
