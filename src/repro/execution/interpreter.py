@@ -13,7 +13,10 @@ static helpers (``SubCall``) are inlined, and a loop whose body consumes
 no child events runs its body once and repeats the emitted ids, because
 every iteration sees the same bindings.  Templates are kept on the
 program object, per block offset, so walkers over the same programs
-share them; they are never pickled.  The output and the errors are
+share them; they are never pickled.  An
+:class:`~repro.harness.store.ArtifactStore` hands every experiment over
+it the same program objects, so the experiments of one scenario-matrix
+pass compile each template once.  The output and the errors are
 those of walking the DSL tree node by node (``tests/walker_reference.py``
 keeps that walker as the oracle).
 """

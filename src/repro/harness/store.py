@@ -29,19 +29,25 @@ Artifacts whose build reads only part of the configuration (the
 programs, the database) are also hard-linked under a *share key*
 directory, ``<root>/<share key>/<name>``, so experiments that differ
 elsewhere reuse one file (see :class:`~repro.pipeline.stage.Stage`).
+The store also holds one in-memory value per share-key file
+(:meth:`ArtifactStore.hold` / :meth:`ArtifactStore.recall`): every
+experiment over the same store gets the same program and database
+objects, unpickled once, for as long as that file keeps its identity.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
 import pathlib
 import pickle
 import shutil
+import time
 import uuid
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -247,6 +253,22 @@ def default_cache_dir() -> pathlib.Path:
     return pathlib.Path(base).expanduser() / "repro"
 
 
+#: A file written less than this long ago may be rewritten within the
+#: same tick of the file-system clock (1-2 s on some file systems)
+#: without its (inode, size, mtime) changing, so a value held for it
+#: is checked against the file's digest as well.
+_RACY_NS = 2_000_000_000
+
+
+def _file_identity(path: pathlib.Path) -> Tuple[int, int, int]:
+    stat = path.stat()
+    return (stat.st_ino, stat.st_size, stat.st_mtime_ns)
+
+
+def _file_digest(path: pathlib.Path) -> bytes:
+    return hashlib.sha1(path.read_bytes()).digest()
+
+
 @dataclass
 class StoreInfo:
     """Summary of an :class:`ArtifactStore`'s contents."""
@@ -266,10 +288,16 @@ class ArtifactStore:
     only provides paths and bookkeeping; serialization stays in the
     module-level ``save_*``/``load_*`` helpers so artifacts remain
     readable without a store.
+
+    Values loaded or saved under a share key are also held in memory,
+    one per ``(share key, name)``, so every pipeline over this store
+    shares one object (see :meth:`recall`).
     """
 
     def __init__(self, root: PathLike) -> None:
         self.root = pathlib.Path(root).expanduser()
+        #: (share key, name) -> (file identity, digest or None, value).
+        self._held: Dict[Tuple[str, str], Tuple[Any, ...]] = {}
 
     def path(self, fingerprint: str, name: str) -> pathlib.Path:
         """Where the artifact for ``(fingerprint, name)`` lives."""
@@ -289,7 +317,8 @@ class ArtifactStore:
         """Load one artifact through ``loader(path)``.
 
         Returns None on a miss; any load failure (missing, corrupt,
-        stale) degrades to a miss so callers recompute.  Hits, misses,
+        stale), or a loader returning None to refuse the entry, degrades
+        to a miss so callers recompute.  Hits, misses,
         errors, and bytes read feed the ``store.*`` metrics
         (:mod:`repro.obs`).
         """
@@ -306,9 +335,53 @@ class ArtifactStore:
             obs.counter("store.errors").inc()
             obs.counter("store.misses").inc()
             return None
+        if obj is None:  # the loader refused the entry
+            obs.counter("store.misses").inc()
+            return None
         obs.counter("store.hits").inc()
         obs.counter("store.bytes_read").inc(path.stat().st_size)
         return obj
+
+    def hold(self, key: str, name: str, value, fingerprint: str) -> None:
+        """Hold ``value``, just read from or written to ``(fingerprint,
+        name)``, as the in-memory copy of the ``(key, name)`` file.
+
+        :meth:`recall` serves it while ``(key, name)`` is that same
+        file, unchanged; a file that cannot be read is not held."""
+        path = self.path(fingerprint, name)
+        try:
+            identity = _file_identity(path)
+            digest = None
+            if time.time_ns() - identity[2] < _RACY_NS:
+                digest = _file_digest(path)
+        except OSError:
+            return
+        self._held[(key, name)] = (identity, digest, value)
+
+    def recall(self, key: str, name: str):
+        """The value held for ``(key, name)``, or None.
+
+        A file whose ``(inode, size, mtime)`` -- or, when it was held
+        under ``_RACY_NS`` after its last write, whose digest -- differs
+        from the held one (replaced, truncated or rewritten in place) is
+        a miss and drops the value, so the caller reads and checks the
+        file again.  Hits count ``store.shared_hits``."""
+        entry = self._held.get((key, name))
+        if entry is None:
+            return None
+        identity, digest, value = entry
+        path = self.path(key, name)
+        try:
+            same = _file_identity(path) == identity and (
+                digest is None or _file_digest(path) == digest
+            )
+        except OSError:
+            same = False
+        if not same:
+            self._held.pop((key, name), None)
+            return None
+        obs.counter("store.shared_hits").inc()
+        return value
 
     def save(self, fingerprint: str, name: str, obj, saver) -> int:
         """Persist one artifact through ``saver(obj, path)``.
@@ -381,7 +454,9 @@ class ArtifactStore:
         )
 
     def clear(self) -> int:
-        """Delete every cached artifact; returns experiments removed."""
+        """Delete every cached artifact (and every held value); returns
+        experiments removed."""
+        self._held.clear()
         removed = 0
         if self.root.is_dir():
             for entry in list(self.root.iterdir()):

@@ -8,7 +8,11 @@ pre-pipeline code replay warm), otherwise build and persist
 atomically.  A stage with a ``share_key`` also links its outputs
 under that key and, on a miss, links them back in from it, so
 experiments whose configurations differ only where the stage does not
-read share one file.  Every execution is timed and accounted in a
+read share one file.  The store also holds the value of each
+share-keyed file in memory
+(:meth:`~repro.harness.store.ArtifactStore.recall`), so those
+experiments share one object too, loaded or built once per store.
+Every execution is timed and accounted in a
 :class:`~repro.pipeline.runlog.RunLog` under the stage's
 ``name[:detail]`` — run-log lines, ``stage.<name>`` spans, and
 ``pipeline.<name>.seconds`` histograms are byte-compatible with the
@@ -121,17 +125,27 @@ class PipelineRunner:
         """Every output from the store, or None (any missing, corrupt or
         refused output degrades the stage to a miss).
 
-        An output missing under the experiment fingerprint is first
-        hard-linked in from the stage's share key, when it has one."""
+        A share-keyed output is first looked up among the store's held
+        values, and one missing under the experiment fingerprint is
+        hard-linked in from the share key; a value read from disk is
+        then held for the next experiment."""
         if self.store is None:
             return None
         values = []
         for spec in stage.outputs:
-            if stage.share_key and not self.store.has(self.fingerprint, spec.name):
-                self.store.link(stage.share_key, self.fingerprint, spec.name)
-            obj = self.store.load(self.fingerprint, spec.name, spec.loader)
+            obj = None
+            if stage.share_key:
+                obj = self.store.recall(stage.share_key, spec.name)
+                if not self.store.has(self.fingerprint, spec.name):
+                    self.store.link(stage.share_key, self.fingerprint, spec.name)
             if obj is None:
-                return None
+                obj = self.store.load(self.fingerprint, spec.name, spec.loader)
+                if obj is None:
+                    return None
+                if stage.share_key:
+                    self.store.hold(
+                        stage.share_key, spec.name, obj, self.fingerprint
+                    )
             values.append(obj)
         return values[0] if len(stage.outputs) == 1 else tuple(values)
 
@@ -158,11 +172,13 @@ class PipelineRunner:
         )
 
     def _save_one(self, stage: Stage, spec: ArtifactSpec, obj: Any) -> int:
-        """Write one output under the experiment fingerprint and link
-        it under the stage's share key; returns bytes written."""
+        """Write one output under the experiment fingerprint, link it
+        under the stage's share key and hold it there; returns bytes
+        written."""
         written = self.store.save(self.fingerprint, spec.name, obj, spec.saver)
         if written and stage.share_key:
             self.store.link(self.fingerprint, stage.share_key, spec.name)
+            self.store.hold(stage.share_key, spec.name, obj, self.fingerprint)
         return written
 
     # -- persistence & introspection ----------------------------------------

@@ -208,6 +208,30 @@ class TestRelayoutGate:
         assert again.cache == "hit"
         assert obs.counter("online.relayout.rejected_cache").value == rejected + 1
 
+    def test_refused_cached_layout_counts_a_miss_not_a_hit(
+        self, program, profile, tmp_path
+    ):
+        from repro.harness.store import ArtifactStore, save_layout
+
+        store = ArtifactStore(tmp_path)
+        bad = corrupt(SpikeOptimizer(program.binary, profile).layout("all"))
+        save_layout(
+            bad,
+            store.prepare(profile.fingerprint(), "online-layout-all.json"),
+        )
+        names = (
+            "store.hits", "store.misses", "store.bytes_read", "store.errors",
+            "online.relayout.rejected_cache",
+        )
+        before = {name: obs.counter(name).value for name in names}
+        AdaptiveRelayout(program.binary, store=store).rebuild(profile)
+        deltas = {
+            name: obs.counter(name).value - before[name] for name in names
+        }
+        assert {name: d for name, d in deltas.items() if d} == {
+            "store.misses": 1, "online.relayout.rejected_cache": 1,
+        }
+
     def test_corrupt_fresh_layout_is_not_persisted(
         self, program, profile, monkeypatch, tmp_path
     ):

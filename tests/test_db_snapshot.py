@@ -124,6 +124,28 @@ def test_restored_database_equals_a_fresh_load(config, pool, order):
     )
 
 
+@given(
+    config=scales,
+    pool=st.sampled_from([4, 8, 1024]),
+    order=st.sampled_from([4, 8, 64]),
+)
+def test_restoring_leaves_the_snapshot_unchanged(config, pool, order):
+    """One snapshot object restored into two engines: both runs are
+    bit-identical and the snapshot is as it was (experiments over one
+    store share one snapshot object)."""
+    snapshot = snapshot_database(config, pool, order)
+    data = snapshot.to_bytes()
+    runs = []
+    for _ in range(2):
+        engine, trace = restored(snapshot, pool, order)
+        results = run_transactions(engine, config, 3)
+        runs.append(
+            (results, events(trace), engine_state(engine, trace))
+        )
+    assert runs[0] == runs[1]
+    assert snapshot.to_bytes() == data
+
+
 def test_salt_counter_matches_a_recording_trace():
     config = TpcbConfig(branches=2, accounts_per_branch=30)
     counter = SaltCounter()
