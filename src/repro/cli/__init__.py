@@ -3,11 +3,9 @@
 Commands:
 
 * ``info``     -- describe the generated binaries and configuration.
-* ``figure``   -- regenerate one or more paper figures as text tables.
-* ``sweep``    -- run the Figure 4/5 cache sweep.
-* ``sim-bench`` -- time the fig04 sweep under the batched and classic
-  engines, verify bit-identical miss counts, and record the gate.
-* ``ablation`` -- run the Figure 7 optimization ablation.
+* ``figure``   -- regenerate one or more paper figures as text tables
+  (``figure fig04 fig05`` is the Figure 4/5 cache sweep, ``figure
+  fig07`` the optimization ablation, ``figure all`` every table).
 * ``online``   -- online adaptation on a phase-shifting workload
   (static decay vs adaptive re-layout, epoch by epoch).
 * ``serve``    -- run the layout-optimization service: profile
@@ -42,13 +40,11 @@ worker processes with bit-identical output.  A per-stage run log
 (wall time, cache hit/miss, bytes) is printed to stderr after each
 command unless ``--quiet`` is given.  ``--trace PATH`` records
 :mod:`repro.obs` spans to a JSONL file for ``report``/``trace-export``.
-The shared flags may be given before or after the subcommand; the
-direct-mapped sweep figures additionally take ``--engine
-{batched,classic}`` (default ``batched``, the single-pass
-:mod:`repro.sim` engine).  ``figure``/``sweep``/``scenarios`` take
-``--profile-source {measured,static,hybrid}`` to build the optimized
-layouts from the profile-free static prediction instead of the
-profiling run (see ``docs/STATIC.md``).
+The shared flags may be given before or after the subcommand.
+``figure``/``scenarios`` take ``--profile-source
+{measured,static,hybrid}`` to build the optimized layouts from the
+profile-free static prediction instead of the profiling run (see
+``docs/STATIC.md``).
 
 Package layout: one module per subcommand family, each exposing
 ``register(sub, shared) -> {command: handler}``.  ``main`` walks the
@@ -70,7 +66,7 @@ from repro.cli._common import add_shared_flags
 #: ``shared`` as the inheritable flag parent) and returns the
 #: ``{command-name: handler(args, out) -> int}`` entries it owns.
 COMMAND_MODULES = (
-    figures,    # info, figure, sweep, ablation, sim-bench
+    figures,    # info, figure
     online,     # online
     serving,    # serve, fleet
     scenarios,  # scenarios, static-bench

@@ -23,36 +23,32 @@ from repro.harness import (
     quick_experiment,
 )
 
-#: figure name -> callable(exp, engine) returning one or more Tables.
-#: Only the direct-mapped sweep figures consume ``engine``.
+#: figure name -> callable(exp, sweep) returning one or more Tables.
+#: ``sweep(combo)`` is the command's memo of
+#: :func:`~repro.harness.figures.fig04_cache_sweep`, so fig04 and fig05
+#: share one grid per combo.
 FIGURES: Dict[str, Callable] = {
-    "fig03": lambda exp, engine: [figures.fig03_execution_profile(exp)],
-    "fig04": lambda exp, engine: [
-        figures.fig04_table(
-            figures.fig04_cache_sweep(exp, combo, engine=engine), combo
-        )
-        for combo in ("base", "all")
+    "fig03": lambda exp, sweep: [figures.fig03_execution_profile(exp)],
+    "fig04": lambda exp, sweep: [
+        figures.fig04_table(sweep(combo), combo) for combo in ("base", "all")
     ],
-    "fig05": lambda exp, engine: [
-        figures.fig05_relative(
-            figures.fig04_cache_sweep(exp, "base", engine=engine),
-            figures.fig04_cache_sweep(exp, "all", engine=engine),
-        )
+    "fig05": lambda exp, sweep: [
+        figures.fig05_relative(sweep("base"), sweep("all"))
     ],
-    "fig06": lambda exp, engine: [figures.fig06_associativity(exp)],
-    "fig07": lambda exp, engine: [figures.fig07_ablation(exp)],
-    "fig08": lambda exp, engine: list(figures.fig08_sequences(exp)),
-    "fig12": lambda exp, engine: [
+    "fig06": lambda exp, sweep: [figures.fig06_associativity(exp)],
+    "fig07": lambda exp, sweep: [figures.fig07_ablation(exp)],
+    "fig08": lambda exp, sweep: list(figures.fig08_sequences(exp)),
+    "fig12": lambda exp, sweep: [
         figures.fig12_combined(exp, "base"),
         figures.fig12_combined(exp, "all"),
     ],
-    "fig13": lambda exp, engine: [
+    "fig13": lambda exp, sweep: [
         figures.fig13_interference(exp, "base"),
         figures.fig13_interference(exp, "all"),
     ],
-    "fig14": lambda exp, engine: [figures.fig14_itlb_l2(exp)],
-    "fig15": lambda exp, engine: [figures.fig15_exec_time(exp)],
-    "packing": lambda exp, engine: [figures.text_packing(exp)],
+    "fig14": lambda exp, sweep: [figures.fig14_itlb_l2(exp)],
+    "fig15": lambda exp, sweep: [figures.fig15_exec_time(exp)],
+    "packing": lambda exp, sweep: [figures.text_packing(exp)],
 }
 
 
@@ -117,15 +113,6 @@ def experiment_from(args):
     if args.command not in ("serve",):
         exp.profile_source = getattr(args, "profile_source", "measured")
     return exp
-
-
-def warm(exp) -> None:
-    """Touch every expensive stage so the run log covers the whole
-    pipeline (codegen, profile, trace) even when layouts are cached."""
-    _ = exp.app
-    _ = exp.kernel
-    _ = exp.profile
-    _ = exp.trace
 
 
 def emit_runlog(exp, args) -> None:

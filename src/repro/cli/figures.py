@@ -1,24 +1,17 @@
-"""Figure-family subcommands: ``info``, ``figure``, ``sweep``,
-``ablation``, and ``sim-bench`` — everything that renders paper tables
-from one :class:`~repro.harness.experiment.Experiment`."""
+"""Figure-family subcommands: ``info`` describes the generated system
+and ``figure`` renders every paper table from one
+:class:`~repro.harness.experiment.Experiment`."""
 
 from __future__ import annotations
 
-import sys
+import functools
 from typing import Dict, List
 
 from repro.analysis import dynamic_footprint_bytes
 from repro.harness import figures, write_benchmark_json
-from repro.harness.figures import Table
-from repro.sim import simulate_grid
 from repro.staticpred import PROFILE_SOURCES
 
-from repro.cli._common import (
-    FIGURES,
-    emit_runlog,
-    experiment_from,
-    warm,
-)
+from repro.cli._common import FIGURES, emit_runlog, experiment_from
 
 
 def register(sub, shared) -> Dict:
@@ -39,62 +32,13 @@ def register(sub, shared) -> Dict:
         help="also write each table as BENCH_<figure>.json under DIR",
     )
     figure.add_argument(
-        "--engine", choices=("batched", "classic"), default="batched",
-        help="direct-mapped sweep engine for fig04/fig05 (default "
-        "batched; classic is the per-cell cross-check path)",
-    )
-    figure.add_argument(
         "--profile-source", choices=PROFILE_SOURCES, default="measured",
         help="profile the optimized layouts are built from (default "
         "measured; 'static' is the profile-free CFG prediction, "
         "'hybrid' blends both -- see docs/STATIC.md)",
     )
 
-    sweep = sub.add_parser(
-        "sweep", help="Figure 4/5 cache sweep (base + optimized)",
-        parents=[shared],
-    )
-    sweep.add_argument(
-        "--engine", choices=("batched", "classic"), default="batched",
-        help="direct-mapped sweep engine (default batched)",
-    )
-    sweep.add_argument(
-        "--profile-source", choices=PROFILE_SOURCES, default="measured",
-        help="profile the optimized layouts are built from (default "
-        "measured; see docs/STATIC.md)",
-    )
-    sub.add_parser(
-        "ablation", help="Figure 7 optimization ablation", parents=[shared]
-    )
-
-    simbench = sub.add_parser(
-        "sim-bench",
-        help="time the fig04 sweep under both engines and verify "
-        "bit-identical miss counts",
-        parents=[shared],
-    )
-    simbench.add_argument(
-        "--check", action="store_true",
-        help="exit 1 unless the batched engine matches classic exactly "
-        "and is >= 2x faster",
-    )
-    simbench.add_argument(
-        "--save-json", default=None, metavar="DIR",
-        help="write the gate result as BENCH_sim_fig04.json under DIR "
-        "(for 'repro bench-diff' against the committed baseline)",
-    )
-    simbench.add_argument(
-        "--min-speedup", type=float, default=2.0, metavar="X",
-        help="speedup the gate requires (default 2.0)",
-    )
-
-    return {
-        "info": _cmd_info,
-        "figure": _cmd_figure,
-        "sweep": _cmd_sweep,
-        "ablation": _cmd_ablation,
-        "sim-bench": _cmd_sim_bench,
-    }
+    return {"info": _cmd_info, "figure": _cmd_figure}
 
 
 def _cmd_info(args, out) -> int:
@@ -151,8 +95,11 @@ def _cmd_figure(args, out) -> int:
     names: List[str] = (
         sorted(FIGURES) if "all" in args.names else list(dict.fromkeys(args.names))
     )
+    sweep = functools.lru_cache(maxsize=None)(
+        functools.partial(figures.fig04_cache_sweep, exp)
+    )
     for name in names:
-        tables = FIGURES[name](exp, args.engine)
+        tables = FIGURES[name](exp, sweep)
         for index, table in enumerate(tables):
             out.write(table.render() + "\n")
             if args.save_json:
@@ -161,86 +108,5 @@ def _cmd_figure(args, out) -> int:
                     table,
                     args.save_json,
                 )
-    emit_runlog(exp, args)
-    return 0
-
-
-def _cmd_sweep(args, out) -> int:
-    exp = experiment_from(args)
-    warm(exp)
-    base = figures.fig04_cache_sweep(exp, "base", engine=args.engine)
-    opt = figures.fig04_cache_sweep(exp, "all", engine=args.engine)
-    out.write(figures.fig04_table(base, "base").render() + "\n")
-    out.write(figures.fig04_table(opt, "all").render() + "\n")
-    out.write(figures.fig05_relative(base, opt).render() + "\n")
-    emit_runlog(exp, args)
-    return 0
-
-
-def _cmd_sim_bench(args, out) -> int:
-    """Time the fig04 sweep under both engines on identical streams.
-
-    The gate is recorded as boolean ``ratio_ok`` rows (1 = pass) rather
-    than raw seconds, so ``repro bench-diff`` against the committed
-    baseline stays machine-independent: a pass-to-fail flip shows up as
-    a -100% regression; timing jitter never trips it.
-    """
-    import time as _time
-
-    exp = experiment_from(args)
-    warm(exp)
-    streams = {
-        combo: exp.streams(combo, scope="app") for combo in ("base", "all")
-    }
-    jobs = exp.jobs
-    timings: Dict[str, float] = {}
-    grids: Dict[str, dict] = {}
-    for engine in ("classic", "batched"):
-        start = _time.perf_counter()
-        grids[engine] = {
-            combo: simulate_grid(
-                streams[combo],
-                figures.SWEEP_SIZES,
-                figures.SWEEP_LINES,
-                jobs=jobs,
-                engine=engine,
-            )
-            for combo in ("base", "all")
-        }
-        timings[engine] = _time.perf_counter() - start
-    identical = grids["classic"] == grids["batched"]
-    speedup = timings["classic"] / max(timings["batched"], 1e-9)
-    speedup_ok = speedup >= args.min_speedup
-
-    table = Table(
-        title="sim-bench: fig04 sweep, batched vs classic engine",
-        columns=["metric", "ratio_ok"],
-        rows=[
-            ["identical_misses", int(identical)],
-            [f"speedup_ge_{args.min_speedup:g}x", int(speedup_ok)],
-        ],
-        notes=[
-            f"classic {timings['classic']:.3f}s, batched "
-            f"{timings['batched']:.3f}s, speedup {speedup:.2f}x "
-            f"(jobs={jobs}; timings informational, not gated)",
-        ],
-    )
-    out.write(table.render() + "\n")
-    if args.save_json:
-        write_benchmark_json("sim_fig04", table, args.save_json)
-    emit_runlog(exp, args)
-    if args.check and not (identical and speedup_ok):
-        sys.stderr.write(
-            f"sim-bench check FAILED: identical_misses={identical} "
-            f"speedup={speedup:.2f}x (need >= {args.min_speedup:g}x)\n"
-        )
-        return 1
-    return 0
-
-
-def _cmd_ablation(args, out) -> int:
-    exp = experiment_from(args)
-    warm(exp)
-    out.write(figures.fig07_ablation(exp).render() + "\n")
     emit_runlog(exp, args)
     return 0

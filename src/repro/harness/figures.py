@@ -178,7 +178,9 @@ def fig04_cache_sweep(
     ``engine`` picks the sweep implementation: ``"batched"`` (default)
     evaluates the whole grid in one pass per stream chunk,
     ``"classic"`` runs the per-cell reference engine.  Both are
-    bit-identical (CI cross-checks them).
+    bit-identical (``tests/test_sim_equivalence.py`` checks them on the
+    quick experiment's streams against each other, a per-cell
+    ``lru_pass`` and the committed fig04 baselines).
     """
     with exp.runlog.stage("sweep", f"fig04:{combo}:{engine}"):
         return simulate_grid(

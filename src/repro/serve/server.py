@@ -35,7 +35,7 @@ import asyncio
 import functools
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
@@ -71,6 +71,12 @@ from repro.serve.protocol import (
     read_message,
 )
 from repro.staticpred import synthesize_profile
+
+#: Builds whose queue waits :meth:`LayoutServer.queue_wait_p95_ms`
+#: reads: the most recent ones, so a long-running server holds a
+#: bounded window (the ``serve.queue_wait_ms`` histogram keeps the
+#: lifetime summary).
+QUEUE_WAIT_WINDOW = 1024
 
 
 def serve_counters() -> Dict[str, int]:
@@ -156,7 +162,9 @@ class LayoutServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._writers: List[asyncio.StreamWriter] = []
         self._started_at = time.time()
-        self._queue_waits_ms: List[float] = []
+        self._queue_waits_ms: "deque[float]" = deque(
+            maxlen=QUEUE_WAIT_WINDOW
+        )
         #: (host, port) or the unix path once the server is listening.
         self.address: Optional[Tuple[str, int]] = None
 
@@ -474,7 +482,8 @@ class LayoutServer:
     # -- introspection ----------------------------------------------------
 
     def queue_wait_p95_ms(self) -> float:
-        """The 95th-percentile optimization queue wait so far (ms)."""
+        """The 95th-percentile queue wait (ms) of the latest
+        :data:`QUEUE_WAIT_WINDOW` optimizations."""
         waits = sorted(self._queue_waits_ms)
         if not waits:
             return 0.0

@@ -45,10 +45,24 @@ class TestCli:
             run_cli()
 
     def test_ablation(self):
-        code, text = run_cli("ablation")
+        code, text = run_cli("figure", "fig07")
         assert code == 0
         assert "Figure 7" in text
         assert "chain+porder" in text
+
+    def test_fig04_fig05_sweep_each_combo_once(self):
+        # fig05 is drawn from fig04's grids: one sweep per combo.  The
+        # CLI's quick experiment is memoized per process, so only the
+        # records this command appends are counted.
+        from repro.harness import quick_experiment
+
+        log = quick_experiment().runlog
+        before = len(log.records)
+        code, text = run_cli("--quiet", "figure", "fig04", "fig05")
+        assert code == 0
+        assert "Figure 4 (base)" in text and "Figure 5" in text
+        sweeps = [r.detail for r in log.records[before:] if r.stage == "sweep"]
+        assert sweeps == ["fig04:base:batched", "fig04:all:batched"]
 
     def test_packing(self):
         code, text = run_cli("figure", "packing")
@@ -64,7 +78,7 @@ class TestCacheAndJobsFlags:
 
     def test_cache_populated_and_cleared(self, tmp_path):
         cache = str(tmp_path / "c")
-        code, _ = run_cli("--cache-dir", cache, "--quiet", "ablation")
+        code, _ = run_cli("--cache-dir", cache, "--quiet", "figure", "fig07")
         assert code == 0
         code, text = run_cli("--cache-dir", cache, "cache", "info")
         assert code == 0
@@ -76,9 +90,11 @@ class TestCacheAndJobsFlags:
         assert "experiments:  0" in text
 
     def test_jobs_output_matches_serial(self):
-        code_serial, serial = run_cli("--no-cache", "--quiet", "ablation")
+        code_serial, serial = run_cli(
+            "--no-cache", "--quiet", "figure", "fig07"
+        )
         code_jobs, parallel = run_cli(
-            "--no-cache", "--quiet", "--jobs", "4", "ablation"
+            "--no-cache", "--quiet", "--jobs", "4", "figure", "fig07"
         )
         assert code_serial == code_jobs == 0
         assert parallel == serial
@@ -246,6 +262,13 @@ class TestLint:
             pytest.param(("lint", "--scan=src"), id="--scan=src"),
             pytest.param(("lint", "--no-deprecations"), id="--no-deprecations"),
             pytest.param(("serve", "--no-verify"), id="serve--no-verify"),
+            pytest.param(("sweep",), id="sweep"),
+            pytest.param(("ablation",), id="ablation"),
+            pytest.param(("sim-bench", "--check"), id="sim-bench--check"),
+            pytest.param(
+                ("figure", "fig04", "--engine", "classic"),
+                id="figure--engine",
+            ),
         ],
     )
     def test_removed_options_are_argparse_errors(self, argv):

@@ -498,3 +498,43 @@ class TestPerServerBinary:
                 second.stop()
         finally:
             first.stop()
+
+
+class TestQueueWaitWindow:
+    def test_p95_reads_only_the_latest_builds(self, serve_env, monkeypatch):
+        """The per-server queue-wait record is a bounded window: after
+        more builds than it holds, only the latest waits remain and the
+        p95 comes from them alone."""
+        binary, profiles = serve_env
+        waits = [500.0, 400.0, 3.0, 2.0, 1.0]
+        scripted = list(waits)
+        original = server_module._optimize_task
+
+        def scripted_optimize(submit, combo, enqueued_at):
+            outcome = original(submit, combo, enqueued_at)
+            outcome["queue_wait_ms"] = scripted.pop(0)
+            return outcome
+
+        monkeypatch.setattr(server_module, "QUEUE_WAIT_WINDOW", 3)
+        monkeypatch.setattr(
+            server_module, "_optimize_task", scripted_optimize
+        )
+        handle = ServerThread.start(
+            binary, store=None, config=ServerConfig(workers=0)
+        )
+        try:
+            client = make_client(handle, max_attempts=1)
+            requests = [
+                (profile, combo)
+                for profile in profiles
+                for combo in ("base", "chain", "all")
+            ][: len(waits)]
+            for profile, combo in requests:
+                reply = client.fetch_layout(profile, combo)
+                assert reply.ok and reply.source == SOURCE_BUILT, reply
+            assert scripted == []
+            server = handle.server
+            assert list(server._queue_waits_ms) == waits[-3:]
+            assert server.queue_wait_p95_ms() == 3.0
+        finally:
+            handle.stop()

@@ -3,8 +3,13 @@
 The acceptance bar for ``repro.sim.simulate_grid`` is exact equality
 with the per-cell reference engine -- across random stream shapes,
 geometry grids, and chunk sizes small enough to force fetch spans to be
-split at chunk boundaries (the trickiest carry path).
+split at chunk boundaries (the trickiest carry path).  On the quick
+experiment's real fig04 streams both engines must also equal a per-cell
+direct-mapped ``lru_pass`` and the committed fig04 baselines.
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import CacheGeometry
+from repro.harness.figures import SWEEP_LINES, SWEEP_SIZES, fig04_table
 from repro.ir import INSTRUCTION_BYTES
 from repro.sim import direct_mapped_misses, iter_chunks, simulate_grid
-from repro.sim.icache import span_lines
+from repro.sim.icache import collapsed_lines, lru_pass, span_lines
+
+BASELINES = Path(__file__).resolve().parents[1] / "benchmarks" / "baselines"
 
 
 def reference_grid(streams, sizes, lines):
@@ -102,6 +110,52 @@ class TestBatchedEquivalence:
                 streams, sizes, lines, chunk_instructions=chunk, jobs=1
             )
             assert got == reference_grid(streams, sizes, lines), chunk
+
+
+class TestQuickExperimentGrid:
+    """The fig04 sweep over real streams, every path to the same grid."""
+
+    @pytest.fixture(scope="class")
+    def app_streams(self):
+        from repro.harness import quick_experiment
+
+        exp = quick_experiment()
+        return {
+            combo: list(exp.streams(combo, scope="app"))
+            for combo in ("base", "all")
+        }
+
+    @pytest.mark.parametrize("combo", ["base", "all"])
+    def test_engines_lru_pass_and_baseline_agree(self, app_streams, combo):
+        streams = app_streams[combo]
+        classic = simulate_grid(
+            streams, SWEEP_SIZES, SWEEP_LINES, jobs=1, engine="classic"
+        )
+        for jobs in (1, 2):
+            batched = simulate_grid(
+                streams, SWEEP_SIZES, SWEEP_LINES, jobs=jobs, engine="batched"
+            )
+            assert batched == classic, jobs
+        per_cell = {
+            (size, line): sum(
+                len(lru_pass(
+                    collapsed_lines(starts, counts, line),
+                    CacheGeometry(size, line, 1).num_sets,
+                    1,
+                )[0])
+                for starts, counts in streams
+            )
+            for size in SWEEP_SIZES
+            for line in SWEEP_LINES
+        }
+        assert per_cell == classic
+        baseline = json.loads(
+            (BASELINES / f"BENCH_fig04_{combo}.json").read_text()
+        )
+        table = fig04_table(classic, combo)
+        assert [table.title, table.columns, table.rows] == [
+            baseline["title"], baseline["columns"], baseline["rows"]
+        ]
 
 
 class TestIterChunks:
