@@ -3,9 +3,10 @@
 Commands:
 
 * ``info``     -- describe the generated binaries and configuration.
-* ``figure``   -- regenerate one or more paper figures as text tables
+* ``figure``   -- regenerate one or more paper or extension tables
   (``figure fig04 fig05`` is the Figure 4/5 cache sweep, ``figure
-  fig07`` the optimization ablation, ``figure all`` every table).
+  fig07`` the optimization ablation, ``figure all`` every table of
+  :data:`repro.harness.figures.FIGURES`).
 * ``online``   -- online adaptation on a phase-shifting workload
   (static decay vs adaptive re-layout, epoch by epoch).
 * ``serve``    -- run the layout-optimization service: profile
@@ -22,7 +23,6 @@ Commands:
 * ``pipeline`` -- per-stage view of the cache: ``pipeline info
   [fingerprint]`` reports each declared stage's artifacts, sizes, and
   whether a warm replay would hit (``docs/PIPELINE.md``).
-* ``summary``  -- concatenate saved benchmark result tables.
 * ``report``   -- render one Markdown/HTML run report from a results
   directory (figure tables, metric summaries, span flamegraph).
 * ``bench-diff`` -- compare fresh ``BENCH_*.json`` against a baseline
@@ -31,7 +31,9 @@ Commands:
   ``chrome://tracing`` / Perfetto JSON format.
 
 Figures run on the quick experiment by default; pass ``--full`` for
-the paper-scale configuration used by the benchmark suite.  Stage
+the paper-scale configuration (``repro --full figure all --save-json
+benchmarks/results`` regenerates every EXPERIMENTS.md table).  Each
+command runs on a fresh experiment.  Stage
 products (codegen, profiles, traces, layouts) persist in a
 content-addressed cache (``--cache-dir``, default ``~/.cache/repro``;
 ``--no-cache`` disables) so warm reruns skip straight to the cache
@@ -71,7 +73,7 @@ COMMAND_MODULES = (
     serving,    # serve, fleet
     scenarios,  # scenarios, static-bench
     cache,      # cache, pipeline
-    reports,    # summary, report, bench-diff, trace-export
+    reports,    # report, bench-diff, trace-export
     lint,       # lint
 )
 

@@ -2,10 +2,9 @@
 
 Every subcommand family module (:mod:`repro.cli.figures`,
 :mod:`repro.cli.serving`, ...) builds on the same pieces defined here:
-the figure registry, the shared flag set added both to the root parser
-and to each subcommand's ``add_help=False`` parent, the
-experiment/store factories that honour those flags, and the per-stage
-run-log emission on stderr.
+the shared flag set added both to the root parser and to each
+subcommand's ``add_help=False`` parent, the experiment/store factories
+that honour those flags, and the per-stage run-log emission on stderr.
 """
 
 from __future__ import annotations
@@ -13,44 +12,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, Dict
 
 from repro.harness import (
     ArtifactStore,
+    Experiment,
     default_cache_dir,
     default_experiment,
-    figures,
     quick_experiment,
 )
-
-#: figure name -> callable(exp, sweep) returning one or more Tables.
-#: ``sweep(combo)`` is the command's memo of
-#: :func:`~repro.harness.figures.fig04_cache_sweep`, so fig04 and fig05
-#: share one grid per combo.
-FIGURES: Dict[str, Callable] = {
-    "fig03": lambda exp, sweep: [figures.fig03_execution_profile(exp)],
-    "fig04": lambda exp, sweep: [
-        figures.fig04_table(sweep(combo), combo) for combo in ("base", "all")
-    ],
-    "fig05": lambda exp, sweep: [
-        figures.fig05_relative(sweep("base"), sweep("all"))
-    ],
-    "fig06": lambda exp, sweep: [figures.fig06_associativity(exp)],
-    "fig07": lambda exp, sweep: [figures.fig07_ablation(exp)],
-    "fig08": lambda exp, sweep: list(figures.fig08_sequences(exp)),
-    "fig12": lambda exp, sweep: [
-        figures.fig12_combined(exp, "base"),
-        figures.fig12_combined(exp, "all"),
-    ],
-    "fig13": lambda exp, sweep: [
-        figures.fig13_interference(exp, "base"),
-        figures.fig13_interference(exp, "all"),
-    ],
-    "fig14": lambda exp, sweep: [figures.fig14_itlb_l2(exp)],
-    "fig15": lambda exp, sweep: [figures.fig15_exec_time(exp)],
-    "packing": lambda exp, sweep: [figures.text_packing(exp)],
-}
-
 
 def default_jobs() -> int:
     """Worker-count default: ``$REPRO_JOBS`` or serial."""
@@ -103,11 +72,16 @@ def store_from(args) -> ArtifactStore:
     return ArtifactStore(args.cache_dir or default_cache_dir())
 
 
-def experiment_from(args):
-    """The quick/full experiment configured by the shared flags."""
-    exp = default_experiment() if args.full else quick_experiment()
-    exp.jobs = args.jobs
-    exp.attach_store(None if args.no_cache else store_from(args))
+def experiment_from(args) -> Experiment:
+    """A fresh experiment over the quick/full config, configured by the
+    shared flags: commands run in one process share no products, run
+    log or settings."""
+    config = (default_experiment() if args.full else quick_experiment()).config
+    exp = Experiment(
+        config,
+        store=None if args.no_cache else store_from(args),
+        jobs=args.jobs,
+    )
     # Commands without the flag (info, lint, ...) keep the measured
     # default; ``serve`` interprets the flag itself.
     if args.command not in ("serve",):

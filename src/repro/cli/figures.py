@@ -1,17 +1,18 @@
 """Figure-family subcommands: ``info`` describes the generated system
-and ``figure`` renders every paper table from one
+and ``figure`` renders the paper and extension tables of
+:data:`~repro.harness.figures.FIGURES` from one
 :class:`~repro.harness.experiment.Experiment`."""
 
 from __future__ import annotations
 
-import functools
 from typing import Dict, List
 
 from repro.analysis import dynamic_footprint_bytes
-from repro.harness import figures, write_benchmark_json
+from repro.harness import write_benchmark_json
+from repro.harness.figures import FIGURES, memo
 from repro.staticpred import PROFILE_SOURCES
 
-from repro.cli._common import FIGURES, emit_runlog, experiment_from
+from repro.cli._common import emit_runlog, experiment_from
 
 
 def register(sub, shared) -> Dict:
@@ -95,11 +96,9 @@ def _cmd_figure(args, out) -> int:
     names: List[str] = (
         sorted(FIGURES) if "all" in args.names else list(dict.fromkeys(args.names))
     )
-    sweep = functools.lru_cache(maxsize=None)(
-        functools.partial(figures.fig04_cache_sweep, exp)
-    )
+    shared = memo()
     for name in names:
-        tables = FIGURES[name](exp, sweep)
+        tables = FIGURES[name](exp, shared)
         for index, table in enumerate(tables):
             out.write(table.render() + "\n")
             if args.save_json:

@@ -1,6 +1,7 @@
-"""Reporting-family subcommands: ``summary``, ``report``,
-``bench-diff``, and ``trace-export`` — everything that reads saved
-benchmark documents instead of running experiments."""
+"""Reporting-family subcommands: ``report``, ``bench-diff``, and
+``trace-export`` — everything that reads saved ``BENCH_*.json``
+documents (``repro figure --save-json``) instead of running
+experiments."""
 
 from __future__ import annotations
 
@@ -9,14 +10,6 @@ from typing import Dict
 
 def register(sub, shared) -> Dict:
     """Declare the reporting subparsers; returns their handlers."""
-    summary = sub.add_parser(
-        "summary", help="concatenate saved benchmark result tables"
-    )
-    summary.add_argument(
-        "--results-dir", default="benchmarks/results",
-        help="directory holding the *.txt tables written by the benchmarks",
-    )
-
     report = sub.add_parser(
         "report", help="render a Markdown/HTML run report from BENCH_*.json"
     )
@@ -69,28 +62,10 @@ def register(sub, shared) -> Dict:
         help="output path (default <trace_file>.chrome.json)",
     )
     return {
-        "summary": _cmd_summary,
         "report": _cmd_report,
         "bench-diff": _cmd_bench_diff,
         "trace-export": _cmd_trace_export,
     }
-
-
-def _cmd_summary(args, out) -> int:
-    import pathlib
-
-    results = pathlib.Path(args.results_dir)
-    files = sorted(results.glob("*.txt")) if results.is_dir() else []
-    if not files:
-        out.write(
-            f"no result tables in {results}/ -- run "
-            f"`pytest benchmarks/ --benchmark-only` first\n"
-        )
-        return 1
-    for path in files:
-        out.write(f"==== {path.name} {'=' * max(1, 60 - len(path.name))}\n")
-        out.write(path.read_text().rstrip() + "\n\n")
-    return 0
 
 
 def _cmd_report(args, out) -> int:

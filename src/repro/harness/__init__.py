@@ -1,4 +1,4 @@
-"""Experiment harness shared by the benchmark suite."""
+"""Experiment harness: the pipeline, the artifact store and the figure tables."""
 
 from repro.harness.experiment import (
     Experiment,
@@ -6,9 +6,9 @@ from repro.harness.experiment import (
     STREAM_SCOPES,
     StreamSet,
     default_experiment,
-    dss_experiment,
+    dss_config,
     quick_experiment,
-    uniprocessor_experiment,
+    uniprocessor_config,
 )
 from repro.harness import figures
 from repro.harness.results import (
@@ -42,7 +42,7 @@ __all__ = [
     "StreamSet",
     "default_cache_dir",
     "default_experiment",
-    "dss_experiment",
+    "dss_config",
     "figures",
     "load_layout",
     "load_profile",
@@ -56,6 +56,6 @@ __all__ = [
     "save_trace",
     "table_payload",
     "quick_experiment",
-    "uniprocessor_experiment",
+    "uniprocessor_config",
     "write_benchmark_json",
 ]

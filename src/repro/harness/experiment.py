@@ -614,37 +614,39 @@ class Experiment:
 
 @lru_cache(maxsize=1)
 def default_experiment() -> Experiment:
-    """The shared experiment instance used by the benchmark suite."""
+    """The paper-scale experiment (``--full``)."""
     return Experiment()
 
 
-@lru_cache(maxsize=1)
-def uniprocessor_experiment() -> Experiment:
-    """A single-CPU experiment (the paper's Figure 15 runs are
-    1-processor); shares the default code-generation config."""
-    config = ExperimentConfig(
-        system=SystemConfig(cpus=1, processes_per_cpu=8),
+def uniprocessor_config(config: ExperimentConfig) -> ExperimentConfig:
+    """``config`` on one CPU with shorter runs (the paper's Figure 15
+    and hardware-counter runs are 1-processor); the generated code and
+    the database are unchanged."""
+    return replace(
+        config,
+        system=replace(config.system, cpus=1, processes_per_cpu=8),
         profile_transactions=100,
         measure_transactions=100,
         warmup_transactions=20,
     )
-    return Experiment(config)
 
 
-@lru_cache(maxsize=1)
-def dss_experiment() -> Experiment:
-    """The DSS comparison experiment: the same generated binaries and
-    database, driven by read-only aggregation queries."""
-    config = ExperimentConfig(
+def _dss_workload(tpcb: TpcbConfig, _seed_offset: int) -> DssWorkload:
+    return DssWorkload(DssConfig(tpcb=tpcb))
+
+
+def dss_config(config: ExperimentConfig) -> ExperimentConfig:
+    """``config`` driven by read-only DSS aggregation queries instead of
+    TPC-B: the same generated binaries and database, its own cache
+    entries (``cache_salt="dss"``)."""
+    return replace(
+        config,
         profile_transactions=48,
         measure_transactions=48,
         warmup_transactions=8,
-        workload_factory=lambda tpcb, _offset: DssWorkload(
-            DssConfig(tpcb=tpcb)
-        ),
+        workload_factory=_dss_workload,
         cache_salt="dss",
     )
-    return Experiment(config)
 
 
 @lru_cache(maxsize=1)

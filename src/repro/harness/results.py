@@ -1,10 +1,10 @@
 """Machine-readable benchmark results.
 
-Every benchmark table saved under ``benchmarks/results/`` has always
-been a rendered ``.txt`` — fine for eyeballing, useless for tooling.
-:func:`write_benchmark_json` emits the same result as
-``BENCH_<name>.json`` with a small stable schema, so CI jobs and
-notebooks can assert on numbers instead of parsing aligned columns.
+``repro figure --save-json DIR`` writes every table it renders through
+:func:`write_benchmark_json` as ``BENCH_<name>.json`` with a small
+stable schema, so CI jobs and notebooks can assert on numbers instead
+of parsing aligned columns (``repro report`` and ``repro bench-diff``
+read them back).
 
 Schema v2 adds two observability-driven sections:
 

@@ -3,7 +3,7 @@
 Generating the measurement trace is the costly step of every
 experiment (two full system runs).  These helpers serialize traces and
 profiles to ``.npz`` files so repeat studies — parameter sweeps, or
-re-running the benchmark suite after analysis-only changes — skip the
+re-running ``repro figure`` after analysis-only changes — skip the
 regeneration.
 
 File format: a single compressed ``.npz`` whose arrays are prefixed by

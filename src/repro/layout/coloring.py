@@ -5,7 +5,7 @@ each hot unit so its cache *sets* do not collide with the sets of its
 call-graph neighbors, inserting padding gaps where necessary.  The
 paper's position is that such placement-only schemes (no chaining, no
 splitting) are ineffective for OLTP-sized footprints; this module lets
-the benchmark suite check that.
+``repro figure ext_coloring`` check that.
 """
 
 from __future__ import annotations

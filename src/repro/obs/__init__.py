@@ -162,8 +162,7 @@ def flush_metrics() -> Optional[Dict]:
 
 def _init_from_env() -> None:
     """Honor ``REPRO_TRACE`` / ``REPRO_OBS_WINDOW`` at import time, so
-    pytest-driven benchmarks and forked workers trace without code
-    changes."""
+    pytest runs and forked workers trace without code changes."""
     global _WINDOW
     window = os.environ.get("REPRO_OBS_WINDOW")
     if window:

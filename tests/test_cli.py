@@ -50,19 +50,29 @@ class TestCli:
         assert "Figure 7" in text
         assert "chain+porder" in text
 
-    def test_fig04_fig05_sweep_each_combo_once(self):
-        # fig05 is drawn from fig04's grids: one sweep per combo.  The
-        # CLI's quick experiment is memoized per process, so only the
-        # records this command appends are counted.
-        from repro.harness import quick_experiment
-
-        log = quick_experiment().runlog
-        before = len(log.records)
-        code, text = run_cli("--quiet", "figure", "fig04", "fig05")
+    def test_fig04_fig05_sweep_each_combo_once(self, capsys):
+        # fig05 is drawn from fig04's grids: one sweep per combo.
+        code, text = run_cli("figure", "fig04", "fig05")
         assert code == 0
         assert "Figure 4 (base)" in text and "Figure 5" in text
-        sweeps = [r.detail for r in log.records[before:] if r.stage == "sweep"]
+        sweeps = [
+            line.split()[1] for line in capsys.readouterr().err.splitlines()
+            if line.startswith("sweep ")
+        ]
         assert sweeps == ["fig04:base:batched", "fig04:all:batched"]
+
+    def test_commands_in_one_process_share_no_experiment(self, capsys):
+        code, _ = run_cli("figure", "fig07")
+        assert code == 0
+        assert "fig07" in capsys.readouterr().err
+        code, _ = run_cli("--no-cache", "figure", "fig03")
+        assert code == 0
+        log = capsys.readouterr().err
+        assert "cache=off" in log
+        # Only this command's stages: no fig07 sweep, every stage uncached.
+        assert "fig07" not in log
+        stages = [line.split() for line in log.splitlines()[2:]]
+        assert stages and all(fields[2] == "off" for fields in stages)
 
     def test_packing(self):
         code, text = run_cli("figure", "packing")
@@ -111,20 +121,6 @@ class TestCacheAndJobsFlags:
         code, text = run_cli("--quiet", "info")
         assert code == 0
         assert "fingerprint:" in text
-
-
-class TestSummaryCommand:
-    def test_summary_missing_dir(self, tmp_path):
-        code, text = run_cli("summary", "--results-dir", str(tmp_path / "none"))
-        assert code == 1
-        assert "no result tables" in text
-
-    def test_summary_concatenates(self, tmp_path):
-        (tmp_path / "a.txt").write_text("Table A\n1 2 3\n")
-        (tmp_path / "b.txt").write_text("Table B\n4 5 6\n")
-        code, text = run_cli("summary", "--results-dir", str(tmp_path))
-        assert code == 0
-        assert "==== a.txt" in text and "Table B" in text
 
 
 class TestLint:
@@ -263,6 +259,7 @@ class TestLint:
             pytest.param(("lint", "--no-deprecations"), id="--no-deprecations"),
             pytest.param(("serve", "--no-verify"), id="serve--no-verify"),
             pytest.param(("sweep",), id="sweep"),
+            pytest.param(("summary",), id="summary"),
             pytest.param(("ablation",), id="ablation"),
             pytest.param(("sim-bench", "--check"), id="sim-bench--check"),
             pytest.param(

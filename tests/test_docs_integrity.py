@@ -1,5 +1,5 @@
-"""Documentation integrity: the per-experiment index points at real
-files, and every benchmark writes a table some document references."""
+"""Documentation integrity: the per-experiment indexes cite real
+``repro figure`` keys, and every key is cited by one of them."""
 
 import pathlib
 import re
@@ -9,27 +9,38 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
+def cited_figures(doc):
+    """The ``repro figure`` keys a document cites (`` `figure KEY ...` ``),
+    plus ``online`` when it cites `` `repro online` ``."""
+    text = (ROOT / doc).read_text()
+    keys = set()
+    for group in re.findall(r"`(?:repro )?figure ([a-z0-9_ ]+)`", text):
+        keys.update(group.split())
+    if "`repro online`" in text:
+        keys.add("online")
+    return keys
+
+
+def figure_keys():
+    from repro.harness.figures import FIGURES
+
+    return set(FIGURES) | {"online"}
+
+
 class TestDocsIntegrity:
-    def test_design_bench_targets_exist(self):
-        design = (ROOT / "DESIGN.md").read_text()
-        targets = set(re.findall(r"benchmarks/bench[a-z0-9_]*\.py", design))
-        assert targets, "DESIGN.md must map experiments to bench targets"
-        for target in targets:
-            assert (ROOT / target).exists(), f"missing {target}"
+    def test_design_cites_figure_keys(self):
+        cited = cited_figures("DESIGN.md")
+        assert cited, "DESIGN.md must map experiments to figure keys"
+        assert cited <= figure_keys(), cited - figure_keys()
 
-    def test_experiments_references_result_files(self):
-        experiments = (ROOT / "EXPERIMENTS.md").read_text()
-        referenced = set(re.findall(r"[a-z0-9_]+\.txt", experiments))
-        assert len(referenced) >= 20
+    def test_experiments_cites_figure_keys(self):
+        cited = cited_figures("EXPERIMENTS.md")
+        assert len(cited) >= 20
+        assert cited <= figure_keys(), cited - figure_keys()
 
-    def test_every_bench_file_in_design_or_extensions(self):
-        design = (ROOT / "DESIGN.md").read_text()
-        for bench in (ROOT / "benchmarks").glob("bench_*.py"):
-            name = f"benchmarks/{bench.name}"
-            mentioned = name in design or bench.stem.replace("bench_", "") in design
-            assert mentioned or "extension" in bench.stem or \
-                "multiprogramming" in bench.stem or "dss" in bench.stem, \
-                f"{name} not referenced by DESIGN.md"
+    def test_every_figure_key_is_cited(self):
+        cited = cited_figures("EXPERIMENTS.md") | cited_figures("DESIGN.md")
+        assert figure_keys() <= cited, figure_keys() - cited
 
     def test_readme_examples_exist(self):
         readme = (ROOT / "README.md").read_text()

@@ -161,3 +161,23 @@ class TestFigureAssembly:
         text = figures.fig03_execution_profile(exp).render()
         assert "Figure 3" in text
         assert "note:" in text
+
+
+class TestExperimentVariants:
+    def test_full_variants_keep_their_cache_fingerprints(self):
+        # The fingerprints of the 1-CPU and DSS experiments the
+        # paper-scale tables have always run on, so their caches and
+        # numbers carry over.
+        from repro.harness import default_experiment, dss_config, uniprocessor_config
+
+        config = default_experiment().config
+        assert uniprocessor_config(config).fingerprint() == "0e65d05b39009674509a"
+        assert dss_config(config).fingerprint() == "1984f285f8c6b7844afd"
+
+    def test_variant_shares_the_command_settings(self, exp):
+        from repro.harness import uniprocessor_config
+
+        uni = figures.variant(exp, uniprocessor_config)
+        assert uni.config.system.cpus == 1
+        assert uni.config.app == exp.config.app
+        assert (uni.store, uni.jobs, uni.runlog) == (exp.store, exp.jobs, exp.runlog)

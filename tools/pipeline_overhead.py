@@ -16,7 +16,7 @@ trusting the claim:
 3. The overhead fraction is runner-bookkeeping seconds over sweep
    seconds for the fastest run.  ``--check`` exits 1 above the gate.
 
-Run as ``python tools/bench_pipeline.py [--check]`` from the repo root.
+Run as ``python tools/pipeline_overhead.py [--check]`` from the repo root.
 """
 
 from __future__ import annotations
