@@ -12,7 +12,7 @@ Public entry points:
 * :mod:`repro.execution` -- the CFG interpreter and 4-CPU system model.
 * :mod:`repro.cache` -- the cache geometry; :mod:`repro.sim`,
   :mod:`repro.timing` -- memory-system and timing simulators.
-* :mod:`repro.pipeline` -- the stage graph and the one process fan-out.
+* :mod:`repro.pipeline` -- the stage runner and the one process fan-out.
 * :mod:`repro.harness` -- the experiment pipeline behind the
   per-figure benchmarks.
 """

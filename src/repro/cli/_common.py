@@ -77,16 +77,17 @@ def experiment_from(args) -> Experiment:
     shared flags: commands run in one process share no products, run
     log or settings."""
     config = (default_experiment() if args.full else quick_experiment()).config
-    exp = Experiment(
+    # Commands without the flag (info, lint, ...) keep the measured
+    # default; ``serve`` interprets the flag itself.
+    source = "measured"
+    if args.command != "serve":
+        source = getattr(args, "profile_source", source)
+    return Experiment(
         config,
         store=None if args.no_cache else store_from(args),
         jobs=args.jobs,
+        profile_source=source,
     )
-    # Commands without the flag (info, lint, ...) keep the measured
-    # default; ``serve`` interprets the flag itself.
-    if args.command not in ("serve",):
-        exp.profile_source = getattr(args, "profile_source", "measured")
-    return exp
 
 
 def emit_runlog(exp, args) -> None:

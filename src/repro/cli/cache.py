@@ -65,7 +65,7 @@ def _cmd_pipeline(args, out) -> int:
     """``pipeline info [fingerprint]``: the per-stage replacement for
     the flat ``cache info`` rollup.
 
-    Probes the declared stage graph against the store without building
+    Probes the declared stages against the store without building
     anything: each row is one stage with its artifact count, cached
     bytes, and state (``ready`` = a warm replay would hit, ``partial``,
     ``missing``, ``transient`` = persists nothing).  Artifacts under
@@ -78,9 +78,7 @@ def _cmd_pipeline(args, out) -> int:
     exp = experiment_from(args)
     store = exp.store
     fingerprint = args.fingerprint or exp.fingerprint
-    runner = PipelineRunner(
-        exp.pipeline.graph, store=store, fingerprint=fingerprint
-    )
+    runner = PipelineRunner(exp.declared_stages(), store=store, fingerprint=fingerprint)
     rows = runner.status()
     claimed = set()
     out.write(

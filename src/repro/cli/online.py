@@ -71,9 +71,11 @@ def _cmd_online(args, out) -> int:
     config = phased_experiment_config(
         shift_after=args.shift, quick=not args.full
     )
-    exp = Experiment(config)
-    exp.jobs = args.jobs
-    exp.attach_store(None if args.no_cache else store_from(args))
+    exp = Experiment(
+        config,
+        store=None if args.no_cache else store_from(args),
+        jobs=args.jobs,
+    )
     report = run_online_experiment(
         exp,
         OnlineConfig(

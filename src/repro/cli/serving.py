@@ -152,10 +152,11 @@ def _fleet_experiment(args):
     config = phased_experiment_config(
         shift_after=args.shift, quick=not args.full
     )
-    exp = Experiment(config)
-    exp.jobs = args.jobs
-    exp.attach_store(None if args.no_cache else store_from(args))
-    return exp
+    return Experiment(
+        config,
+        store=None if args.no_cache else store_from(args),
+        jobs=args.jobs,
+    )
 
 
 def _cmd_fleet(args, out) -> int:

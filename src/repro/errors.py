@@ -69,9 +69,8 @@ class ParallelError(ReproError):
 
 
 class PipelineError(ReproError):
-    """A stage graph is malformed (duplicate stage keys, unknown
-    inputs, a dependency cycle) or a runner was asked to execute a
-    stage the graph does not declare."""
+    """A runner was given a duplicate stage key, asked for a stage it
+    does not declare, or a stage's build asked for itself."""
 
 
 class ScenarioError(ReproError):

@@ -5,13 +5,13 @@ application and kernel binaries, the Pixie profile (collected on its own
 profiling run, like the paper's 2000-transaction Pixie run), the
 optimized layouts, and the measurement trace (a separate run with a
 different request stream).  Every intermediate product is a declared
-:class:`~repro.pipeline.stage.Stage` in one
-:class:`~repro.pipeline.graph.StageGraph`, executed (and memoized) by a
-:class:`~repro.pipeline.runner.PipelineRunner` — see ``docs/PIPELINE.md``.
+:class:`~repro.pipeline.stage.Stage`, computed on first request (and
+memoized) by one :class:`~repro.pipeline.runner.PipelineRunner` — see
+``docs/PIPELINE.md``.
 
-Attach an :class:`~repro.harness.store.ArtifactStore` (``store=`` or
-:meth:`Experiment.attach_store`) and the expensive stage products are
-*also* persisted on disk, keyed by :meth:`ExperimentConfig.fingerprint`:
+Construct it with an :class:`~repro.harness.store.ArtifactStore`
+(``store=``) and the expensive stage products are *also* persisted on
+disk, keyed by :meth:`ExperimentConfig.fingerprint`:
 warm reruns of any figure load the compiled programs, profiles, trace,
 and per-combo layouts straight from the cache instead of regenerating
 them.  The artifact names and cache keys are unchanged from the
@@ -26,7 +26,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -54,17 +54,11 @@ from repro.pipeline import (
     PipelineRunner,
     RunLog,
     Stage,
-    StageGraph,
     share_key,
 )
 from repro.profiles import PixieProfiler, Profile
 from repro.progen import AppCodeConfig, CompiledProgram, build_app_program
-from repro.staticpred import (
-    PROFILE_SOURCES,
-    hybrid_profile,
-    invert_enabled,
-    synthesize_profile,
-)
+from repro.staticpred import PROFILE_SOURCES, hybrid_profile, synthesize_profile
 from repro.workloads import TpcbConfig, database_scale, snapshot_database
 from repro.workloads.dss import DssConfig, DssWorkload
 
@@ -175,12 +169,10 @@ class StreamSet:
 class Experiment:
     """Lazily computed pipeline with caching at every stage.
 
-    Every cacheable product is a declared stage in :attr:`pipeline`'s
-    graph; combo-specific layout stages are declared on first request.
-    Three products deliberately stay *outside* the graph: the baseline
-    kernel layout (trivial to rebuild, never persisted) and the
-    fault-injected (``REPRO_STATIC_INVERT``) source layouts, which must
-    never pollute — or be satisfied from — the clean cache.
+    Every cacheable product is a declared stage of :attr:`pipeline`;
+    combo-specific layout stages are declared on first request.  The
+    baseline kernel layout stays outside it: trivial to rebuild, never
+    persisted.  The settings are fixed at construction.
     """
 
     def __init__(
@@ -189,6 +181,8 @@ class Experiment:
         *,
         store: Optional[ArtifactStore] = None,
         jobs: int = 1,
+        profile_source: str = "measured",
+        runlog: Optional[RunLog] = None,
     ) -> None:
         self.config = config or ExperimentConfig()
         #: Disk cache for stage products (None disables persistence).
@@ -198,13 +192,12 @@ class Experiment:
         #: Default profile source (:data:`~repro.staticpred.PROFILE_SOURCES`)
         #: used by :meth:`streams` / :meth:`address_map` when the call
         #: does not pick one -- the knob behind ``--profile-source``.
-        self.profile_source = "measured"
-        self.runlog = RunLog()
+        self.profile_source = profile_source
+        self.runlog = runlog or RunLog()
         self._fingerprint: Optional[str] = None
         self._pipeline: Optional[PipelineRunner] = None
         self._optimizers: Dict[Tuple[str, bool], SpikeOptimizer] = {}
-        #: The layouts kept out of the graph; see the class docstring.
-        self._transient_layouts: Dict[Tuple[bool, str, str], Layout] = {}
+        self._kernel_baseline: Optional[Layout] = None
         self._amaps: Dict[Tuple[str, str, str], CombinedAddressMap] = {}
         self._placements: Dict[Tuple[bool, str, str], AddressMap] = {}
         self._gate_reports: Dict[Tuple[str, str], CheckReport] = {}
@@ -218,32 +211,29 @@ class Experiment:
             self._fingerprint = self.config.fingerprint()
         return self._fingerprint
 
-    def _build_graph(self) -> StageGraph:
-        """Declare the always-present stages of the experiment pipeline.
+    def declared_stages(self) -> List[Stage]:
+        """The always-present stages of the experiment pipeline.
 
         Per-combo layout stages are declared lazily by :meth:`_layout`,
         because the combo space is open-ended.
         """
-        graph = StageGraph()
         config = self.config
-        graph.add(Stage(
-            name="codegen", detail="app",
-            outputs=(ArtifactSpec("app.pkl", load_program, save_program),),
-            build=lambda _: build_app_program(config.app),
-            share_key=share_key("codegen:app", asdict(config.app)),
-        ))
-        graph.add(Stage(
-            name="codegen", detail="kernel",
-            outputs=(ArtifactSpec("kernel.pkl", load_program, save_program),),
-            build=lambda _: build_kernel_program(config.kernel),
-            share_key=share_key("codegen:kernel", asdict(config.kernel)),
-        ))
         # The loaded database: keyed by what the load reads, so every
         # workload and seed over one scale shares it.
         database_key = database_scale(config.tpcb) + (
             config.pool_capacity, config.btree_order,
         )
-        graph.add(Stage(
+        return [Stage(
+            name="codegen", detail="app",
+            outputs=(ArtifactSpec("app.pkl", load_program, save_program),),
+            build=lambda _: build_app_program(config.app),
+            share_key=share_key("codegen:app", asdict(config.app)),
+        ), Stage(
+            name="codegen", detail="kernel",
+            outputs=(ArtifactSpec("kernel.pkl", load_program, save_program),),
+            build=lambda _: build_kernel_program(config.kernel),
+            share_key=share_key("codegen:kernel", asdict(config.kernel)),
+        ), Stage(
             name="database",
             outputs=(ArtifactSpec(
                 "database.snap",
@@ -254,10 +244,8 @@ class Experiment:
                 config.tpcb, config.pool_capacity, config.btree_order
             ),
             share_key=share_key("database", list(database_key)),
-        ))
-        graph.add(Stage(
+        ), Stage(
             name="profile",
-            inputs=("codegen:app", "codegen:kernel", "database"),
             outputs=(
                 ArtifactSpec(
                     "profile-app.npz",
@@ -271,66 +259,35 @@ class Experiment:
                 ),
             ),
             build=lambda _: self._profile_from_run(),
-        ))
-        graph.add(Stage(
+        ), Stage(
             name="trace",
-            inputs=("codegen:app", "codegen:kernel", "database"),
             outputs=(ArtifactSpec("trace.npz", load_trace, save_trace),),
             build=lambda _: self._run_system(
                 self.config.measure_transactions, 1
             ),
-        ))
+        ),
         # Transient (never persisted): deterministic per binary, and
         # needing no profiling run — cold-start consumers (repro serve)
         # reach them without ever touching the measured profile.
-        graph.add(Stage(
-            name="staticpred", detail="app", inputs=("codegen:app",),
+        Stage(
+            name="staticpred", detail="app",
             build=lambda _: synthesize_profile(self.app.binary),
-        ))
-        graph.add(Stage(
-            name="staticpred", detail="kernel", inputs=("codegen:kernel",),
+        ), Stage(
+            name="staticpred", detail="kernel",
             build=lambda _: synthesize_profile(self.kernel.binary),
-        ))
-        return graph
+        )]
 
     @property
     def pipeline(self) -> PipelineRunner:
-        """The stage-graph runner behind every cacheable product.
-
-        The runner's store tracks :attr:`store` on every access, so
-        toggling the experiment's cache (``attach_store``) is always
-        reflected in subsequent stage executions.
-        """
+        """The runner behind every cacheable product, over :attr:`store`."""
         if self._pipeline is None:
             self._pipeline = PipelineRunner(
-                self._build_graph(),
+                self.declared_stages(),
                 store=self.store,
                 fingerprint=self.fingerprint,
                 runlog=self.runlog,
             )
-        self._pipeline.store = self.store
         return self._pipeline
-
-    def attach_store(self, store: Optional[ArtifactStore]) -> "Experiment":
-        """Set (or clear, with None) the persistent artifact store.
-
-        Products already computed in memory are written through to the
-        new store, so attaching late still populates the cache."""
-        self.store = store
-        self.persist()
-        return self
-
-    def persist(self) -> int:
-        """Write in-memory stage products missing from the store;
-        returns the number of artifacts written.
-
-        Delegates to :meth:`~repro.pipeline.runner.PipelineRunner.persist`,
-        which iterates every *declared* stage — a newly added stage is
-        persisted automatically instead of silently skipped the way the
-        old hand-maintained artifact list allowed."""
-        if self.store is None:
-            return 0
-        return self.pipeline.persist()
 
     # -- programs -----------------------------------------------------------
 
@@ -449,36 +406,22 @@ class Experiment:
         return self._layout(True, combo, source)
 
     def _layout(self, kernel: bool, combo: str, source: str) -> Layout:
-        """The one layout path: a per-(side, source, combo) graph stage,
-        or a :attr:`_transient_layouts` entry for the kernel baseline
-        and for fault-injected (``REPRO_STATIC_INVERT``) predictions."""
+        """The one layout path: a per-(side, source, combo) stage, or
+        the kernel baseline, which uses no profile."""
         combo = Combo.parse(combo).value
         _check_source(source)
-        baseline = kernel and combo == "base"
-        if baseline:
-            source = "measured"  # the unoptimized kernel uses no profile
-
-        def build(_runner=None) -> Layout:
-            if baseline:
-                return baseline_layout(self.kernel.binary)
-            return self.optimizer_for(source, kernel=kernel).layout(combo)
-
-        if baseline or (source != "measured" and invert_enabled()):
-            key = (kernel, source, combo)
-            if key not in self._transient_layouts:
-                self._transient_layouts[key] = build()
-            return self._transient_layouts[key]
+        if kernel and combo == "base":
+            if self._kernel_baseline is None:
+                self._kernel_baseline = baseline_layout(self.kernel.binary)
+            return self._kernel_baseline
 
         qualified = combo if source == "measured" else f"{source}:{combo}"
         detail = f"kernel:{qualified}" if kernel else qualified
         runner = self.pipeline
-        if f"layout:{detail}" not in runner.graph:
-            inputs = () if source == "static" else ("profile",)
-            if source != "measured":
-                inputs += ("staticpred:kernel" if kernel else "staticpred:app",)
+        if f"layout:{detail}" not in runner:
             suffix = combo if source == "measured" else f"{source}-{combo}"
-            runner.graph.add(Stage(
-                name="layout", detail=detail, inputs=inputs,
+            runner.add(Stage(
+                name="layout", detail=detail,
                 outputs=(ArtifactSpec(
                     f"{'k' if kernel else ''}layout-{suffix}.json",
                     lambda path: load_layout(
@@ -486,7 +429,9 @@ class Experiment:
                     ),
                     save_layout,
                 ),),
-                build=build,
+                build=lambda _: self.optimizer_for(
+                    source, kernel=kernel
+                ).layout(combo),
             ))
         return runner.value(f"layout:{detail}")
 

@@ -99,28 +99,6 @@ class Table:
             lines.append(f"note: {note}")
         return "\n".join(lines) + "\n"
 
-    def render_chart(self, value_column: int = 1, width: int = 40) -> str:
-        """Render one numeric column as a horizontal ASCII bar chart.
-
-        Rows with non-numeric values in the chosen column are skipped.
-        """
-        numeric = [
-            (row[0], float(row[value_column]))
-            for row in self.rows
-            if isinstance(row[value_column], (int, float))
-        ]
-        if not numeric:
-            return self.render()
-        peak = max(value for _, value in numeric) or 1.0
-        label_width = max(len(str(label)) for label, _ in numeric)
-        lines = [self.title, ""]
-        for label, value in numeric:
-            bar = "#" * max(1, round(width * value / peak)) if value > 0 else ""
-            lines.append(f"{str(label).rjust(label_width)} |{bar} {_fmt(value)}")
-        for note in self.notes:
-            lines.append(f"note: {note}")
-        return "\n".join(lines) + "\n"
-
 
 def _fmt(value) -> str:
     if isinstance(value, float):
@@ -981,10 +959,13 @@ def variant(
     """An experiment over ``transform(exp.config)`` (for example
     :func:`~repro.harness.experiment.uniprocessor_config`) sharing
     ``exp``'s store, jobs, profile source and run log."""
-    other = Experiment(transform(exp.config), store=exp.store, jobs=exp.jobs)
-    other.profile_source = exp.profile_source
-    other.runlog = exp.runlog
-    return other
+    return Experiment(
+        transform(exp.config),
+        store=exp.store,
+        jobs=exp.jobs,
+        profile_source=exp.profile_source,
+        runlog=exp.runlog,
+    )
 
 
 def _grids(exp: Experiment, memo: Callable):

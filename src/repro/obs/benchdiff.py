@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import pathlib
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
@@ -127,8 +128,17 @@ def load_bench_dir(path: PathLike) -> Dict[str, Dict]:
 
 
 def _rows_by_key(document: Dict) -> Dict[str, List]:
-    rows = document.get("rows") or []
-    return {str(row[0]): list(row) for row in rows if row}
+    """Rows keyed by their first cell; where that cell repeats, the key
+    also joins the row's other string cells (``1/base``)."""
+    rows = [list(row) for row in document.get("rows") or [] if row]
+    firsts = Counter(str(row[0]) for row in rows)
+    keyed = {}
+    for row in rows:
+        key = str(row[0])
+        if firsts[key] > 1:
+            key = "/".join([key] + [c for c in row[1:] if isinstance(c, str)])
+        keyed[key] = row
+    return keyed
 
 
 def diff_documents(
@@ -141,7 +151,8 @@ def diff_documents(
     """Compare one benchmark document pair into ``report``.
 
     Rows match on their first cell (the row key: a cache size, a combo
-    name, ...); remaining cells match positionally against the
+    name, ...), extended by the row's string cells where the first cell
+    repeats; remaining cells match positionally against the
     baseline's column names.  Non-numeric cells are skipped; rows or
     columns present on one side only become notes.
     """

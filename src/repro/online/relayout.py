@@ -35,7 +35,7 @@ from repro.harness.store import ArtifactStore, load_layout, save_layout
 from repro.ir import AddressMap, Binary, Layout
 from repro.layout import SpikeOptimizer
 from repro.online.drift import drifted_procedures
-from repro.pipeline import ArtifactSpec, PipelineRunner, Stage, StageGraph
+from repro.pipeline import ArtifactSpec, PipelineRunner, Stage
 from repro.profiles.profile import Profile
 
 
@@ -97,7 +97,7 @@ class AdaptiveRelayout:
         """
         fingerprint = profile.fingerprint()
         name = f"online-layout-{self.combo}.json"
-        # One single-stage graph per epoch: the layout artifact is keyed
+        # One single-stage runner per epoch: the layout artifact is keyed
         # by the *profile* fingerprint, so each sampled profile gets its
         # own runner namespace over the shared store and run log.
         state: dict = {}
@@ -134,11 +134,11 @@ class AdaptiveRelayout:
             return layout
 
         runner = PipelineRunner(
-            StageGraph([Stage(
+            [Stage(
                 name="relayout", detail=f"{self.combo}@{fingerprint[:8]}",
                 outputs=(ArtifactSpec(name, load, save_layout),),
                 build=build,
-            )]),
+            )],
             store=self.store,
             fingerprint=fingerprint,
             runlog=self.runlog,

@@ -1,4 +1,4 @@
-"""Typed stage-graph execution core shared by every workload path.
+"""Typed stage execution core shared by every workload path.
 
 The paper's profile → optimize → layout → simulate dataflow used to be
 re-implemented in each layer (harness experiments, figure sweeps, the
@@ -9,11 +9,10 @@ all run on:
 - :class:`~repro.pipeline.stage.Stage` /
   :class:`~repro.pipeline.stage.ArtifactSpec` — one declared step and
   its cacheable products;
-- :class:`~repro.pipeline.graph.StageGraph` — validated, cycle-free,
-  deterministically ordered stage registry;
-- :class:`~repro.pipeline.runner.PipelineRunner` — cache-aware
-  execution with run-log/obs accounting and artifact keys
-  compatible with pre-pipeline caches (existing stores replay warm);
+- :class:`~repro.pipeline.runner.PipelineRunner` — the lazy memo over
+  declared stages: cache-aware execution with run-log/obs accounting
+  and artifact keys compatible with pre-pipeline caches (existing
+  stores replay warm);
 - :func:`~repro.pipeline.fanout.parallel_map` /
   :func:`~repro.pipeline.fanout.resilient_map` — the one process
   fan-out, with crashed-worker retry and the ``shared=`` worker handoff;
@@ -34,7 +33,6 @@ from repro.pipeline.fanout import (
     resolve_jobs,
     shared_state,
 )
-from repro.pipeline.graph import StageGraph
 from repro.pipeline.runlog import RunLog, StageRecord
 from repro.pipeline.runner import PipelineRunner
 from repro.pipeline.stage import (
@@ -51,7 +49,6 @@ __all__ = [
     "PipelineRunner",
     "RunLog",
     "Stage",
-    "StageGraph",
     "StageRecord",
     "StageStatus",
     "fork_available",

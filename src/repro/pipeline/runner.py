@@ -1,7 +1,8 @@
-"""The pipeline runner: cache-aware execution of a stage graph.
+"""The pipeline runner: a lazy, cache-aware memo over declared stages.
 
-:class:`PipelineRunner` executes :class:`~repro.pipeline.graph.StageGraph`
-stages with exactly the cache semantics of the harness's historical
+:class:`PipelineRunner` holds :class:`~repro.pipeline.stage.Stage`
+declarations in declaration order and computes each one on first
+request, with exactly the cache semantics of the harness's historical
 cache-key scheme: try the :class:`~repro.harness.store.ArtifactStore`
 first (keys are ``(fingerprint, artifact-name)``, so caches written by
 pre-pipeline code replay warm), otherwise build and persist
@@ -21,16 +22,16 @@ pre-pipeline harness — plus ``pipeline.cache_hits`` /
 
 Dependencies resolve lazily: ``build`` receives the runner and pulls
 inputs with :meth:`PipelineRunner.value` only when it needs them, so a
-stage served from the cache never forces its upstream stages.
+stage served from the cache never forces its upstream stages.  The
+store is fixed when the runner is constructed.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.errors import PipelineError
-from repro.pipeline.graph import StageGraph
 from repro.pipeline.runlog import CACHE_HIT, CACHE_MISS, CACHE_OFF, RunLog
 from repro.pipeline.stage import Artifact, ArtifactSpec, Stage, StageStatus
 
@@ -39,24 +40,47 @@ if TYPE_CHECKING:  # the harness sits above the pipeline layer
 
 
 class PipelineRunner:
-    """Executes one stage graph with memoization over an ArtifactStore."""
+    """Memoizes declared stages over an ArtifactStore."""
 
     def __init__(
         self,
-        graph: StageGraph,
+        stages: Iterable[Stage],
         *,
         store: Optional[ArtifactStore] = None,
         fingerprint: str = "",
         runlog: Optional[RunLog] = None,
     ) -> None:
-        self.graph = graph
         #: Disk cache for stage outputs (None disables persistence).
         self.store = store
         #: Cache namespace — artifacts live at ``(fingerprint, name)``.
         self.fingerprint = fingerprint
         self.runlog = runlog or RunLog()
+        self._stages: Dict[str, Stage] = {}
         self._artifacts: Dict[str, Artifact] = {}
         self._executing: Set[str] = set()
+        for stage in stages:
+            self.add(stage)
+
+    # -- declaration --------------------------------------------------------
+
+    def add(self, stage: Stage) -> None:
+        """Declare one stage; duplicate keys are an error."""
+        if stage.key in self._stages:
+            raise PipelineError(f"stage {stage.key!r} is already declared")
+        self._stages[stage.key] = stage
+
+    def __contains__(self, key: str) -> bool:
+        return key in self._stages
+
+    def stage(self, key: str) -> Stage:
+        """The declared stage for ``key``; unknown keys are an error."""
+        try:
+            return self._stages[key]
+        except KeyError:
+            known = ", ".join(sorted(self._stages)) or "<none>"
+            raise PipelineError(
+                f"unknown stage {key!r}; declared stages: {known}"
+            ) from None
 
     # -- execution ----------------------------------------------------------
 
@@ -65,7 +89,7 @@ class PipelineRunner:
         on first request)."""
         artifact = self._artifacts.get(key)
         if artifact is None:
-            stage = self.graph.stage(key)
+            stage = self.stage(key)
             if key in self._executing:
                 chain = " -> ".join(sorted(self._executing))
                 raise PipelineError(
@@ -84,19 +108,6 @@ class PipelineRunner:
         """The stage's value (tuple for multi-output stages)."""
         return self.artifact(key).value
 
-    def run(self, keys: Optional[List[str]] = None) -> Dict[str, Artifact]:
-        """Execute the requested stages (default: the whole graph) in
-        deterministic topological order; returns artifacts by key."""
-        wanted = None if keys is None else set(keys)
-        order = [
-            key for key in self.graph.topological_order()
-            if wanted is None or key in wanted
-        ]
-        if wanted is not None and len(order) != len(wanted):
-            missing = ", ".join(sorted(wanted.difference(order)))
-            raise PipelineError(f"unknown stage(s) requested: {missing}")
-        return {key: self.artifact(key) for key in order}
-
     def _execute(self, stage: Stage) -> Artifact:
         with self.runlog.stage(stage.name, stage.detail) as record:
             if stage.outputs:
@@ -104,20 +115,14 @@ class PipelineRunner:
                 if value is not None:
                     record.cache = CACHE_HIT
                     obs.counter("pipeline.cache_hits").inc()
-                    return Artifact(
-                        stage=stage.key, value=value, cache=CACHE_HIT,
-                        seconds=record.seconds,
-                    )
+                    return Artifact(value, CACHE_HIT)
             value = stage.build(self)
             if stage.outputs:
                 record.cache = CACHE_OFF if self.store is None else CACHE_MISS
                 if record.cache == CACHE_MISS:
                     obs.counter("pipeline.cache_misses").inc()
                 record.bytes = self._save(stage, value)
-            return Artifact(
-                stage=stage.key, value=value, cache=record.cache,
-                bytes=record.bytes,
-            )
+            return Artifact(value, record.cache)
 
     # -- store plumbing ------------------------------------------------------
 
@@ -181,41 +186,13 @@ class PipelineRunner:
             self.store.hold(stage.share_key, spec.name, obj, self.fingerprint)
         return written
 
-    # -- persistence & introspection ----------------------------------------
-
-    def persist(self) -> int:
-        """Write memoized stage outputs missing from the store; returns
-        the number of artifacts written.
-
-        This is how late ``attach_store`` backfills a cache: every
-        declared stage that already executed writes whichever of its
-        outputs the store lacks — a stage added to the graph is
-        persisted automatically, with no per-stage bookkeeping list to
-        forget to update.
-        """
-        if self.store is None:
-            return 0
-        written = 0
-        for key in self.graph.topological_order():
-            artifact = self._artifacts.get(key)
-            stage = self.graph.stage(key)
-            if artifact is None or not stage.outputs:
-                continue
-            for spec, obj in zip(
-                stage.outputs, self._output_values(stage, artifact.value)
-            ):
-                if obj is None or self.store.has(self.fingerprint, spec.name):
-                    continue
-                if self._save_one(stage, spec, obj):
-                    written += 1
-        return written
+    # -- introspection ------------------------------------------------------
 
     def status(self) -> List[StageStatus]:
-        """Per-stage cache standing against the attached store (what a
-        replay would hit), in topological order."""
+        """Per-stage cache standing against the store (what a replay
+        would hit), in declaration order."""
         rows: List[StageStatus] = []
-        for key in self.graph.topological_order():
-            stage = self.graph.stage(key)
+        for key, stage in self._stages.items():
             artifacts = []
             for spec in stage.outputs:
                 present = size = 0

@@ -1,10 +1,9 @@
-"""Typed building blocks of the stage-graph execution core.
+"""Typed building blocks of the pipeline.
 
 A :class:`Stage` declares one pipeline step: its identity (``name``
-plus an optional ``detail``), the stages it consumes (``inputs``), the
-cacheable artifacts it produces (``outputs``, each an
-:class:`ArtifactSpec` naming the file and its loader/saver), and the
-build function that computes the value.
+plus an optional ``detail``), the cacheable artifacts it produces
+(``outputs``, each an :class:`ArtifactSpec` naming the file and its
+loader/saver), and the build function that computes the value.
 
 :class:`Artifact` is the runner-side handle for one executed stage:
 the computed (or loaded) value plus its cache disposition, mirroring
@@ -20,7 +19,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional, Tuple
 
 from repro.errors import PipelineError
-from repro.pipeline.runlog import CACHE_OFF
 
 
 @dataclass(frozen=True)
@@ -47,18 +45,16 @@ class ArtifactSpec:
 
 @dataclass(frozen=True)
 class Stage:
-    """One declared step of a pipeline graph.
+    """One declared step of a pipeline.
 
     ``name``/``detail`` follow the run-log convention (``codegen`` /
     ``app`` renders as ``codegen[app]``); together they form the
-    stage's unique :attr:`key`.  ``inputs`` lists the keys of stages
-    this one consumes — the runner resolves them lazily when the build
-    function asks, so a cache hit never forces its dependencies.
-    ``build`` receives the executing
+    stage's unique :attr:`key`.  ``build`` receives the executing
     :class:`~repro.pipeline.runner.PipelineRunner` (use
-    ``runner.value(key)`` to read an input) and returns the stage
-    value; a stage with several ``outputs`` returns one value per
-    spec, in order.
+    ``runner.value(key)`` to read an input, which runs that stage only
+    then, so a cache hit never forces its dependencies) and returns
+    the stage value; a stage with several ``outputs`` returns one
+    value per spec, in order.
 
     ``share_key`` (see :func:`share_key`) names a second store
     directory for stages whose build reads only part of the experiment
@@ -69,7 +65,6 @@ class Stage:
 
     name: str
     detail: str = ""
-    inputs: Tuple[str, ...] = ()
     outputs: Tuple[ArtifactSpec, ...] = ()
     build: Optional[Callable[[Any], Any]] = None
     share_key: str = ""
@@ -82,7 +77,7 @@ class Stage:
 
     @property
     def key(self) -> str:
-        """The unique graph key: ``name`` or ``name:detail``."""
+        """The unique stage key: ``name`` or ``name:detail``."""
         return f"{self.name}:{self.detail}" if self.detail else self.name
 
 
@@ -103,17 +98,11 @@ def share_key(stage: str, inputs: Any) -> str:
 class Artifact:
     """One executed stage: its value plus cache provenance."""
 
-    #: The stage key this artifact came from.
-    stage: str
     #: The stage value (a tuple for multi-output stages).
-    value: Any = None
+    value: Any
     #: ``hit`` (loaded from the store), ``miss`` (built and persisted),
     #: or ``off`` (built with no store attached / nothing to persist).
-    cache: str = CACHE_OFF
-    #: Bytes written to the store when the stage was built.
-    bytes: int = 0
-    #: Wall-clock seconds the stage took (load or build).
-    seconds: float = 0.0
+    cache: str
 
     @property
     def hit(self) -> bool:

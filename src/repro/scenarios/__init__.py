@@ -6,7 +6,7 @@ turns that matrix into data:
 
 * :mod:`repro.scenarios.spec` — :class:`ScenarioSpec`, the declarative
   cell (workload x hierarchy x combo x drift x engine), with a
-  validated registry, TOML/JSON matrix files, and fingerprints that
+  built-in matrix, TOML/JSON matrix files, and fingerprints that
   plug into the artifact-store pipeline cache.
 * :mod:`repro.scenarios.matrix` — the resumable matrix runner:
   crash-safe per-cell persistence, ``repro.check`` gating, and the
@@ -36,9 +36,6 @@ from repro.scenarios.spec import (
     WorkloadSpec,
     default_matrix,
     load_specs,
-    register,
-    registered,
-    registry_names,
     select_specs,
 )
 
@@ -51,9 +48,6 @@ __all__ = [
     "WorkloadSpec",
     "default_matrix",
     "load_specs",
-    "register",
-    "registered",
-    "registry_names",
     "render_scenarios_report",
     "run_matrix",
     "run_static_bench",

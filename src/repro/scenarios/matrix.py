@@ -135,14 +135,13 @@ _EXPERIMENT_MEMO: Dict[str, Experiment] = {}
 
 
 def _experiment_for(spec: ScenarioSpec, store: Optional[ArtifactStore]) -> Experiment:
+    """The memoized experiment of ``spec``; a storeless entry is
+    replaced by a fresh one when a store is requested."""
     config = spec.experiment_config()
     fingerprint = config.fingerprint()
     exp = _EXPERIMENT_MEMO.get(fingerprint)
-    if exp is None:
-        exp = Experiment(config, store=store)
-        _EXPERIMENT_MEMO[fingerprint] = exp
-    elif exp.store is None and store is not None:
-        exp.attach_store(store)
+    if exp is None or (exp.store is None and store is not None):
+        exp = _EXPERIMENT_MEMO[fingerprint] = Experiment(config, store=store)
     return exp
 
 

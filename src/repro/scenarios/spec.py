@@ -1,4 +1,4 @@
-"""Declarative scenario specifications and the validated registry.
+"""Declarative scenario specifications and the built-in matrix.
 
 A :class:`ScenarioSpec` names one cell of the evaluation space the
 paper sweeps by hand — **workload × memory hierarchy × layout combo ×
@@ -46,7 +46,7 @@ import hashlib
 import json
 import pathlib
 from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.cache import CacheGeometry
 from repro.errors import ScenarioError
@@ -508,39 +508,6 @@ def select_specs(
     return chosen
 
 
-# -- the validated registry -------------------------------------------------
-
-_REGISTRY: Dict[str, ScenarioSpec] = {}
-
-
-def register(spec: ScenarioSpec, overwrite: bool = False) -> ScenarioSpec:
-    """Add a validated spec to the process-wide registry."""
-    spec.validate()
-    if spec.name in _REGISTRY and not overwrite:
-        raise ScenarioError(
-            f"scenario {spec.name!r} is already registered "
-            "(pass overwrite=True to replace it)"
-        )
-    _REGISTRY[spec.name] = spec
-    return spec
-
-
-def registered(name: str) -> ScenarioSpec:
-    """Look one registered spec up by name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ScenarioError(
-            f"unknown scenario {name!r}; registered: "
-            f"{', '.join(sorted(_REGISTRY))}"
-        ) from None
-
-
-def registry_names() -> Tuple[str, ...]:
-    """Every registered scenario name, in registration order."""
-    return tuple(_REGISTRY)
-
-
 def default_matrix(quick: bool = True) -> List[ScenarioSpec]:
     """The built-in cross-family matrix.
 
@@ -587,8 +554,3 @@ def default_matrix(quick: bool = True) -> List[ScenarioSpec]:
         quick=quick,
     ))
     return [spec.validate() for spec in specs]
-
-
-for _spec in default_matrix():
-    register(_spec, overwrite=True)
-del _spec

@@ -23,11 +23,7 @@ family diffs a measured profile against the static prediction.
 """
 
 from repro.staticpred.cfg import CfgInfo, NaturalLoop
-from repro.staticpred.heuristics import (
-    HEURISTIC_TABLE,
-    branch_probabilities,
-    invert_enabled,
-)
+from repro.staticpred.heuristics import HEURISTIC_TABLE, branch_probabilities
 from repro.staticpred.propagate import ProcFlow, apportion, propagate_units
 from repro.staticpred.synthesize import (
     MAX_SCC_ROUNDS,
@@ -48,7 +44,6 @@ __all__ = [
     "apportion",
     "branch_probabilities",
     "hybrid_profile",
-    "invert_enabled",
     "propagate_units",
     "synthesize_profile",
 ]

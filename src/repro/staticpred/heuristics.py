@@ -11,16 +11,10 @@ static profile estimation::
 The weights below started from the published Ball-Larus numbers and
 were recalibrated against this repository's generated OLTP/DSS
 binaries; the two deliberate departures are documented in the table.
-
-Setting the environment variable ``REPRO_STATIC_INVERT`` to a
-non-empty value other than ``0`` inverts every two-way prediction --
-a fault-injection hook CI uses to prove the static-layout quality
-gates actually gate.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Tuple
 
 from repro.ir import BasicBlock, Procedure, Terminator
@@ -88,11 +82,6 @@ HEURISTIC_TABLE: Tuple[Tuple[str, float, str], ...] = (
     ("fallthrough", FALLTHROUGH_WEIGHT,
      "every forward conditional branch (forward-not-taken)"),
 )
-
-
-def invert_enabled() -> bool:
-    """True when ``REPRO_STATIC_INVERT`` requests inverted predictions."""
-    return os.environ.get("REPRO_STATIC_INVERT", "") not in ("", "0")
 
 
 def combine(p: float, q: float) -> float:
@@ -165,10 +154,7 @@ def _vote_taken(block: BasicBlock, taken: int, fallthrough: int,
     p = 0.5
     for vote in votes:
         p = combine(p, vote)
-    p = min(PROB_CAP, max(1.0 - PROB_CAP, p))
-    if invert_enabled():
-        p = 1.0 - p
-    return p
+    return min(PROB_CAP, max(1.0 - PROB_CAP, p))
 
 
 def branch_probabilities(

@@ -124,7 +124,7 @@ def synthesize_profile(binary: Binary, root_units: int = ROOT_UNITS) -> Profile:
     for a sealed binary from its CFG structure alone.
 
     Deterministic: the same binary always synthesizes the same
-    profile (unless ``REPRO_STATIC_INVERT`` flips the heuristics).
+    profile.
     """
     profile = Profile(binary)
     sccs = _call_graph_sccs(binary)

@@ -34,18 +34,6 @@ class TestTable:
         table = Table("T", ["x"], [[1.23456]])
         assert "1.23" in table.render()
 
-    def test_render_chart_bars_scale(self):
-        table = Table("T", ["name", "v"], [["a", 10], ["b", 5], ["c", 0]])
-        chart = table.render_chart()
-        lines = chart.splitlines()
-        bar_a = next(l for l in lines if l.strip().startswith("a"))
-        bar_b = next(l for l in lines if l.strip().startswith("b"))
-        assert bar_a.count("#") == 2 * bar_b.count("#")
-
-    def test_render_chart_skips_non_numeric(self):
-        table = Table("T", ["name", "v"], [["a", 10], ["b", "-"]])
-        chart = table.render_chart()
-        assert "b" not in chart.split("\n\n")[-1].split()[0]
 
 
 class TestSweepTables:

@@ -208,6 +208,25 @@ class TestBenchDiff:
         )
         assert code == 0 and "PASS" in text
 
+    def test_repeated_first_cells_are_all_compared(self, tmp_path):
+        # The multiprogramming table has a base and an all row per
+        # process count: both rows of each count are compared.
+        name = "BENCH_ablation_multiprogramming.json"
+        baselines = pathlib.Path(__file__).parent.parent / "benchmarks" / "baselines"
+        doc = json.loads((baselines / name).read_text())
+        row = next(row for row in doc["rows"] if row[:2] == [1, "base"])
+        assert row == [1, "base", 4610, 7.273]
+        row[2:] = [value * 1.5 for value in row[2:]]
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        (fresh / name).write_text(json.dumps(doc))
+        code, text = run_cli(
+            "bench-diff", str(fresh), "--baseline", str(baselines),
+            "--threshold", "8",
+        )
+        assert code == 1 and "FAIL" in text
+        assert "[1/base]" in text
+
     def test_cli_exit_codes(self, tmp_path):
         baseline, fresh = self._dirs(tmp_path, [[32, 100], [64, 50]])
         code, text = run_cli(

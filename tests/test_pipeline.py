@@ -1,8 +1,6 @@
-"""The stage-graph execution core: structural properties of
-:class:`~repro.pipeline.graph.StageGraph` (order determinism, cycle
-rejection, fingerprint stability), cache semantics and gate hooks of
+"""The stage execution core: stage declaration and cache semantics of
 :class:`~repro.pipeline.runner.PipelineRunner`, resilient fan-out, and
-crash-resume of a half-finished graph."""
+crash-resume of a half-finished chain of stages."""
 
 import json
 import os
@@ -14,8 +12,6 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import obs
 from repro.errors import ParallelError, PipelineError
@@ -25,7 +21,6 @@ from repro.pipeline import (
     ArtifactSpec,
     PipelineRunner,
     Stage,
-    StageGraph,
     fork_available,
     parallel_map,
     resilient_map,
@@ -50,15 +45,13 @@ def json_spec(name):
 
 
 def chain_stages(n, prefix="s"):
-    """A linear chain s0 <- s1 <- ... <- s(n-1), each persisting one
-    JSON artifact."""
+    """A linear chain s0 <- s1 <- ... <- s(n-1), each build reading its
+    predecessor and persisting one JSON artifact."""
     stages = []
     for i in range(n):
-        inputs = (f"{prefix}{i - 1}",) if i else ()
         stages.append(
             Stage(
                 name=f"{prefix}{i}",
-                inputs=inputs,
                 outputs=(json_spec(f"{prefix}{i}.json"),),
                 build=(
                     lambda r, i=i: (r.value(f"{prefix}{i - 1}") if i else 0) + 1
@@ -68,88 +61,35 @@ def chain_stages(n, prefix="s"):
     return stages
 
 
-# -- random DAGs for the property tests ----------------------------------
-
-@st.composite
-def dags(draw):
-    """A random DAG as stages with edges from lower to higher index,
-    plus a random insertion order."""
-    n = draw(st.integers(min_value=1, max_value=8))
-    stages = []
-    for i in range(n):
-        deps = (
-            draw(st.sets(st.integers(min_value=0, max_value=i - 1)))
-            if i else set()
-        )
-        stages.append(
-            Stage(
-                name=f"n{i}",
-                inputs=tuple(f"n{d}" for d in sorted(deps)),
-                outputs=(json_spec(f"n{i}.json"),),
-                build=lambda _: None,
-            )
-        )
-    order = draw(st.permutations(range(n)))
-    return stages, order
-
-
 class TestGraphProperties:
-    @given(dags())
-    @settings(max_examples=50)
-    def test_topological_order_is_insertion_order_independent(self, dag):
-        stages, order = dag
-        declared = StageGraph(stages).validate()
-        shuffled = StageGraph([stages[i] for i in order]).validate()
-        assert declared.topological_order() == shuffled.topological_order()
-
-    @given(dags())
-    @settings(max_examples=50)
-    def test_topological_order_respects_dependencies(self, dag):
-        stages, _ = dag
-        order = StageGraph(stages).topological_order()
-        assert sorted(order) == sorted(s.key for s in stages)
-        position = {key: i for i, key in enumerate(order)}
-        for stage in stages:
-            for dep in stage.inputs:
-                assert position[dep] < position[stage.key]
-
-    def test_cycle_rejected(self):
-        graph = StageGraph([
-            Stage(name="a", inputs=("b",), build=lambda _: 1),
-            Stage(name="b", inputs=("a",), build=lambda _: 2),
-        ])
-        with pytest.raises(PipelineError, match="cycle"):
-            graph.validate()
-
-    def test_undeclared_input_rejected(self):
-        graph = StageGraph([
-            Stage(name="a", inputs=("ghost",), build=lambda _: 1)
-        ])
-        with pytest.raises(PipelineError, match="undeclared"):
-            graph.validate()
+    """What the runner kept from the stage graph it replaced."""
 
     def test_duplicate_key_rejected(self):
-        graph = StageGraph([Stage(name="a", build=lambda _: 1)])
+        runner = PipelineRunner([Stage(name="a", build=lambda _: 1)])
         with pytest.raises(PipelineError, match="already declared"):
-            graph.add(Stage(name="a", build=lambda _: 2))
+            runner.add(Stage(name="a", build=lambda _: 2))
+        runner.add(Stage(name="a", detail="x", build=lambda _: 3))
+        assert "a" in runner and "a:x" in runner and "b" not in runner
 
     def test_unknown_stage_lookup_names_known_stages(self):
-        graph = StageGraph([Stage(name="a", build=lambda _: 1)])
+        runner = PipelineRunner([Stage(name="a", build=lambda _: 1)])
         with pytest.raises(PipelineError, match="declared stages: a"):
-            graph.stage("zzz")
+            runner.stage("zzz")
+        with pytest.raises(PipelineError, match="declared stages: a"):
+            runner.value("zzz")
 
 
 class TestRunnerCacheSemantics:
     def test_cold_run_builds_then_warm_run_hits(self, tmp_path):
         store = ArtifactStore(tmp_path)
         cold = PipelineRunner(
-            StageGraph(chain_stages(3)), store=store, fingerprint="fp"
+            chain_stages(3), store=store, fingerprint="fp"
         )
         assert cold.value("s2") == 3
         assert cold.runlog.cache_states("s2") == [CACHE_MISS]
 
         warm = PipelineRunner(
-            StageGraph(chain_stages(3)), store=store, fingerprint="fp"
+            chain_stages(3), store=store, fingerprint="fp"
         )
         assert warm.value("s2") == 3
         assert warm.runlog.all_hits("s2")
@@ -157,27 +97,25 @@ class TestRunnerCacheSemantics:
     def test_cache_hit_never_forces_dependencies(self, tmp_path):
         store = ArtifactStore(tmp_path)
         PipelineRunner(
-            StageGraph(chain_stages(3)), store=store, fingerprint="fp"
-        ).run()
+            chain_stages(3), store=store, fingerprint="fp"
+        ).value("s2")
 
         built = []
         stages = chain_stages(3)
         spied = [
             Stage(
-                name=s.name, inputs=s.inputs, outputs=s.outputs,
+                name=s.name, outputs=s.outputs,
                 build=lambda r, s=s: built.append(s.name) or s.build(r),
             )
             for s in stages
         ]
-        warm = PipelineRunner(
-            StageGraph(spied), store=store, fingerprint="fp"
-        )
+        warm = PipelineRunner(spied, store=store, fingerprint="fp")
         assert warm.value("s2") == 3
         assert built == []
         assert [r.stage for r in warm.runlog.records] == ["s2"]
 
     def test_no_store_runs_with_cache_off(self):
-        runner = PipelineRunner(StageGraph(chain_stages(2)))
+        runner = PipelineRunner(chain_stages(2))
         assert runner.value("s1") == 2
         assert runner.runlog.cache_states("s0") == [CACHE_OFF]
         assert runner.runlog.cache_states("s1") == [CACHE_OFF]
@@ -187,16 +125,16 @@ class TestRunnerCacheSemantics:
     ):
         store = ArtifactStore(tmp_path)
 
-        def graph():
-            return StageGraph([Stage(
+        def stages():
+            return [Stage(
                 name="pair",
                 outputs=(json_spec("left.json"), json_spec("right.json")),
                 build=lambda _: (1, 2),
-            )])
+            )]
 
-        PipelineRunner(graph(), store=store, fingerprint="fp").run()
+        PipelineRunner(stages(), store=store, fingerprint="fp").value("pair")
         store.path("fp", "right.json").unlink()
-        rerun = PipelineRunner(graph(), store=store, fingerprint="fp")
+        rerun = PipelineRunner(stages(), store=store, fingerprint="fp")
         assert rerun.value("pair") == (1, 2)
         assert rerun.runlog.cache_states("pair") == [CACHE_MISS]
 
@@ -216,11 +154,11 @@ class TestRunnerCacheSemantics:
             return None
 
         runner = PipelineRunner(
-            StageGraph([Stage(
+            [Stage(
                 name="checked",
                 outputs=(ArtifactSpec("g.json", load_positive, save_json),),
                 build=lambda _: 7,
-            )]),
+            )],
             store=store, fingerprint="fp",
         )
         assert runner.value("checked") == 7
@@ -228,41 +166,25 @@ class TestRunnerCacheSemantics:
         assert runner.runlog.cache_states("checked") == [CACHE_MISS]
         assert load_json(store.path("fp", "g.json")) == 7
 
-    def test_persist_writes_every_declared_stage(self, tmp_path):
-        # Regression for the hand-maintained stage list persist() used
-        # to iterate: a declared stage must never be silently skipped.
-        runner = PipelineRunner(StageGraph(chain_stages(4)))
-        runner.run()
-        runner.store = ArtifactStore(tmp_path)
-        assert runner.persist() == 4
-        for i in range(4):
-            assert runner.store.has("", f"s{i}.json")
-        assert runner.persist() == 0  # idempotent
-
     def test_recursive_stage_rejected(self):
-        runner = PipelineRunner(StageGraph([Stage(
+        runner = PipelineRunner([Stage(
             name="selfish", build=lambda r: r.value("selfish"),
-        )]))
+        )])
         with pytest.raises(PipelineError, match="recursively"):
             runner.value("selfish")
-
-    def test_run_rejects_unknown_keys(self):
-        runner = PipelineRunner(StageGraph(chain_stages(2)))
-        with pytest.raises(PipelineError, match="zzz"):
-            runner.run(["s0", "zzz"])
 
     def test_status_tracks_store_contents(self, tmp_path):
         store = ArtifactStore(tmp_path)
         stages = chain_stages(2) + [
             Stage(name="ephemeral", build=lambda _: None)
         ]
-        runner = PipelineRunner(
-            StageGraph(stages), store=store, fingerprint="fp"
-        )
-        by_key = {row.key: row for row in runner.status()}
+        runner = PipelineRunner(stages, store=store, fingerprint="fp")
+        rows = runner.status()
+        assert [row.key for row in rows] == ["s0", "s1", "ephemeral"]
+        by_key = {row.key: row for row in rows}
         assert by_key["s0"].state == "missing"
         assert by_key["ephemeral"].state == "transient"
-        runner.run(["s0"])
+        runner.value("s0")
         by_key = {row.key: row for row in runner.status()}
         assert by_key["s0"].state == "ready"
         assert by_key["s0"].bytes > 0
@@ -270,24 +192,22 @@ class TestRunnerCacheSemantics:
 
 
 class TestExperimentPipeline:
-    def fresh_quick_experiment(self):
+    def fresh_quick_experiment(self, store):
         # quick_experiment() is lru_cached (same instance each call);
         # these tests need independent memo state over one config.
         from repro.harness.experiment import Experiment
         from repro.harness import quick_experiment
 
-        return Experiment(quick_experiment().config)
+        return Experiment(quick_experiment().config, store=store)
 
     def test_experiment_persists_every_declared_stage(self, tmp_path):
-        # Satellite regression: Experiment.persist() iterates the
-        # declared graph, so every persistent stage lands in a late-
-        # attached store -- no name list to forget to update.
-        exp = self.fresh_quick_experiment()
+        # Every persistent stage the experiment declares lands in the
+        # store it was constructed with.
+        exp = self.fresh_quick_experiment(ArtifactStore(tmp_path))
         _ = exp.app, exp.kernel, exp.profile, exp.trace
-        exp.attach_store(ArtifactStore(tmp_path))
         persistent = {
             spec.name
-            for stage in exp.pipeline.graph
+            for stage in exp.declared_stages()
             for spec in stage.outputs
         }
         assert persistent == {
@@ -299,13 +219,11 @@ class TestExperimentPipeline:
 
     def test_warm_replay_hits_every_persistent_stage(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        first = self.fresh_quick_experiment()
-        first.attach_store(store)
+        first = self.fresh_quick_experiment(store)
         _ = first.app, first.kernel, first.profile, first.trace
 
         hits = obs.counter("pipeline.cache_hits").value
-        replay = self.fresh_quick_experiment()
-        replay.attach_store(store)
+        replay = self.fresh_quick_experiment(store)
         _ = replay.app, replay.kernel, replay.profile, replay.trace
         assert replay.runlog.all_hits("codegen", "profile", "trace")
         assert obs.counter("pipeline.cache_hits").value >= hits + 4
@@ -426,7 +344,7 @@ class TestSharedHandoff:
 
 class TestCrashResume:
     def test_killed_graph_resumes_from_completed_stages(self, tmp_path):
-        """Kill a runner mid-graph (mirroring the scenarios SIGKILL
+        """Kill a runner mid-chain (mirroring the scenarios SIGKILL
         test); a rerun must hit the completed stages and build only the
         rest."""
         cache = tmp_path / "cache"
@@ -434,8 +352,7 @@ class TestCrashResume:
             import json, time
 
             from repro.harness.store import ArtifactStore
-            from repro.pipeline import ArtifactSpec, PipelineRunner, \\
-                Stage, StageGraph
+            from repro.pipeline import ArtifactSpec, PipelineRunner, Stage
 
             def save_json(obj, path): path.write_text(json.dumps(obj))
             def load_json(path): return json.loads(path.read_text())
@@ -443,20 +360,20 @@ class TestCrashResume:
             def build(i):
                 def _build(r):
                     if i:
+                        r.value(f"s{i-1}")
                         time.sleep(60)  # killed long before finishing
                     return i + 1
                 return _build
 
-            graph = StageGraph([
+            stages = [
                 Stage(name=f"s{i}",
-                      inputs=(f"s{i-1}",) if i else (),
                       outputs=(ArtifactSpec(f"s{i}.json",
                                             load_json, save_json),),
                       build=build(i))
                 for i in range(3)
-            ])
-            PipelineRunner(graph, store=ArtifactStore(%r),
-                           fingerprint="fp").run()
+            ]
+            PipelineRunner(stages, store=ArtifactStore(%r),
+                           fingerprint="fp").value("s2")
         """ % str(cache))
         env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
         proc = subprocess.Popen([sys.executable, "-c", script], env=env)
@@ -475,8 +392,7 @@ class TestCrashResume:
                 proc.kill()
 
         resumed = PipelineRunner(
-            StageGraph(chain_stages(3)),
-            store=ArtifactStore(cache), fingerprint="fp",
+            chain_stages(3), store=ArtifactStore(cache), fingerprint="fp",
         )
         assert resumed.value("s2") == 3
         assert resumed.runlog.all_hits("s0")

@@ -171,6 +171,56 @@ class TestRunAndResume:
             run_matrix(tpcb_cells(16) + tpcb_cells(16))
 
 
+class TestExperimentMemo:
+    """One experiment per pipeline per process, whatever the fan-out."""
+
+    SHARED = ("codegen", "database", "profile", "trace")
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cells_reuse_the_warmed_experiment(self, tmp_path, monkeypatch, jobs):
+        monkeypatch.setattr(matrix_mod, "_EXPERIMENT_MEMO", {})
+        store = ArtifactStore(tmp_path / "cache")
+        specs = tpcb_cells(16, 32)
+        exp = matrix_mod._experiment_for(specs[0], store)
+        _ = exp.trace, exp.profile
+        warmed = len(exp.runlog.records)
+
+        def rebuilt():
+            return [
+                r.stage for r in exp.runlog.records[warmed:]
+                if r.stage in self.SHARED
+            ]
+
+        original = matrix_mod._simulate_misses
+
+        def checked(spec, streams):
+            # At jobs=2 this runs in a forked worker, where a failed
+            # check comes back as a failed cell.
+            fingerprint = spec.experiment_config().fingerprint()
+            assert matrix_mod._EXPERIMENT_MEMO[fingerprint] is exp
+            assert not rebuilt(), rebuilt()
+            return original(spec, streams)
+
+        monkeypatch.setattr(matrix_mod, "_simulate_misses", checked)
+        result = run_matrix(specs, store=store, jobs=jobs, verify=False)
+        assert not result.failed, [cell.error for cell in result.failed]
+        assert result.simulated == 2
+        assert not rebuilt(), rebuilt()
+
+    def test_a_store_replaces_a_storeless_entry(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(matrix_mod, "_EXPERIMENT_MEMO", {})
+        spec = tpcb_cells(16)[0]
+        storeless = matrix_mod._experiment_for(spec, None)
+        assert storeless.store is None
+        store = ArtifactStore(tmp_path / "cache")
+        exp = matrix_mod._experiment_for(spec, store)
+        assert exp.store is store
+        assert matrix_mod._experiment_for(spec, None) is exp
+        _ = exp.trace
+        for name in ("app.pkl", "kernel.pkl", "trace.npz"):
+            assert store.has(exp.fingerprint, name), name
+
+
 class TestCrashResume:
     def test_killed_sweep_resumes_without_resimulating(self, tmp_path):
         """Kill the runner mid-sweep; completed cells must come back
@@ -181,8 +231,6 @@ class TestCrashResume:
         # Warm the shared pipeline into the store so the subprocess
         # spends its time in per-cell simulation, not codegen.
         exp = matrix_mod._experiment_for(specs[0], store)
-        if exp.store is None:
-            exp.attach_store(store)
         _ = exp.trace
         script = textwrap.dedent("""
             from repro.harness.store import ArtifactStore

@@ -1,4 +1,5 @@
-"""Tests for scenario specs: validation, identity, files, registry."""
+"""Tests for scenario specs: validation, identity, files, the built-in
+matrix."""
 
 import json
 import sys
@@ -12,9 +13,6 @@ from repro.scenarios.spec import (
     WorkloadSpec,
     default_matrix,
     load_specs,
-    register,
-    registered,
-    registry_names,
     select_specs,
 )
 
@@ -212,20 +210,6 @@ class TestSelection:
 
 
 class TestRegistry:
-    def test_default_matrix_preregistered(self):
-        names = registry_names()
-        assert "tpcb-i32" in names
-        assert registered("tpcb-i32").workload.kind == "tpcb"
-
-    def test_unknown_name(self):
-        with pytest.raises(ScenarioError, match="unknown scenario"):
-            registered("never-heard-of-it")
-
-    def test_register_rejects_collisions_without_overwrite(self):
-        with pytest.raises(ScenarioError, match="already registered"):
-            register(registered("tpcb-i32"))
-        register(registered("tpcb-i32"), overwrite=True)
-
     def test_default_matrix_covers_the_axes(self):
         specs = default_matrix()
         assert len(specs) >= 8

@@ -2,13 +2,19 @@
 
 The simulation path itself is exercised by the ``repro static-bench``
 CLI test and the CI ``static-smoke`` job; these tests pin the
-recovery/ratio arithmetic, the OLTP gate selection, and the bench-diff
-contract of the emitted table.
+recovery/ratio arithmetic, the OLTP gate selection, the bench-diff
+contract of the emitted table, and that the gate fails inverted
+predictions.
 """
+
+import io
 
 import pytest
 
+from repro.cli import main
 from repro.errors import ScenarioError
+from repro.scenarios import matrix as matrix_mod
+from repro.staticpred import heuristics
 from repro.scenarios.staticbench import (
     GATE_MIN_RATIO,
     SourceCell,
@@ -83,3 +89,22 @@ class TestRunner:
     def test_empty_selection_rejected(self):
         with pytest.raises(ScenarioError, match="at least one"):
             run_static_bench([])
+
+
+class TestFalsification:
+    def static_bench_check(self, monkeypatch):
+        # A fresh memo and no store: nothing a clean run computed may
+        # answer the next one.
+        monkeypatch.setattr(matrix_mod, "_EXPERIMENT_MEMO", {})
+        return main(
+            ["--no-cache", "--quiet", "static-bench", "--check"],
+            out=io.StringIO(),
+        )
+
+    def test_inverted_predictions_fail_the_gate(self, monkeypatch):
+        assert self.static_bench_check(monkeypatch) == 0
+        vote = heuristics._vote_taken
+        monkeypatch.setattr(
+            heuristics, "_vote_taken", lambda *args: 1.0 - vote(*args)
+        )
+        assert self.static_bench_check(monkeypatch) == 1

@@ -42,7 +42,7 @@ def stage_states(exp):
 
 
 def shared_path(exp, key, name):
-    stage = exp.pipeline.graph.stage(key)
+    stage = exp.pipeline.stage(key)
     return exp.store.path(stage.share_key, name)
 
 
@@ -104,8 +104,8 @@ class TestSharing:
         second = Experiment(config, store=store)
         app_key = "codegen:app"
         assert (
-            second.pipeline.graph.stage(app_key).share_key
-            != first.pipeline.graph.stage(app_key).share_key
+            second.pipeline.stage(app_key).share_key
+            != first.pipeline.stage(app_key).share_key
         )
         _ = second.app, second.kernel
         states = stage_states(second)
@@ -141,12 +141,12 @@ class TestSharing:
             store=store,
         )
         keys = [
-            exp.pipeline.graph.stage("database").share_key
+            exp.pipeline.stage("database").share_key
             for exp in (first, second)
         ]
         assert keys[0] == keys[1]
         pools = [
-            Experiment(tiny_config(pool_capacity=pool)).pipeline.graph
+            Experiment(tiny_config(pool_capacity=pool)).pipeline
             .stage("database").share_key
             for pool in (512, 1024)
         ]

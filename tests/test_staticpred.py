@@ -23,7 +23,6 @@ from repro.staticpred import (
     apportion,
     branch_probabilities,
     hybrid_profile,
-    invert_enabled,
     propagate_units,
     synthesize_profile,
 )
@@ -189,30 +188,6 @@ class TestHeuristics:
         probs = branch_probabilities(proc)
         head, body = proc.block("head").bid, proc.block("body").bid
         assert probs[(head, body)] > 0.5
-
-    def test_invert_flips_the_prediction(self, monkeypatch):
-        proc = Procedure("p")
-        proc.add_block(
-            "head", 2, Terminator.COND_BRANCH, succs=("body", "exit")
-        )
-        proc.add_block("body", 4, Terminator.UNCOND_BRANCH, succs=("head",))
-        proc.add_block("exit", 2, Terminator.RETURN)
-        proc = seal(proc).proc("p")
-        head, body = proc.block("head").bid, proc.block("body").bid
-        straight = branch_probabilities(proc)[(head, body)]
-        monkeypatch.setenv("REPRO_STATIC_INVERT", "1")
-        assert invert_enabled()
-        inverted = branch_probabilities(proc)[(head, body)]
-        assert inverted == pytest.approx(1.0 - straight)
-        assert inverted < 0.5 < straight
-
-    def test_invert_flag_parsing(self, monkeypatch):
-        for value, expected in (("", False), ("0", False), ("1", True),
-                                ("yes", True)):
-            monkeypatch.setenv("REPRO_STATIC_INVERT", value)
-            assert invert_enabled() is expected
-        monkeypatch.delenv("REPRO_STATIC_INVERT")
-        assert invert_enabled() is False
 
 
 class TestApportion:

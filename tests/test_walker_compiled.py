@@ -239,13 +239,13 @@ FAMILY_CELLS = ("tpcb-i32", "dss-i32", "synth-oltp-i32", "synth-scan-i32")
 def captured():
     """Per family: the quick programs and the events of a short run."""
     from repro.harness import quick_experiment
-    from repro.scenarios.spec import registered
+    from repro.scenarios.spec import default_matrix, select_specs
 
     base = quick_experiment()
     app, kernel = base.app, base.kernel
     runs = {}
-    for cell in FAMILY_CELLS:
-        config = registered(cell).experiment_config()
+    for spec in select_specs(default_matrix(), FAMILY_CELLS):
+        config = spec.experiment_config()
         tpcb = replace(config.tpcb, seed=config.tpcb.seed + 1)
         factory = config.workload_factory
         system = OltpSystem(
@@ -255,7 +255,7 @@ def captured():
         )
         system.walker = recorder = _Recorder(app, kernel)
         system.run(12)
-        runs[cell] = pickle.dumps(recorder.events)
+        runs[spec.name] = pickle.dumps(recorder.events)
     return app, kernel, runs
 
 

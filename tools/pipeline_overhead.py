@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Bound the stage-graph runner's overhead on the fig04 quick sweep.
+"""Bound the pipeline runner's overhead on the fig04 quick sweep.
 
 The `repro.pipeline` refactor routed every stage product access
 through :class:`~repro.pipeline.runner.PipelineRunner`.  The refactor

@@ -1,19 +1,18 @@
 #!/usr/bin/env python3
-"""Prove the stage-graph runner replays caches written by pre-pipeline code.
+"""Prove the pipeline runner replays caches written by pre-pipeline code.
 
 The `repro.pipeline` refactor promised cache-key compatibility: the
 runner memoizes under the historical cache-key scheme -- the same
 ``(experiment fingerprint, artifact name)`` keys the pre-pipeline
 harness used -- so artifact stores written before the refactor replay
-warm through the new graph.  The old code is gone from the tree, so this script
+warm through the new runner.  The old code is gone from the tree, so this script
 recreates its footprint exactly:
 
 ``write-legacy``
     Build every persistent stage product of the quick experiment with
     the store *detached*, then write the artifacts with raw
-    ``ArtifactStore.save`` calls — the very calls pre-pipeline
-    ``Experiment.persist()`` made, with the pre-pipeline artifact
-    names, and zero :class:`~repro.pipeline.runner.PipelineRunner`
+    ``ArtifactStore.save`` calls — the very calls the pre-pipeline
+    harness made, with the pre-pipeline artifact names, and zero :class:`~repro.pipeline.runner.PipelineRunner`
     involvement.  The ``base`` and ``all`` layouts of the app and the
     kernel under every profile source are written the same way, under
     the names in :data:`LAYOUTS` (the kernel ``base`` layout is never
