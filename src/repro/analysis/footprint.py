@@ -18,8 +18,7 @@ def execution_profile_curve(profile: Profile) -> Tuple[np.ndarray, np.ndarray]:
     instructions from most to least frequently executed, the fraction
     of all dynamic instructions captured by each footprint prefix.
     """
-    binary = profile.binary
-    sizes = np.array([b.size for b in binary.blocks()], dtype=np.int64)
+    sizes = profile.binary.table.size
     counts = profile.block_counts
     per_instr_counts = np.repeat(counts, sizes)
     order = np.argsort(per_instr_counts, kind="stable")[::-1]
@@ -34,9 +33,8 @@ def execution_profile_curve(profile: Profile) -> Tuple[np.ndarray, np.ndarray]:
 
 def dynamic_footprint_bytes(profile: Profile) -> int:
     """Bytes of static code executed at least once."""
-    binary = profile.binary
-    sizes = np.array([b.size for b in binary.blocks()], dtype=np.int64)
-    return int(sizes[profile.block_counts > 0].sum()) * INSTRUCTION_BYTES
+    sizes = profile.binary.table.size[profile.block_counts > 0]
+    return int(sizes.sum()) * INSTRUCTION_BYTES
 
 
 def footprint_in_lines(

@@ -17,12 +17,12 @@ the address map and assume the structure passes came back clean --
 
 from __future__ import annotations
 
-import weakref
 from typing import Dict, Iterator, List
 
 import numpy as np
 
 from repro.check.diagnostics import CheckContext, Diagnostic, Severity
+from repro.ir import flatten_units
 from repro.ir.instruction import INSTRUCTION_BYTES, SEGMENT_ENDING, Terminator
 
 #: Combos whose units are fine-grain segments; only these are held to
@@ -30,72 +30,18 @@ from repro.ir.instruction import INSTRUCTION_BYTES, SEGMENT_ENDING, Terminator
 #: interior returns).
 SPLIT_BASED_LAYOUTS = ("split", "chain+split", "all", "cfa")
 
-#: Per-binary lookup tables (binaries are sealed and immutable, so
-#: rebuilding them for every checked layout would dominate the cost of
-#: verifying a whole combo sweep).
-_BLOCK_TABLES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def _block_tables(binary) -> dict:
-    tables = _BLOCK_TABLES.get(binary)
-    if tables is not None and tables["num_blocks"] == binary.num_blocks:
-        return tables
-    n = binary.num_blocks
-    proc_of: List[str] = [""] * n
-    fc_src: List[int] = []
-    fc_dst: List[int] = []
-    cond_src: List[int] = []
-    cond_taken: List[int] = []
-    cond_fall: List[int] = []
-    uncond_src: List[int] = []
-    uncond_dst: List[int] = []
-    seg_end = np.zeros(n, dtype=bool)
-    for block in binary.blocks():
-        bid = block.bid
-        proc_of[bid] = block.proc_name
-        term = block.terminator
-        if term in (Terminator.FALLTHROUGH, Terminator.CALL):
-            fc_src.append(bid)
-            fc_dst.append(block.succs[0])
-        elif term is Terminator.COND_BRANCH:
-            cond_src.append(bid)
-            cond_taken.append(block.succs[0])
-            cond_fall.append(block.succs[1])
-        elif term is Terminator.UNCOND_BRANCH:
-            uncond_src.append(bid)
-            uncond_dst.append(block.succs[0])
-        if term in SEGMENT_ENDING:
-            seg_end[bid] = True
-    tables = {
-        "num_blocks": n,
-        "proc_of": proc_of,
-        "fc_src": np.asarray(fc_src, dtype=np.int64),
-        "fc_dst": np.asarray(fc_dst, dtype=np.int64),
-        "cond_src": np.asarray(cond_src, dtype=np.int64),
-        "cond_taken": np.asarray(cond_taken, dtype=np.int64),
-        "cond_fall": np.asarray(cond_fall, dtype=np.int64),
-        "uncond_src": np.asarray(uncond_src, dtype=np.int64),
-        "uncond_dst": np.asarray(uncond_dst, dtype=np.int64),
-        "seg_end": seg_end,
-    }
-    _BLOCK_TABLES[binary] = tables
-    return tables
-
 
 def _placement_arrays(ctx: CheckContext):
-    """``(flat_ids, in_range, per_id_counts)`` for the context's layout,
-    cached so the structure/address passes flatten the layout once."""
+    """``(flat_ids, unit_starts, in_range, per_id_counts)`` for the
+    context's layout, cached so the passes flatten the layout once."""
     cached = ctx.cache.get("placement")
     if cached is not None:
         return cached
     n = ctx.binary.num_blocks
-    ids = np.fromiter(
-        (bid for unit in ctx.layout.units for bid in unit.block_ids),
-        dtype=np.int64,
-    )
+    ids, starts = flatten_units(ctx.layout.units)
     in_range = (ids >= 0) & (ids < n)
     counts = np.bincount(ids[in_range], minlength=n)
-    cached = (ids, in_range, counts)
+    cached = (ids, starts, in_range, counts)
     ctx.cache["placement"] = cached
     return cached
 
@@ -106,7 +52,7 @@ def check_structure(ctx: CheckContext) -> Iterator[Diagnostic]:
     binary, layout = ctx.binary, ctx.layout
     if binary is None or layout is None:
         return
-    ids, in_range, counts = _placement_arrays(ctx)
+    ids, _starts, in_range, counts = _placement_arrays(ctx)
 
     for bid in np.unique(ids[~in_range]).tolist():
         yield Diagnostic(
@@ -146,17 +92,19 @@ def check_structure(ctx: CheckContext) -> Iterator[Diagnostic]:
     # procedure the unit claims (LAY003), and each procedure needs
     # exactly one entry unit actually containing its entry block
     # (LAY004) so calls land on real code.
-    proc_of = _block_tables(binary)["proc_of"]
+    order = binary.proc_order()
+    proc_index = {name: i for i, name in enumerate(order)}
+    proc_of = binary.table.proc.tolist()
     num_blocks = binary.num_blocks
     entry_units: Dict[str, List[str]] = {}
     for unit in layout.units:
-        owner = unit.proc_name
+        owner = proc_index.get(unit.proc_name, -1)
         for bid in unit.block_ids:
             if 0 <= bid < num_blocks and proc_of[bid] != owner:
                 yield Diagnostic(
                     "LAY003", Severity.ERROR,
                     f"unit {unit.name} of {unit.proc_name!r} contains foreign "
-                    f"block {bid} owned by {proc_of[bid]!r}",
+                    f"block {bid} owned by {order[proc_of[bid]]!r}",
                     target=ctx.target, location=f"unit {unit.name}",
                 )
         if unit.is_entry:
@@ -195,7 +143,7 @@ def check_branch_targets(ctx: CheckContext) -> Iterator[Diagnostic]:
     binary, layout = ctx.binary, ctx.layout
     if binary is None or layout is None:
         return
-    ids, in_range, counts = _placement_arrays(ctx)
+    ids, _starts, in_range, counts = _placement_arrays(ctx)
     if in_range.all() and counts.all():
         # Complete placement: every successor id is a valid block
         # (guaranteed at seal time), hence placed.  Nothing can dangle.
@@ -240,7 +188,7 @@ def check_segments(ctx: CheckContext) -> Iterator[Diagnostic]:
         return
     if getattr(layout, "name", "") not in SPLIT_BASED_LAYOUTS:
         return
-    seg_end = _block_tables(binary)["seg_end"]
+    seg_end = binary.table.is_term(*SEGMENT_ENDING).tolist()
     num_blocks = binary.num_blocks
     for unit in layout.units:
         for bid in unit.block_ids[:-1]:
@@ -263,7 +211,7 @@ def check_addresses(ctx: CheckContext) -> Iterator[Diagnostic]:
     binary, layout, amap = ctx.binary, ctx.layout, ctx.address_map
     if binary is None or layout is None or amap is None:
         return
-    ids, in_range, _counts = _placement_arrays(ctx)
+    ids, unit_pos, in_range, _counts = _placement_arrays(ctx)
     block_end = amap.addr + amap.n_fetch.astype(np.int64) * INSTRUCTION_BYTES
 
     occupied = ids[in_range]
@@ -286,8 +234,10 @@ def check_addresses(ctx: CheckContext) -> Iterator[Diagnostic]:
         )
 
     align = max(layout.alignment, INSTRUCTION_BYTES)
+    placed_end = np.where(in_range, block_end[np.where(in_range, ids, 0)], np.iinfo(np.int64).min)
+    unit_end = np.maximum.reduceat(placed_end, unit_pos).tolist() if len(ids) else []
     prev_end = 0
-    for unit in layout.units:
+    for unit, end in zip(layout.units, unit_end):
         start = amap.unit_starts.get(unit.name)
         if start is None:
             continue  # structure errors already reported
@@ -304,11 +254,7 @@ def check_addresses(ctx: CheckContext) -> Iterator[Diagnostic]:
                 f"unit ends ({prev_end:#x})",
                 target=ctx.target, location=f"unit {unit.name}",
             )
-        end = start
-        for bid in unit.block_ids:
-            if 0 <= bid < binary.num_blocks:
-                end = max(end, int(block_end[bid]))
-        prev_end = max(prev_end, end)
+        prev_end = max(prev_end, start, end)
 
 
 def check_fixups(ctx: CheckContext) -> Iterator[Diagnostic]:
@@ -323,21 +269,16 @@ def check_fixups(ctx: CheckContext) -> Iterator[Diagnostic]:
     binary, amap = ctx.binary, ctx.address_map
     if binary is None or amap is None:
         return
-    tables = _block_tables(binary)
-    n = binary.num_blocks
+    table = binary.table
     addr = amap.addr
     block_end = addr + amap.n_fetch.astype(np.int64) * INSTRUCTION_BYTES
-    appended = np.zeros(n, dtype=bool)
-    if amap.appended_branches:
-        appended[list(amap.appended_branches)] = True
-    inverted = np.zeros(n, dtype=bool)
-    if amap.inverted:
-        inverted[list(amap.inverted)] = True
-    deleted = np.zeros(n, dtype=bool)
-    if amap.deleted_branches:
-        deleted[list(amap.deleted_branches)] = True
+    appended, inverted, deleted = (
+        np.isin(np.arange(binary.num_blocks), list(bids))
+        for bids in (amap.appended_branches, amap.inverted, amap.deleted_branches)
+    )
 
-    src, dst = tables["fc_src"], tables["fc_dst"]
+    src = np.flatnonzero(table.is_term(Terminator.FALLTHROUGH, Terminator.CALL))
+    dst = table.succ0[src]
     bad = ~appended[src] & (addr[dst] != block_end[src])
     for bid, target in zip(src[bad].tolist(), dst[bad].tolist()):
         block = binary.block(bid)
@@ -351,11 +292,9 @@ def check_fixups(ctx: CheckContext) -> Iterator[Diagnostic]:
             hint="assign_addresses must append an unconditional branch here",
         )
 
-    src = tables["cond_src"]
+    src = np.flatnonzero(table.is_term(Terminator.COND_BRANCH))
     if len(src):
-        expected = np.where(
-            inverted[src], tables["cond_taken"], tables["cond_fall"]
-        )
+        expected = np.where(inverted[src], table.succ0[src], table.succ1[src])
         bad = ~appended[src] & (addr[expected] != block_end[src])
         for bid, exp in zip(src[bad].tolist(), expected[bad].tolist()):
             block = binary.block(bid)
@@ -368,7 +307,8 @@ def check_fixups(ctx: CheckContext) -> Iterator[Diagnostic]:
                 target=ctx.target,
             )
 
-    src, dst = tables["uncond_src"], tables["uncond_dst"]
+    src = np.flatnonzero(table.is_term(Terminator.UNCOND_BRANCH))
+    dst = table.succ0[src]
     bad = deleted[src] & (addr[dst] != block_end[src])
     for bid, target in zip(src[bad].tolist(), dst[bad].tolist()):
         block = binary.block(bid)

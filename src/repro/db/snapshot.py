@@ -11,19 +11,18 @@ empty engine.  A restored engine behaves exactly like the loaded one:
 the same pages hit and miss, and the next traced operation draws the
 same salt.
 
-The byte form (:meth:`DatabaseSnapshot.to_bytes`) is explicit: a magic
-tag, a SHA-256 digest and a pickle of plain tuples, ints and bytes —
-never engine objects.  A truncated, bit-flipped or foreign file fails
+The byte form (:meth:`DatabaseSnapshot.to_bytes`) is explicit: a
+checksummed pickle (:mod:`repro.checksum`) of plain tuples, ints and
+bytes — never engine objects.  A truncated, bit-flipped or foreign file fails
 :meth:`DatabaseSnapshot.from_bytes` with :class:`~repro.errors.DatabaseError`.
 """
 
 from __future__ import annotations
 
-import hashlib
-import pickle
 from dataclasses import astuple, dataclass, fields
 from typing import Optional, Tuple
 
+from repro import checksum
 from repro.db.btree import BTree
 from repro.db.buffer import _Frame
 from repro.db.engine import Engine, Table
@@ -34,7 +33,6 @@ from repro.errors import DatabaseError
 
 #: File tag; bump the digit when the field layout changes.
 _MAGIC = b"REPRODB1"
-_DIGEST = 32
 
 
 @dataclass(frozen=True)
@@ -199,27 +197,19 @@ class DatabaseSnapshot:
     # -- bytes ----------------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """Magic tag + SHA-256 of the payload + the payload (a pickle
-        of plain tuples)."""
+        """A checksummed pickle of plain tuples."""
         state = tuple(
             tuple(astuple(table) for table in self.tables)
             if f.name == "tables" else getattr(self, f.name)
             for f in fields(self)
         )
-        payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-        return _MAGIC + hashlib.sha256(payload).digest() + payload
+        return checksum.dumps(_MAGIC, state)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "DatabaseSnapshot":
         """Parse :meth:`to_bytes` output; any damage raises
         :class:`~repro.errors.DatabaseError`."""
-        head = len(_MAGIC)
-        if data[:head] != _MAGIC:
-            raise DatabaseError("not a database snapshot")
-        digest, payload = data[head:head + _DIGEST], data[head + _DIGEST:]
-        if hashlib.sha256(payload).digest() != digest:
-            raise DatabaseError("database snapshot fails its checksum")
-        state = pickle.loads(payload)
+        state = checksum.loads(_MAGIC, data, DatabaseError, "database snapshot")
         names = [f.name for f in fields(cls)]
         if not isinstance(state, tuple) or len(state) != len(names):
             raise DatabaseError("database snapshot has the wrong shape")

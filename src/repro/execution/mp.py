@@ -124,10 +124,8 @@ class OltpSystem:
                 )
             database.restore(self.engine)
         self._rng = random.Random(self.config.seed)
-        self._sizes = np.array(
-            [b.size for b in app.binary.blocks()]
-            + [b.size for b in kernel.binary.blocks()],
-            dtype=np.int64,
+        self._sizes = np.concatenate(
+            [app.binary.table.size, kernel.binary.table.size]
         )
         self._txn_to_pid: Dict[int, int] = {}
         self._data_salt = 0

@@ -11,7 +11,7 @@ and :func:`memo` is the per-command memo its entries share work through.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,7 +53,7 @@ from repro.layout import (
     color_layout,
     temporal_order,
 )
-from repro.workloads import TpcbConfig
+from repro.workloads import TpcbConfig, snapshot_database
 from repro.timing import (
     ALPHA_21164,
     ALPHA_21264,
@@ -294,13 +294,10 @@ def fig07_ablation(
 
 def fig08_sequences(exp: Experiment) -> Tuple[Table, Table]:
     """Sequential-run length and fetch-break tables (Figure 8)."""
-    sizes = np.array(
-        [b.size for b in exp.app.binary.blocks()], dtype=np.int64
-    )
     blocks = np.concatenate(
         [cpu.blocks[cpu.blocks < exp.trace.kernel_offset] for cpu in exp.trace.cpus]
     )
-    bb_size = float(sizes[blocks].mean())
+    bb_size = float(exp.app.binary.table.size[blocks].mean())
     stats = {}
     for combo in ("base", "all"):
         stats[combo] = merge_sequence_stats(
@@ -914,12 +911,16 @@ def dss_vs_oltp(exp: Experiment, dss: Experiment, memo: Callable) -> Table:
 def ablation_multiprogramming(exp: Experiment) -> Table:
     """Combined-stream MPKI at 1/4/8/16 server processes per CPU."""
     rows = []
+    tpcb = TpcbConfig(branches=40, accounts_per_branch=125)
+    # The load reads the scale, not the seed: one database for all runs,
+    # at OltpSystem's default pool capacity and B+tree order.
+    database = snapshot_database(tpcb, pool_capacity=2048, btree_order=64)
     for procs in (1, 4, 8, 16):
         system = OltpSystem(
             exp.app, exp.kernel,
-            tpcb_config=TpcbConfig(branches=40, accounts_per_branch=125,
-                                   seed=400 + procs),
+            tpcb_config=replace(tpcb, seed=400 + procs),
             system_config=SystemConfig(cpus=2, processes_per_cpu=procs),
+            database=database,
         )
         trace = system.run(transactions=60, warmup=10)
         for combo in ("base", "all"):

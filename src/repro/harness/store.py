@@ -10,7 +10,8 @@ File format: a single compressed ``.npz`` whose arrays are prefixed by
 kind (``cpu{i}_blocks``, ``cpu{i}_pids``, ``data{i}_addr``, ...), plus
 a metadata array.  Profiles store the block-count array and the edge
 dictionary as parallel arrays.  Layouts serialize to JSON (unit names,
-block ids, padding); compiled programs to stdlib pickle.
+block ids, padding); compiled programs and database snapshots to
+checksummed pickles (:mod:`repro.checksum`).
 
 :class:`ArtifactStore` arranges these files into a content-addressed
 cache directory keyed by ``ExperimentConfig.fingerprint()``, so warm
@@ -42,7 +43,6 @@ import json
 import logging
 import os
 import pathlib
-import pickle
 import shutil
 import time
 import uuid
@@ -51,9 +51,9 @@ from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from repro import obs
+from repro import checksum, obs
 from repro.db.snapshot import DatabaseSnapshot
-from repro.errors import DatabaseError, SimulationError
+from repro.errors import DatabaseError, IRError, SimulationError
 from repro.execution.trace import CpuTrace, SystemTrace
 from repro.ir import Binary, CodeUnit, Layout
 from repro.pipeline.stage import SHARE_PREFIX
@@ -62,6 +62,9 @@ from repro.profiles import Profile
 LOGGER = logging.getLogger("repro.harness")
 
 PathLike = Union[str, pathlib.Path]
+
+#: Tag of a compiled-program file; bump the digit when its layout changes.
+_PROGRAM_MAGIC = b"REPROPG1"
 
 
 def save_trace(trace: SystemTrace, path: PathLike) -> None:
@@ -207,15 +210,16 @@ def load_layout(path: PathLike, binary: Binary = None) -> Layout:
 
 
 def save_program(program, path: PathLike) -> None:
-    """Serialize a CompiledProgram (binary + routine specs) to pickle."""
-    with open(path, "wb") as handle:
-        pickle.dump(program, handle, protocol=pickle.HIGHEST_PROTOCOL)
+    """Serialize a CompiledProgram (binary + routine specs) to a
+    checksummed pickle."""
+    pathlib.Path(path).write_bytes(checksum.dumps(_PROGRAM_MAGIC, program))
 
 
 def load_program(path: PathLike):
-    """Load a CompiledProgram written by :func:`save_program`."""
-    with open(path, "rb") as handle:
-        return pickle.load(handle)
+    """Load a CompiledProgram written by :func:`save_program`; a
+    damaged or unframed file raises ``IRError`` (a cache miss)."""
+    data = pathlib.Path(path).read_bytes()
+    return checksum.loads(_PROGRAM_MAGIC, data, IRError, "compiled program")
 
 
 def save_snapshot(snapshot: DatabaseSnapshot, path: PathLike) -> None:

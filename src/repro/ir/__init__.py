@@ -1,6 +1,6 @@
 """Alpha-like binary IR: what the Spike-style optimizer sees."""
 
-from repro.ir.binary import Binary
+from repro.ir.binary import Binary, BlockTable
 from repro.ir.block import BasicBlock
 from repro.ir.callgraph import UnitCallGraph, build_unit_call_graph
 from repro.ir.flowgraph import (
@@ -22,7 +22,9 @@ from repro.ir.layout import (
     Layout,
     assign_addresses,
     baseline_layout,
+    flatten_units,
     trace_fetch_counts,
+    unit_sizes_and_heat,
 )
 from repro.ir.procedure import Procedure
 
@@ -30,6 +32,7 @@ __all__ = [
     "AddressMap",
     "BasicBlock",
     "Binary",
+    "BlockTable",
     "CodeUnit",
     "DATA_BASE",
     "FlowEdge",
@@ -44,7 +47,9 @@ __all__ = [
     "assign_addresses",
     "baseline_layout",
     "build_unit_call_graph",
+    "flatten_units",
     "flow_graph_from_block_counts",
     "flow_graph_from_edge_counts",
     "trace_fetch_counts",
+    "unit_sizes_and_heat",
 ]

@@ -2,11 +2,56 @@
 
 from __future__ import annotations
 
+import functools
+from dataclasses import dataclass
 from typing import Dict, Iterator, List
+
+import numpy as np
 
 from repro.errors import IRError
 from repro.ir.block import BasicBlock
+from repro.ir.instruction import Terminator
 from repro.ir.procedure import Procedure
+
+#: :attr:`BlockTable.term` code of each terminator kind (declaration order).
+TERM_CODE = {term: code for code, term in enumerate(Terminator)}
+
+
+@dataclass(frozen=True)
+class BlockTable:
+    """A sealed binary's blocks as read-only arrays indexed by block id:
+    ``size`` (instructions), ``term`` (see :data:`TERM_CODE`),
+    ``succ0``/``succ1`` (the fixed successors: the single successor of
+    fallthrough, call and unconditional blocks, a conditional branch's
+    taken then fallthrough successor; -1 where there is none) and
+    ``proc`` (the owner's index in :meth:`Binary.proc_order`)."""
+
+    size: np.ndarray
+    term: np.ndarray
+    succ0: np.ndarray
+    succ1: np.ndarray
+    proc: np.ndarray
+
+    @classmethod
+    def build(cls, binary: "Binary") -> "BlockTable":
+        blocks = binary._blocks
+        # Indirect-jump targets are not fixed successors.
+        fixed = [() if b.terminator is Terminator.INDIRECT_JUMP else b.succs for b in blocks]
+        proc_index = {name: i for i, name in enumerate(binary._order)}
+        columns = [
+            np.array([b.size for b in blocks], dtype=np.int64),
+            np.array([TERM_CODE[b.terminator] for b in blocks], dtype=np.int8),
+            np.array([s[0] if s else -1 for s in fixed], dtype=np.int64),
+            np.array([s[1] if len(s) > 1 else -1 for s in fixed], dtype=np.int64),
+            np.array([proc_index[b.proc_name] for b in blocks], dtype=np.int64),
+        ]
+        for column in columns:
+            column.flags.writeable = False
+        return cls(*columns)
+
+    def is_term(self, *terms: Terminator) -> np.ndarray:
+        """Mask of the blocks ending in any of ``terms``."""
+        return np.isin(self.term, [TERM_CODE[t] for t in terms])
 
 
 class Binary:
@@ -54,6 +99,19 @@ class Binary:
     @property
     def sealed(self) -> bool:
         return self._sealed
+
+    @functools.cached_property
+    def table(self) -> BlockTable:
+        """The block table, built on first use (the binary is immutable
+        once sealed).  Not pickled: an unpickled binary rebuilds it."""
+        if not self._sealed:
+            raise IRError(f"binary {self.name!r} has no block table before seal()")
+        return BlockTable.build(self)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("table", None)
+        return state
 
     def proc(self, name: str) -> Procedure:
         """Look a procedure up by name."""

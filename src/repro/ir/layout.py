@@ -22,7 +22,8 @@ Figure 8.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from itertools import chain
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -81,19 +82,44 @@ class Layout:
 
     def block_order(self) -> List[int]:
         """All block ids in placement order."""
-        order: List[int] = []
-        for unit in self.units:
-            order.extend(unit.block_ids)
-        return order
+        return flatten_units(self.units)[0].tolist()
 
     def validate_against(self, binary: Binary) -> None:
         """Check the layout places every block of the binary exactly once."""
-        seen = self.block_order()
-        if len(seen) != binary.num_blocks or len(set(seen)) != len(seen):
-            raise LayoutError(
-                f"layout {self.name!r} places {len(set(seen))} distinct blocks; "
-                f"binary has {binary.num_blocks}"
-            )
+        _check_permutation(self, flatten_units(self.units)[0], binary.num_blocks)
+
+
+def flatten_units(units: Sequence[CodeUnit]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(ids, starts)``: the units' block ids concatenated in placement
+    order, and the position in ``ids`` where each unit begins."""
+    lengths = [len(u.block_ids) for u in units]
+    ids = np.fromiter(
+        chain.from_iterable(u.block_ids for u in units), dtype=np.int64, count=sum(lengths)
+    )
+    return ids, np.cumsum([0] + lengths, dtype=np.int64)[:-1]
+
+
+def _check_permutation(layout: "Layout", ids: np.ndarray, num_blocks: int) -> None:
+    if len(ids) != num_blocks or not np.array_equal(np.sort(ids), np.arange(num_blocks)):
+        foreign = ids[(ids < 0) | (ids >= num_blocks)]
+        raise LayoutError(
+            f"layout {layout.name!r} places {len(np.unique(ids))} distinct blocks"
+            + (f", among them block id {int(foreign[0])}" if len(foreign) else "")
+            + f"; binary has {num_blocks}"
+        )
+
+
+def unit_sizes_and_heat(
+    binary: Binary, units: Sequence[CodeUnit], block_counts
+) -> Tuple[List[int], List[float]]:
+    """Per-unit byte size and dynamic heat (executed instructions); heat
+    is the exact integer sum of ``count * size``, converted to float."""
+    ids, starts = flatten_units(units)
+    sizes = binary.table.size[ids]
+    counts = np.asarray(block_counts)[ids].astype(np.int64)
+    unit_sizes = np.add.reduceat(sizes, starts) * INSTRUCTION_BYTES
+    unit_heat = np.add.reduceat(counts * sizes, starts).astype(np.float64)
+    return unit_sizes.tolist(), unit_heat.tolist()
 
 
 def baseline_layout(binary: Binary, alignment: int = 16) -> Layout:
@@ -203,63 +229,62 @@ def assign_addresses(binary: Binary, layout: Layout) -> AddressMap:
     When the layout packs units densely (alignment == instruction
     width, no padding), branch fixups also apply across unit
     boundaries: a segment-terminal branch to the very next segment is
-    deleted, exactly as a final optimizer pass would do.
+    deleted, exactly as a final optimizer pass would do.  Fixups are
+    array code over the binary's block table; only unit starts (padding,
+    alignment) are walked unit by unit.
     """
-    layout.validate_against(binary)
+    table = binary.table
+    ids, starts = flatten_units(layout.units)
+    _check_permutation(layout, ids, binary.num_blocks)
     amap = AddressMap(binary, layout)
+    if not len(ids):
+        return amap
     align = max(layout.alignment, INSTRUCTION_BYTES)
-    dense = align == INSTRUCTION_BYTES
+
+    # The block placed next after each position; -2 past a unit's end,
+    # unless the layout packs densely and the next unit is unpadded.
+    nxt = np.append(ids[1:], -2)
+    ends = np.append(starts[1:], len(ids)) - 1
+    if align == INSTRUCTION_BYTES:
+        padded = np.array([u.pad_before != 0 for u in layout.units[1:]], dtype=bool)
+        nxt[ends[:-1][padded]] = -2
+    else:
+        nxt[ends] = -2
+
+    size, succ0, succ1 = table.size[ids], table.succ0[ids], table.succ1[ids]
+    cond = table.is_term(Terminator.COND_BRANCH)[ids]
+    inverted = cond & (succ1 != nxt) & (succ0 == nxt)
+    far = cond & (succ1 != nxt) & (succ0 != nxt)
+    falls = table.is_term(Terminator.FALLTHROUGH, Terminator.CALL)[ids]
+    appended = (falls & (succ0 != nxt)) | far
+    # Every block holds >= 1 instruction, so its branch can always go.
+    deleted = table.is_term(Terminator.UNCOND_BRANCH)[ids] & (succ0 == nxt)
+    n_fetch = size + appended - deleted
+    amap.n_fetch[ids] = n_fetch
+    taken = inverted | far
+    amap.taken_succ[ids[taken]] = np.where(inverted, succ1, succ0)[taken]
+    amap.n_fetch_taken[ids[taken]] = size[taken]
+    amap.inverted = set(ids[inverted].tolist())
+    amap.appended_branches = set(ids[appended].tolist())
+    amap.deleted_branches = set(ids[deleted].tolist())
+
+    # A block reduced to zero instructions (branch-only block whose
+    # branch was deleted) occupies no bytes; its address aliases the
+    # next block, which is exactly the fall-into behaviour we want.
+    offset = np.cumsum(n_fetch * INSTRUCTION_BYTES)
+    before = offset - n_fetch * INSTRUCTION_BYTES
+    unit_start = []
     cursor = 0
-    for index, unit in enumerate(layout.units):
+    for unit, nbytes in zip(layout.units, np.diff(offset[ends], prepend=0).tolist()):
         cursor += unit.pad_before
         rem = cursor % align
         if rem:
             cursor += align - rem
         amap.unit_starts[unit.name] = cursor
-        ids = unit.block_ids
-        next_unit_first: Optional[int] = None
-        if dense and index + 1 < len(layout.units):
-            nxt = layout.units[index + 1]
-            if nxt.pad_before == 0:
-                next_unit_first = nxt.block_ids[0]
-        for pos, bid in enumerate(ids):
-            block = binary.block(bid)
-            if pos + 1 < len(ids):
-                next_in_unit: Optional[int] = ids[pos + 1]
-            else:
-                next_in_unit = next_unit_first
-            n_fetch = block.size
-            term = block.terminator
-            if term is Terminator.FALLTHROUGH or term is Terminator.CALL:
-                if block.succs[0] != next_in_unit:
-                    n_fetch += 1
-                    amap.appended_branches.add(bid)
-            elif term is Terminator.COND_BRANCH:
-                taken, fallthrough = block.succs
-                if fallthrough == next_in_unit:
-                    pass  # natural polarity
-                elif taken == next_in_unit:
-                    amap.inverted.add(bid)
-                    amap.taken_succ[bid] = fallthrough
-                    amap.n_fetch_taken[bid] = block.size
-                else:
-                    # Neither successor adjacent: keep the conditional
-                    # branch (to the taken target) and append an
-                    # unconditional branch for the fallthrough path.
-                    n_fetch += 1
-                    amap.appended_branches.add(bid)
-                    amap.taken_succ[bid] = taken
-                    amap.n_fetch_taken[bid] = block.size
-            elif term is Terminator.UNCOND_BRANCH:
-                if block.succs[0] == next_in_unit and block.size >= 1:
-                    n_fetch -= 1
-                    amap.deleted_branches.add(bid)
-            # RETURN / INDIRECT_JUMP need no fixups.
-            amap.addr[bid] = cursor
-            amap.n_fetch[bid] = n_fetch
-            cursor += n_fetch * INSTRUCTION_BYTES
-        # A block reduced to zero instructions (branch-only block whose
-        # branch was deleted) occupies no bytes; its address aliases the
-        # next block, which is exactly the fall-into behaviour we want.
+        unit_start.append(cursor)
+        cursor += nbytes
+    amap.addr[ids] = before + np.repeat(
+        np.array(unit_start, dtype=np.int64) - before[starts], np.diff(ends, prepend=-1)
+    )
     amap.total_bytes = cursor
     return amap

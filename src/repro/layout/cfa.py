@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.errors import LayoutError
-from repro.ir import Binary, CodeUnit, INSTRUCTION_BYTES, Layout
+from repro.ir import Binary, CodeUnit, Layout, unit_sizes_and_heat
 
 
 @dataclass
@@ -59,42 +59,30 @@ def cfa_layout(
         raise LayoutError(f"reserved_fraction must be in (0, 1), got {reserved_fraction}")
     reserved = int(cache_bytes * reserved_fraction)
 
-    def unit_bytes(unit: CodeUnit) -> int:
-        return sum(binary.block(b).size for b in unit.block_ids) * INSTRUCTION_BYTES
-
-    def unit_heat(unit: CodeUnit) -> float:
-        return float(
-            sum(int(block_counts[b]) * binary.block(b).size for b in unit.block_ids)
-        )
-
-    ranked = sorted(
-        units, key=lambda u: (-unit_heat(u), u.name)
-    )
-    hot: List[CodeUnit] = []
+    sizes, heat = unit_sizes_and_heat(binary, units, block_counts)
+    ranked = sorted(range(len(units)), key=lambda i: (-heat[i], units[i].name))
+    hot: List[int] = []
     hot_bytes = 0
-    cold: List[CodeUnit] = []
-    for unit in ranked:
-        size = unit_bytes(unit)
-        if unit_heat(unit) > 0 and hot_bytes + size <= reserved:
-            hot.append(unit)
-            hot_bytes += size
+    cold: List[int] = []
+    for i in ranked:
+        if heat[i] > 0 and hot_bytes + sizes[i] <= reserved:
+            hot.append(i)
+            hot_bytes += sizes[i]
         else:
-            cold.append(unit)
+            cold.append(i)
     # Hot units that *would* belong in the reserved area but did not fit
     # are the paper's "footprint too large" overflow.
-    overflow = sum(
-        unit_bytes(u) for u in cold if unit_heat(u) > 0
-    )
+    overflow = sum(sizes[i] for i in cold if heat[i] > 0)
 
     # Keep cold units in their incoming order (callers pass an already
     # sensible order, e.g. the Pettis-Hansen result).
-    placed: List[CodeUnit] = [u.with_pad(0) for u in hot]
+    placed: List[CodeUnit] = [units[i].with_pad(0) for i in hot]
     cursor = hot_bytes
     padding = 0
     oversized = 0
     usable = cache_bytes - reserved
-    for unit in cold:
-        size = unit_bytes(unit)
+    for i in cold:
+        size = sizes[i]
         pad = 0
         offset = cursor % cache_bytes
         if offset < reserved:
@@ -104,7 +92,7 @@ def cfa_layout(
             pad = (cache_bytes - offset) + reserved
         if size > usable:
             oversized += 1
-        placed.append(unit.with_pad(pad))
+        placed.append(units[i].with_pad(pad))
         padding += pad
         cursor += pad + size
     layout = Layout(units=placed, alignment=alignment, name="cfa")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.errors import LayoutError
-from repro.ir import Binary, CodeUnit, INSTRUCTION_BYTES, Layout, UnitCallGraph
+from repro.ir import Binary, CodeUnit, Layout, UnitCallGraph, unit_sizes_and_heat
 
 
 @dataclass
@@ -56,17 +56,12 @@ def color_layout(
         raise LayoutError("cache_bytes must be a multiple of line_bytes")
     nsets = cache_bytes // line_bytes
 
-    def unit_bytes(unit: CodeUnit) -> int:
-        return sum(binary.block(b).size for b in unit.block_ids) * INSTRUCTION_BYTES
-
-    def unit_heat(unit: CodeUnit) -> float:
-        return float(
-            sum(int(block_counts[b]) * binary.block(b).size for b in unit.block_ids)
-        )
-
-    hot = [u for u in units if unit_heat(u) > 0]
-    cold = [u for u in units if unit_heat(u) <= 0]
-    hot.sort(key=lambda u: (-unit_heat(u), u.name))
+    sizes, heat = unit_sizes_and_heat(binary, units, block_counts)
+    hot = sorted(
+        (i for i, h in enumerate(heat) if h > 0),
+        key=lambda i: (-heat[i], units[i].name),
+    )
+    cold = [u for u, h in zip(units, heat) if h <= 0]
 
     #: Sets occupied by each placed hot unit.
     placed_sets: Dict[str, Set[int]] = {}
@@ -80,8 +75,8 @@ def color_layout(
         last = (address + max(nbytes, 1) - 1) // line_bytes
         return {line % nsets for line in range(first, last + 1)}
 
-    for unit in hot:
-        nbytes = unit_bytes(unit)
+    for i in hot:
+        unit, nbytes = units[i], sizes[i]
         neighbors = [
             (placed_sets[other.name], graph.weight(unit.name, other.name))
             for other in placed

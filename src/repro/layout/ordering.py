@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.ir import Binary, CodeUnit, INSTRUCTION_BYTES, UnitCallGraph
+from repro.ir import Binary, CodeUnit, UnitCallGraph, unit_sizes_and_heat
 
 #: Alpha conditional branches reach +/- 1 MB (21-bit word displacement).
 DEFAULT_MAX_DISPLACEMENT = 1 << 20
@@ -39,36 +38,6 @@ class OrderingResult:
     displacement_refusals: int = 0
     #: Number of merge steps performed.
     merges: int = 0
-
-
-def _unit_sizes_and_heat(
-    binary: Binary, units: Sequence[CodeUnit], block_counts
-) -> Tuple[List[int], List[float]]:
-    """Per-unit byte size and dynamic heat (executed instructions).
-
-    One numpy reduction per quantity over the units' concatenated
-    block ids; heat is the exact integer sum, converted to float.
-    """
-    block_sizes = np.fromiter(
-        (block.size for block in binary.blocks()),
-        dtype=np.int64,
-        count=binary.num_blocks,
-    )
-    lengths = np.fromiter(
-        (len(u.block_ids) for u in units), dtype=np.int64, count=len(units)
-    )
-    bids = np.fromiter(
-        chain.from_iterable(u.block_ids for u in units),
-        dtype=np.int64,
-        count=int(lengths.sum()),
-    )
-    starts = np.zeros(len(units), dtype=np.int64)
-    np.cumsum(lengths[:-1], out=starts[1:])
-    sizes = block_sizes[bids]
-    counts = np.asarray(block_counts)[bids].astype(np.int64)
-    unit_sizes = np.add.reduceat(sizes, starts) * INSTRUCTION_BYTES
-    unit_heat = np.add.reduceat(counts * sizes, starts).astype(np.float64)
-    return unit_sizes.tolist(), unit_heat.tolist()
 
 
 def order_units(
@@ -102,7 +71,7 @@ def order_units(
     """
     names = [u.name for u in units]
     index = {name: i for i, name in enumerate(names)}
-    sizes, heat = _unit_sizes_and_heat(binary, units, block_counts)
+    sizes, heat = unit_sizes_and_heat(binary, units, block_counts)
     edges = [(index[a], index[b], w) for a, b, w in graph.edges_by_weight()]
 
     # Slot s holds one hot cluster: hot units first, in unit order (so

@@ -48,19 +48,9 @@ GRANULARITIES = ("block", "proc")
 
 
 def _block_weights(profile: Profile) -> np.ndarray:
-    sizes = np.array(
-        [b.size for b in profile.binary.blocks()], dtype=np.float64
-    )
-    weights = profile.block_counts.astype(np.float64) * sizes
+    weights = profile.block_counts.astype(np.float64) * profile.binary.table.size
     total = weights.sum()
     return weights / total if total > 0 else weights
-
-
-def _proc_of_block(binary) -> np.ndarray:
-    index = {name: i for i, name in enumerate(binary.proc_order())}
-    return np.array(
-        [index[b.proc_name] for b in binary.blocks()], dtype=np.int64
-    )
 
 
 def _weights(profile: Profile, granularity: str) -> np.ndarray:
@@ -73,9 +63,7 @@ def _weights(profile: Profile, granularity: str) -> np.ndarray:
     if granularity == "proc":
         binary = profile.binary
         weights = np.bincount(
-            _proc_of_block(binary),
-            weights=weights,
-            minlength=len(binary.proc_order()),
+            binary.table.proc, weights=weights, minlength=binary.num_procedures
         )
     return weights
 

@@ -45,7 +45,7 @@ class DcpiProfiler:
             raise ValueError(f"sampling period must be >= 1, got {period}")
         self.binary = binary
         self.period = period
-        self._sizes = np.array([b.size for b in binary.blocks()], dtype=np.int64)
+        self._sizes = binary.table.size
         self._sample_hits = np.zeros(binary.num_blocks, dtype=np.int64)
         # Instructions executed since the last sample.  Carried across
         # add_stream calls and epoch snapshots so short/partial chunks

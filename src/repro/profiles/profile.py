@@ -40,8 +40,7 @@ class Profile:
     @property
     def total_instructions(self) -> int:
         """Dynamic instruction count implied by the block counts."""
-        sizes = np.array([b.size for b in self.binary.blocks()], dtype=np.int64)
-        return int((self.block_counts * sizes).sum())
+        return int((self.block_counts * self.binary.table.size).sum())
 
     def count(self, bid: int) -> int:
         return int(self.block_counts[bid])

@@ -1,12 +1,26 @@
 """Tests for trace/profile serialization."""
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import IRError, LayoutError, SimulationError
 from repro.execution.trace import CpuTrace, SystemTrace
-from repro.harness.store import load_profile, load_trace, save_profile, save_trace
-from repro.ir import Binary, Procedure, Terminator
+from repro.harness.store import (
+    ArtifactStore,
+    layout_from_dict,
+    layout_to_dict,
+    load_layout,
+    load_profile,
+    load_program,
+    load_trace,
+    save_layout,
+    save_profile,
+    save_program,
+    save_trace,
+)
+from repro.ir import Binary, CodeUnit, Layout, Procedure, Terminator, baseline_layout
 from repro.profiles import PixieProfiler
 
 
@@ -104,3 +118,53 @@ class TestProfileRoundtrip:
         loaded = load_profile(binary, path)
         assert loaded.total_blocks_executed == 0
         assert loaded.edge_counts == {}
+
+
+class TestLayoutRoundtrip:
+    def test_foreign_block_id_is_a_store_miss(self, tmp_path):
+        """A stored layout placing id -1 on a 2-block binary has two
+        distinct ids, yet names no real block 1: readers must refuse it."""
+        binary = make_binary()
+        bad = Layout(units=[CodeUnit("p", "p", (0, -1))], name="bad")
+        with pytest.raises(LayoutError):
+            layout_from_dict(layout_to_dict(bad), binary)
+        store = ArtifactStore(tmp_path)
+        save_layout(bad, store.prepare("fp", "layout-bad.json"))
+        assert store.load("fp", "layout-bad.json",
+                          lambda path: load_layout(path, binary)) is None
+        good = baseline_layout(binary)
+        save_layout(good, store.prepare("fp", "layout-base.json"))
+        loaded = store.load("fp", "layout-base.json",
+                            lambda path: load_layout(path, binary))
+        assert loaded.block_order() == [0, 1]
+
+
+class TestProgramRoundtrip:
+    def test_roundtrip_keeps_the_pickle(self, tmp_path):
+        binary = make_binary()
+        path = tmp_path / "app.pkl"
+        save_program(binary, path)
+        loaded = load_program(path)
+        assert pickle.dumps(loaded) == pickle.dumps(binary)
+        assert path.read_bytes().endswith(
+            pickle.dumps(binary, protocol=pickle.HIGHEST_PROTOCOL)
+        )
+
+    def test_every_single_bit_flip_raises(self, tmp_path):
+        path = tmp_path / "app.pkl"
+        save_program(make_binary(), path)
+        data = path.read_bytes()
+        for position in range(len(data)):
+            for bit in (0x01, 0x80):
+                damaged = bytearray(data)
+                damaged[position] ^= bit
+                path.write_bytes(bytes(damaged))
+                with pytest.raises(IRError):
+                    load_program(path)
+
+    def test_unframed_pickle_raises(self, tmp_path):
+        """A file from before the checksum is a one-time miss."""
+        path = tmp_path / "app.pkl"
+        path.write_bytes(pickle.dumps(make_binary(), protocol=pickle.HIGHEST_PROTOCOL))
+        with pytest.raises(IRError, match="not a compiled program"):
+            load_program(path)

@@ -53,6 +53,17 @@ class TestBaselineLayout:
         with pytest.raises(LayoutError):
             layout.validate_against(binary)
 
+    @pytest.mark.parametrize("ids", [(0, 1, 2, -1), (0, 1, 2, 4), (0, 1, 2, 2)])
+    def test_validate_against_rejects_ids_outside_the_binary(self, ids):
+        """Four distinct ids on a 4-block binary are not enough: -1
+        would otherwise index block 3 and place it twice."""
+        binary = build_branchy_binary()
+        layout = Layout(units=[CodeUnit("p", "p", ids)], name="broken")
+        with pytest.raises(LayoutError):
+            layout.validate_against(binary)
+        with pytest.raises(LayoutError):
+            assign_addresses(binary, layout)
+
     def test_empty_unit_rejected(self):
         with pytest.raises(LayoutError):
             CodeUnit("u", "p", ())
