@@ -8,10 +8,8 @@ reproduction: a diagnostics engine with stable codes
 (:mod:`~repro.check.layout_checks`), profile flow-conservation checks
 (:mod:`~repro.check.profile_checks`), layout-quality lints
 (:mod:`~repro.check.quality_checks`), static-vs-measured differential
-lints (:mod:`~repro.check.static_checks`), the one layout gate every
-producer runs before publishing a layout (:func:`check_all`), and the
-per-pass contracts of the layout pipeline
-(:mod:`~repro.check.structural`), which the tests hold each pass to.
+lints (:mod:`~repro.check.static_checks`), and the one layout gate every
+producer runs before publishing a layout (:func:`check_all`).
 
 See ``docs/CHECKS.md`` for the full diagnostic catalogue and
 ``repro lint --help`` for the CLI front end.
@@ -33,11 +31,6 @@ from repro.check.diagnostics import (
     Severity,
 )
 from repro.check.profile_checks import check_flow_graph
-from repro.check.structural import (
-    verify_chaining,
-    verify_split_units,
-    verify_unit_permutation,
-)
 
 __all__ = [
     "CODES",
@@ -52,7 +45,4 @@ __all__ = [
     "check_profile",
     "check_quality",
     "check_static_diff",
-    "verify_chaining",
-    "verify_split_units",
-    "verify_unit_permutation",
 ]

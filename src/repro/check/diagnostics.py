@@ -51,7 +51,7 @@ CODES: Dict[str, str] = {
     "LAY001": "basic block of the binary is not placed by the layout",
     "LAY002": "basic block is placed more than once",
     "LAY003": "layout references a block the binary does not own here",
-    "LAY004": "procedure entry-unit invariant broken",
+    "LAY004": "layout document's entry flag disagrees with the binary",
     "LAY005": "placed blocks overlap in the address space",
     "LAY006": "unit start violates the layout's alignment or ordering",
     "LAY007": "branch target is not resolvable (successor unplaced)",

@@ -13,32 +13,32 @@ Structure passes (:func:`check_structure`, :func:`check_branch_targets`,
 passes (:func:`check_addresses`, :func:`check_fixups`) additionally need
 the address map and assume the structure passes came back clean --
 :func:`repro.check.api.check_layout` sequences them accordingly.
+
+:func:`decode_layout` checks what a saved document spells out and a
+layout derives: unit names and entry flags.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List
+from itertools import chain
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.check.diagnostics import CheckContext, Diagnostic, Severity
-from repro.ir import flatten_units
+from repro.ir import Binary, Layout
+from repro.ir.layout import suffix_kind
 from repro.ir.instruction import INSTRUCTION_BYTES, SEGMENT_ENDING, Terminator
-
-#: Combos whose units are fine-grain segments; only these are held to
-#: the segment-integrity rule (hot/cold halves legitimately contain
-#: interior returns).
-SPLIT_BASED_LAYOUTS = ("split", "chain+split", "all", "cfa")
 
 
 def _placement_arrays(ctx: CheckContext):
-    """``(flat_ids, unit_starts, in_range, per_id_counts)`` for the
-    context's layout, cached so the passes flatten the layout once."""
+    """``(ids, unit_starts, in_range, per_id_counts)`` for the
+    context's layout, cached so the passes share them."""
     cached = ctx.cache.get("placement")
     if cached is not None:
         return cached
     n = ctx.binary.num_blocks
-    ids, starts = flatten_units(ctx.layout.units)
+    ids, starts = ctx.layout.ids, ctx.layout.starts
     in_range = (ids >= 0) & (ids < n)
     counts = np.bincount(ids[in_range], minlength=n)
     cached = (ids, starts, in_range, counts)
@@ -88,54 +88,17 @@ def check_structure(ctx: CheckContext) -> Iterator[Diagnostic]:
             target=ctx.target,
         )
 
-    # Per-unit ownership: every block of a unit must belong to the
-    # procedure the unit claims (LAY003), and each procedure needs
-    # exactly one entry unit actually containing its entry block
-    # (LAY004) so calls land on real code.
-    order = binary.proc_order()
-    proc_index = {name: i for i, name in enumerate(order)}
-    proc_of = binary.table.proc.tolist()
-    num_blocks = binary.num_blocks
-    entry_units: Dict[str, List[str]] = {}
-    for unit in layout.units:
-        owner = proc_index.get(unit.proc_name, -1)
-        for bid in unit.block_ids:
-            if 0 <= bid < num_blocks and proc_of[bid] != owner:
-                yield Diagnostic(
-                    "LAY003", Severity.ERROR,
-                    f"unit {unit.name} of {unit.proc_name!r} contains foreign "
-                    f"block {bid} owned by {order[proc_of[bid]]!r}",
-                    target=ctx.target, location=f"unit {unit.name}",
-                )
-        if unit.is_entry:
-            entry_units.setdefault(unit.proc_name, []).append(unit.name)
-            entry_bid = (
-                binary.entry_bid(unit.proc_name)
-                if unit.proc_name in binary.procedures else None
-            )
-            if entry_bid is not None and entry_bid not in unit.block_ids:
-                yield Diagnostic(
-                    "LAY004", Severity.ERROR,
-                    f"unit {unit.name} is flagged is_entry but does not contain "
-                    f"{unit.proc_name}'s entry block (id {entry_bid})",
-                    target=ctx.target, location=f"unit {unit.name}",
-                )
-    for name in binary.proc_order():
-        units = entry_units.get(name, [])
-        if not units:
-            yield Diagnostic(
-                "LAY004", Severity.ERROR,
-                f"procedure {name!r} has no entry unit",
-                target=ctx.target,
-                hint="callers of this procedure would land on arbitrary code",
-            )
-        elif len(units) > 1:
-            yield Diagnostic(
-                "LAY004", Severity.ERROR,
-                f"procedure {name!r} has {len(units)} entry units: "
-                f"{', '.join(units)}",
-                target=ctx.target,
-            )
+    # Every block of a unit must belong to the unit's procedure (LAY003).
+    unit_of, proc_of = layout.position_unit, binary.table.proc
+    foreign = in_range & (proc_of[np.where(in_range, ids, 0)] != layout.proc[unit_of])
+    for pos, u in zip(np.flatnonzero(foreign).tolist(), unit_of[foreign].tolist()):
+        bid, name = int(ids[pos]), layout.unit_name(u)
+        yield Diagnostic(
+            "LAY003", Severity.ERROR,
+            f"unit {name} of {layout.procs[layout.proc[u]]!r} contains foreign "
+            f"block {bid} owned by {binary.table.names[proc_of[bid]]!r}",
+            target=ctx.target, location=f"unit {name}",
+        )
 
 
 def check_branch_targets(ctx: CheckContext) -> Iterator[Diagnostic]:
@@ -150,59 +113,60 @@ def check_branch_targets(ctx: CheckContext) -> Iterator[Diagnostic]:
         return
     placed = set(ids[in_range].tolist())
     emitted = 0
-    for unit in layout.units:
-        for bid in unit.block_ids:
-            if not (0 <= bid < binary.num_blocks):
-                continue  # LAY003 territory
-            block = binary.block(bid)
-            for dst in block.succs:
-                if dst not in placed:
-                    emitted += 1
-                    if emitted > 16:
-                        yield Diagnostic(
-                            "LAY007", Severity.ERROR,
-                            "...further dangling branch targets suppressed",
-                            target=ctx.target,
-                        )
-                        return
+    for bid, u in zip(ids.tolist(), layout.position_unit.tolist()):
+        if not (0 <= bid < binary.num_blocks):
+            continue  # LAY003 territory
+        block = binary.block(bid)
+        for dst in block.succs:
+            if dst not in placed:
+                emitted += 1
+                if emitted > 16:
                     yield Diagnostic(
                         "LAY007", Severity.ERROR,
-                        f"block {block.proc_name}.{block.label} (id {bid}) "
-                        f"targets block {dst}, which the layout never places",
-                        target=ctx.target, location=f"unit {unit.name}",
-                        hint="a branch to unplaced code cannot be encoded",
+                        "...further dangling branch targets suppressed",
+                        target=ctx.target,
                     )
+                    return
+                yield Diagnostic(
+                    "LAY007", Severity.ERROR,
+                    f"block {block.proc_name}.{block.label} (id {bid}) "
+                    f"targets block {dst}, which the layout never places",
+                    target=ctx.target, location=f"unit {layout.unit_name(u)}",
+                    hint="a branch to unplaced code cannot be encoded",
+                )
 
 
 def check_segments(ctx: CheckContext) -> Iterator[Diagnostic]:
-    """LAY009: in a fine-grain split layout, a code segment must end --
-    and only end -- at an unconditional control transfer.
+    """LAY009: a fine-grain segment must end -- and only end -- at an
+    unconditional control transfer.
 
     "A code segment is ended by an unconditional branch or return"
     (paper §2): an interior unconditional transfer means two segments
     were fused, which silently re-couples hot and cold code and defeats
-    the ordering pass's freedom to separate them.
+    the ordering pass's freedom to separate them.  Only segment units
+    are held to this (hot/cold halves legitimately contain interior
+    returns).
     """
     binary, layout = ctx.binary, ctx.layout
     if binary is None or layout is None:
         return
-    if getattr(layout, "name", "") not in SPLIT_BASED_LAYOUTS:
-        return
-    seg_end = binary.table.is_term(*SEGMENT_ENDING).tolist()
-    num_blocks = binary.num_blocks
-    for unit in layout.units:
-        for bid in unit.block_ids[:-1]:
-            if not (0 <= bid < num_blocks) or not seg_end[bid]:
-                continue
-            block = binary.block(bid)
-            yield Diagnostic(
-                "LAY009", Severity.ERROR,
-                f"segment {unit.name} continues past "
-                f"{block.proc_name}.{block.label} (id {bid}), a "
-                f"{block.terminator.value} terminator",
-                target=ctx.target, location=f"unit {unit.name}",
-                hint="cut the segment after the unconditional transfer",
-            )
+    ids, _starts, in_range, _counts = _placement_arrays(ctx)
+    interior = np.ones(len(ids), dtype=bool)
+    interior[layout.starts + layout.lengths - 1] = False
+    unit_of = layout.position_unit
+    seg_end = binary.table.is_term(*SEGMENT_ENDING)[np.where(in_range, ids, 0)]
+    fused = np.flatnonzero(interior & (layout.kind >= 0)[unit_of] & in_range & seg_end)
+    for pos, u in zip(fused.tolist(), unit_of[fused].tolist()):
+        bid, name = int(ids[pos]), layout.unit_name(u)
+        block = binary.block(bid)
+        yield Diagnostic(
+            "LAY009", Severity.ERROR,
+            f"segment {name} continues past "
+            f"{block.proc_name}.{block.label} (id {bid}), a "
+            f"{block.terminator.value} terminator",
+            target=ctx.target, location=f"unit {name}",
+            hint="cut the segment after the unconditional transfer",
+        )
 
 
 def check_addresses(ctx: CheckContext) -> Iterator[Diagnostic]:
@@ -235,26 +199,28 @@ def check_addresses(ctx: CheckContext) -> Iterator[Diagnostic]:
 
     align = max(layout.alignment, INSTRUCTION_BYTES)
     placed_end = np.where(in_range, block_end[np.where(in_range, ids, 0)], np.iinfo(np.int64).min)
-    unit_end = np.maximum.reduceat(placed_end, unit_pos).tolist() if len(ids) else []
-    prev_end = 0
-    for unit, end in zip(layout.units, unit_end):
-        start = amap.unit_starts.get(unit.name)
-        if start is None:
-            continue  # structure errors already reported
-        if start % align:
+    unit_end = np.maximum.reduceat(placed_end, unit_pos) if len(ids) else np.zeros(0, np.int64)
+    starts = amap.unit_starts
+    # Each unit must start at or after the furthest end seen so far.
+    reach = np.maximum.accumulate(np.maximum(starts, unit_end)) if len(starts) else starts
+    prev_end = np.maximum(np.append(0, reach[:-1]), 0)
+    misaligned = starts % align != 0
+    early = starts < prev_end
+    for u in np.flatnonzero(misaligned | early).tolist():
+        name, start = layout.unit_name(u), int(starts[u])
+        if misaligned[u]:
             yield Diagnostic(
                 "LAY006", Severity.ERROR,
-                f"unit {unit.name} starts at {start:#x}, not {align}-byte aligned",
-                target=ctx.target, location=f"unit {unit.name}",
+                f"unit {name} starts at {start:#x}, not {align}-byte aligned",
+                target=ctx.target, location=f"unit {name}",
             )
-        if start < prev_end:
+        if early[u]:
             yield Diagnostic(
                 "LAY006", Severity.ERROR,
-                f"unit {unit.name} starts at {start:#x}, before the previous "
-                f"unit ends ({prev_end:#x})",
-                target=ctx.target, location=f"unit {unit.name}",
+                f"unit {name} starts at {start:#x}, before the previous "
+                f"unit ends ({int(prev_end[u]):#x})",
+                target=ctx.target, location=f"unit {name}",
             )
-        prev_end = max(prev_end, start, end)
 
 
 def check_fixups(ctx: CheckContext) -> Iterator[Diagnostic]:
@@ -320,3 +286,77 @@ def check_fixups(ctx: CheckContext) -> Iterator[Diagnostic]:
             target=ctx.target,
             hint="a deleted branch is only legal when the target follows directly",
         )
+
+
+def decode_layout(
+    binary: Binary, payload: Dict, target: str = ""
+) -> Tuple[Optional[Layout], List[Diagnostic]]:
+    """Decode a :func:`~repro.harness.store.layout_to_dict` document:
+    ``(layout, [])``, or ``(None, findings)`` when a unit's ``proc_name``
+    is not a procedure of ``binary`` or does not own the unit's blocks,
+    its ``name`` is not ``proc_name`` plus a kind suffix or repeats
+    another unit's (LAY003), or its ``is_entry`` disagrees with the
+    binary's entry block (LAY004).  Ids outside the binary, repeats and
+    gaps are left to :func:`check_structure`."""
+    table = binary.table
+    units = payload["units"]
+    names = [unit["name"] for unit in units]
+    owners = [unit["proc_name"] for unit in units]
+    lengths = np.array([len(unit["block_ids"]) for unit in units], dtype=np.int64)
+    ids = np.fromiter(
+        chain.from_iterable(unit["block_ids"] for unit in units),
+        dtype=np.int64, count=int(lengths.sum()),
+    )
+    index = {name: i for i, name in enumerate(table.names)}
+    proc = np.array([index.get(owner, -1) for owner in owners], dtype=np.int64)
+    suffixes = [n[len(o):] if n.startswith(o) else "?" for n, o in zip(names, owners)]
+    kinds = {suffix: suffix_kind(suffix) for suffix in set(suffixes)}
+    kind = [kinds[suffix] for suffix in suffixes]
+    declared = [unit["is_entry"] for unit in units]
+    first: Dict[str, int] = {}
+    repeated = [first.setdefault(name, u) != u for u, name in enumerate(names)]
+
+    # What the binary says, per position of a unit of a known procedure.
+    unit_of = np.repeat(np.arange(len(units)), lengths)
+    owner = proc[unit_of]
+    real = (ids >= 0) & (ids < binary.num_blocks) & (owner >= 0)
+    block = np.where(real, ids, 0)
+    foreign = real & (table.proc[block] != owner)
+    entry = real & (block == table.entry[np.maximum(owner, 0)])
+    holds = np.bincount(unit_of[entry], minlength=len(units)) > 0
+    wrong_entry = (proc >= 0) & (np.array(declared, dtype=bool) != holds)
+    bad_name = np.array([k is None for k in kind], dtype=bool)
+    suspect = (proc < 0) | wrong_entry | bad_name | np.array(repeated, dtype=bool)
+    suspect[unit_of[foreign]] = True
+
+    findings = []
+    for u in np.flatnonzero(suspect).tolist():
+        name, owner_name = names[u], owners[u]
+        found = [
+            ("LAY003", f"unit {name} of {owner_name!r} contains foreign block {bid} "
+                       f"owned by {table.names[table.proc[bid]]!r}")
+            for bid in ids[foreign & (unit_of == u)].tolist()
+        ]
+        if proc[u] < 0:
+            found.append(("LAY003", f"unit {name} names {owner_name!r}, which is not "
+                                    f"a procedure of binary {binary.name!r}"))
+        if bad_name[u]:
+            found.append(("LAY003", f"unit name {name!r} is not {owner_name!r} plus "
+                                    "'', '.seg<k>', '.hot' or '.cold'"))
+        if repeated[u]:
+            found.append(("LAY003", f"unit name {name!r} repeats unit {first[name]}"))
+        if wrong_entry[u]:
+            found.append(("LAY004", f"unit {name} has is_entry={declared[u]}, but holds "
+                                    f"{owner_name}'s entry block: {bool(holds[u])}"))
+        findings += [
+            Diagnostic(code, Severity.ERROR, message, target=target, location=f"unit {name}")
+            for code, message in found
+        ]
+    if findings:
+        return None, findings
+    layout = Layout(
+        procs=table.names, ids=ids, starts=np.cumsum(lengths) - lengths, proc=proc,
+        kind=kind, pad=[unit["pad_before"] for unit in units],
+        alignment=payload["alignment"], name=payload["name"],
+    )
+    return layout, findings

@@ -11,11 +11,13 @@ a deliberately unoptimized baseline layout stays readable.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Iterator, List, Tuple
+
+import numpy as np
 
 from repro.check.diagnostics import CheckContext, Diagnostic, Severity
-from repro.ir.instruction import Terminator
+from repro.ir.instruction import INSTRUCTION_BYTES, Terminator
+from repro.ir.layout import run_positions
 
 #: Page size used for the iTLB-hazard lint (the paper's 8 KB pages).
 PAGE_BYTES = 8 * 1024
@@ -84,21 +86,27 @@ def check_cold_in_hot(ctx: CheckContext) -> Iterator[Diagnostic]:
     if binary is None or profile is None or layout is None:
         return
     hot, cold = _thresholds(profile)
+    ids = layout.ids
+    counts = profile.block_counts[ids]
+    # Interior positions of a unit: neither its first nor its last block.
+    interior = np.ones(len(ids), dtype=bool)
+    interior[layout.starts] = False
+    interior[layout.starts + layout.lengths - 1] = False
+    diluted = np.zeros(len(ids), dtype=bool)
+    diluted[1:-1] = (counts[1:-1] <= cold) & (counts[:-2] >= hot) & (counts[2:] >= hot)
+    positions = np.flatnonzero(interior & diluted)
     findings: List[Diagnostic] = []
-    for unit in layout.units:
-        counts = [profile.count(bid) for bid in unit.block_ids]
-        for pos in range(1, len(counts) - 1):
-            if (counts[pos] <= cold
-                    and counts[pos - 1] >= hot and counts[pos + 1] >= hot):
-                block = binary.block(unit.block_ids[pos])
-                findings.append(Diagnostic(
-                    "QLT002", Severity.INFO,
-                    f"cold block {block.proc_name}.{block.label} "
-                    f"({counts[pos]}x) interleaved between hot neighbours "
-                    f"({counts[pos - 1]}x / {counts[pos + 1]}x)",
-                    target=ctx.target, location=f"unit {unit.name}",
-                    hint="split the cold block into a cold segment",
-                ))
+    for pos, u in zip(positions.tolist(), layout.position_unit[positions].tolist()):
+        block = binary.block(int(ids[pos]))
+        before, count, after = counts[pos - 1:pos + 2].tolist()
+        findings.append(Diagnostic(
+            "QLT002", Severity.INFO,
+            f"cold block {block.proc_name}.{block.label} "
+            f"({count}x) interleaved between hot neighbours "
+            f"({before}x / {after}x)",
+            target=ctx.target, location=f"unit {layout.unit_name(u)}",
+            hint="split the cold block into a cold segment",
+        ))
     yield from _capped(findings, "QLT002", ctx.target)
 
 
@@ -139,29 +147,26 @@ def check_conflict_smells(ctx: CheckContext) -> Iterator[Diagnostic]:
     hot, _ = _thresholds(profile)
     n_sets = CACHE_BYTES // LINE_BYTES
     # Which hot units touch each cache set?
-    by_set: Dict[int, Set[str]] = defaultdict(set)
-    unit_of: Dict[str, str] = {}
-    for unit in layout.units:
-        if not any(profile.count(bid) >= hot for bid in unit.block_ids):
-            continue
-        start = amap.unit_starts.get(unit.name)
-        if start is None:
-            continue
-        end = start
-        for bid in unit.block_ids:
-            end = max(end, amap.end_addr(bid))
-        for line in range(start // LINE_BYTES, max(start, end - 1) // LINE_BYTES + 1):
-            by_set[line % n_sets].add(unit.name)
-            unit_of[unit.name] = unit.proc_name
+    ids, starts = layout.ids, layout.starts
+    hot_units = np.flatnonzero(np.maximum.reduceat(profile.block_counts[ids], starts) >= hot)
+    block_end = amap.addr[ids] + amap.n_fetch[ids].astype(np.int64) * INSTRUCTION_BYTES
+    start = amap.unit_starts[hot_units]
+    last = np.maximum(start, np.maximum.reduceat(block_end, starts)[hot_units] - 1)
+    first, lines = start // LINE_BYTES, last // LINE_BYTES - start // LINE_BYTES + 1
+    cache_set = run_positions(first, lines, np.arange(len(lines))) % n_sets
+    pairs = np.unique(cache_set * layout.num_units + np.repeat(hot_units, lines))
+    cache_set, unit = pairs // layout.num_units, pairs % layout.num_units
+    bounds = np.flatnonzero(np.diff(cache_set, prepend=-1, append=n_sets + 1))
     findings: List[Diagnostic] = []
-    for cache_set in sorted(by_set):
-        units = sorted(by_set[cache_set])
-        if len(units) >= 3:
-            findings.append(Diagnostic(
-                "QLT004", Severity.INFO,
-                f"{len(units)} hot units collide in cache set {cache_set}: "
-                f"{', '.join(units[:4])}{', ...' if len(units) > 4 else ''}",
-                target=ctx.target, location=f"set {cache_set}",
-                hint="order the colliding units closer together to spread their sets",
-            ))
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        if hi - lo < 3:
+            continue
+        units = sorted(layout.unit_name(u) for u in unit[lo:hi].tolist())
+        findings.append(Diagnostic(
+            "QLT004", Severity.INFO,
+            f"{len(units)} hot units collide in cache set {int(cache_set[lo])}: "
+            f"{', '.join(units[:4])}{', ...' if len(units) > 4 else ''}",
+            target=ctx.target, location=f"set {int(cache_set[lo])}",
+            hint="order the colliding units closer together to spread their sets",
+        ))
     yield from _capped(findings, "QLT004", ctx.target)

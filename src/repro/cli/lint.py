@@ -3,6 +3,7 @@ lint) over generated binaries or saved artifacts."""
 
 from __future__ import annotations
 
+import pathlib
 from typing import Dict
 
 from repro.check import (
@@ -11,7 +12,8 @@ from repro.check import (
     check_profile,
     check_static_diff,
 )
-from repro.harness.store import load_layout, load_profile
+from repro.check.layout_checks import decode_layout
+from repro.harness.store import load_profile
 from repro.layout import ALL_COMBOS
 
 from repro.cli._common import emit_runlog, experiment_from
@@ -65,9 +67,13 @@ def _cmd_lint(args, out) -> int:
         # Artifact mode: lint saved files against the app binary.
         binary = exp.app.binary
         for path in args.layout or ():
-            # No binary validation on load: lint must *report* a corrupt
-            # layout, not crash on it.
-            report.extend(check_all(binary, layout=load_layout(path), target=path))
+            # No placement validation on load: lint must *report* a
+            # corrupt layout, not crash on it.
+            payload = _json.loads(pathlib.Path(path).read_text())
+            layout, findings = decode_layout(binary, payload, target=path)
+            report.extend(CheckReport(findings))
+            if layout is not None:
+                report.extend(check_all(binary, layout=layout, target=path))
         for path in args.profile or ():
             profile = load_profile(binary, path)
             report.extend(check_profile(binary, profile, target=path))

@@ -34,7 +34,7 @@ from repro.harness.experiment import (
     dss_config,
     uniprocessor_config,
 )
-from repro.ir import KERNEL_BASE, Layout, assign_addresses, build_unit_call_graph
+from repro.ir import KERNEL_BASE, Layout, assign_addresses, baseline_layout, build_unit_call_graph
 from repro.pipeline import resilient_map, shared_state
 from repro.profiles import DcpiProfiler
 from repro.sim import (
@@ -741,13 +741,13 @@ def ext_stream_buffers(exp: Experiment) -> Table:
 
 def ext_coloring(exp: Experiment, memo: Callable) -> Table:
     """Cache-line coloring placement (related-work comparator)."""
-    units = exp.optimizer._proc_units(chained=False)
+    procedures = baseline_layout(exp.app.binary)
     graph = build_unit_call_graph(
-        exp.app.binary, units, exp.profile.block_counts,
+        exp.app.binary, procedures, exp.profile.block_counts,
         edge_counts=exp.profile.edge_counts or None,
     )
     layout, report = color_layout(
-        exp.app.binary, units, graph, exp.profile.block_counts,
+        exp.app.binary, procedures, graph, exp.profile.block_counts,
         cache_bytes=L1I_64K.l1i.size_bytes, line_bytes=L1I_64K.l1i.line_bytes,
     )
     base = memo(app_l1i, exp, "base").misses
@@ -836,7 +836,7 @@ def ext_temporal(exp: Experiment, memo: Callable) -> Table:
     """Temporal (trace-affinity) ordering, Gloy et al. (comparator)."""
     layout = temporal_order(
         exp.app.binary,
-        exp.optimizer._proc_units(chained=False),
+        baseline_layout(exp.app.binary),
         [exp.trace.app_block_stream(i) for i in range(len(exp.trace.cpus))],
         exp.profile.block_counts,
         window=24,

@@ -53,9 +53,10 @@ import numpy as np
 
 from repro import checksum, obs
 from repro.db.snapshot import DatabaseSnapshot
-from repro.errors import DatabaseError, IRError, SimulationError
+from repro.check.layout_checks import decode_layout
+from repro.errors import DatabaseError, IRError, LayoutError, SimulationError
 from repro.execution.trace import CpuTrace, SystemTrace
-from repro.ir import Binary, CodeUnit, Layout
+from repro.ir import Binary, Layout
 from repro.pipeline.stage import SHARE_PREFIX
 from repro.profiles import Profile
 
@@ -151,45 +152,42 @@ def load_profile(binary: Binary, path: PathLike) -> Profile:
 
 
 def layout_to_dict(layout: Layout) -> Dict:
-    """A Layout as a JSON-ready dict (the on-disk and wire shape)."""
+    """A Layout as a JSON-ready dict (the on-disk and wire shape), with
+    each unit's derived name, procedure name and entry flag spelled out."""
+    ids = layout.ids.tolist()
+    bounds = layout.starts.tolist() + [len(ids)]
+    procs = layout.procs
     return {
         "name": layout.name,
         "alignment": layout.alignment,
         "units": [
             {
-                "name": unit.name,
-                "proc_name": unit.proc_name,
-                "block_ids": list(unit.block_ids),
-                "is_entry": unit.is_entry,
-                "pad_before": unit.pad_before,
+                "name": name,
+                "proc_name": procs[proc],
+                "block_ids": ids[lo:hi],
+                "is_entry": is_entry,
+                "pad_before": pad,
             }
-            for unit in layout.units
+            for name, proc, lo, hi, is_entry, pad in zip(
+                layout.names(), layout.proc.tolist(), bounds, bounds[1:],
+                layout.is_entry().tolist(), layout.pad.tolist(),
+            )
         ],
     }
 
 
-def layout_from_dict(payload: Dict, binary: Binary = None) -> Layout:
+def layout_from_dict(payload: Dict, binary: Binary) -> Layout:
     """Rebuild a Layout from :func:`layout_to_dict` output.
 
-    When ``binary`` is given the layout is validated against it; a
-    layout for a different generated binary raises ``LayoutError``.
+    Raises ``LayoutError`` (which cache readers treat as a miss) when
+    :func:`repro.check.layout_checks.decode_layout` refuses the
+    document, or when it does not place every block of ``binary``
+    exactly once.
     """
-    layout = Layout(
-        units=[
-            CodeUnit(
-                name=unit["name"],
-                proc_name=unit["proc_name"],
-                block_ids=tuple(unit["block_ids"]),
-                is_entry=unit["is_entry"],
-                pad_before=unit["pad_before"],
-            )
-            for unit in payload["units"]
-        ],
-        alignment=payload["alignment"],
-        name=payload["name"],
-    )
-    if binary is not None:
-        layout.validate_against(binary)
+    layout, findings = decode_layout(binary, payload)
+    if findings:
+        raise LayoutError(f"layout {payload['name']!r} refused: {findings[0].message}")
+    layout.validate_against(binary)
     return layout
 
 
@@ -198,13 +196,9 @@ def save_layout(layout: Layout, path: PathLike) -> None:
     pathlib.Path(path).write_text(json.dumps(layout_to_dict(layout)))
 
 
-def load_layout(path: PathLike, binary: Binary = None) -> Layout:
-    """Load a Layout written by :func:`save_layout`.
-
-    When ``binary`` is given the layout is validated against it; a
-    layout for a different generated binary raises ``LayoutError``
-    (which cache readers treat as a miss).
-    """
+def load_layout(path: PathLike, binary: Binary) -> Layout:
+    """Load a Layout written by :func:`save_layout` and check it
+    against ``binary`` (see :func:`layout_from_dict`)."""
     payload = json.loads(pathlib.Path(path).read_text())
     return layout_from_dict(payload, binary)
 

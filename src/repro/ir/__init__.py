@@ -17,12 +17,14 @@ from repro.ir.instruction import (
     Terminator,
 )
 from repro.ir.layout import (
+    COLD,
+    HOT,
+    WHOLE,
     AddressMap,
-    CodeUnit,
     Layout,
     assign_addresses,
     baseline_layout,
-    flatten_units,
+    procedure_layout,
     trace_fetch_counts,
     unit_sizes_and_heat,
 )
@@ -33,9 +35,10 @@ __all__ = [
     "BasicBlock",
     "Binary",
     "BlockTable",
-    "CodeUnit",
+    "COLD",
     "DATA_BASE",
     "FlowEdge",
+    "HOT",
     "FlowGraph",
     "INSTRUCTION_BYTES",
     "KERNEL_BASE",
@@ -44,12 +47,13 @@ __all__ = [
     "SEGMENT_ENDING",
     "Terminator",
     "UnitCallGraph",
+    "WHOLE",
     "assign_addresses",
     "baseline_layout",
     "build_unit_call_graph",
-    "flatten_units",
     "flow_graph_from_block_counts",
     "flow_graph_from_edge_counts",
+    "procedure_layout",
     "trace_fetch_counts",
     "unit_sizes_and_heat",
 ]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -24,13 +24,19 @@ class BlockTable:
     ``succ0``/``succ1`` (the fixed successors: the single successor of
     fallthrough, call and unconditional blocks, a conditional branch's
     taken then fallthrough successor; -1 where there is none) and
-    ``proc`` (the owner's index in :meth:`Binary.proc_order`)."""
+    ``proc`` (the owner's index in :meth:`Binary.proc_order`) and
+    ``callee`` (a call block's target procedure index; -1 elsewhere).
+    Two per-procedure columns are indexed by procedure index: ``names``
+    (link order) and ``entry`` (each entry block id)."""
 
     size: np.ndarray
     term: np.ndarray
     succ0: np.ndarray
     succ1: np.ndarray
     proc: np.ndarray
+    callee: np.ndarray
+    names: Tuple[str, ...]
+    entry: np.ndarray
 
     @classmethod
     def build(cls, binary: "Binary") -> "BlockTable":
@@ -44,10 +50,18 @@ class BlockTable:
             np.array([s[0] if s else -1 for s in fixed], dtype=np.int64),
             np.array([s[1] if len(s) > 1 else -1 for s in fixed], dtype=np.int64),
             np.array([proc_index[b.proc_name] for b in blocks], dtype=np.int64),
+            np.array(
+                [proc_index[b.call_target] if b.terminator is Terminator.CALL else -1
+                 for b in blocks],
+                dtype=np.int64,
+            ),
         ]
-        for column in columns:
+        entry = np.array(
+            [binary.procedures[name].entry.bid for name in binary._order], dtype=np.int64
+        )
+        for column in columns + [entry]:
             column.flags.writeable = False
-        return cls(*columns)
+        return cls(*columns, tuple(binary._order), entry)
 
     def is_term(self, *terms: Terminator) -> np.ndarray:
         """Mask of the blocks ending in any of ``terms``."""

@@ -1,9 +1,9 @@
 """Code layout: placing code units in the address space.
 
-A :class:`Layout` is an ordered list of :class:`CodeUnit` (whole
-procedures, or segments produced by fine-grain splitting), each an
-ordered list of block ids.  :func:`assign_addresses` turns a layout
-into an :class:`AddressMap`, applying the classic branch fixups:
+A :class:`Layout` is a block order cut into code units (whole
+procedures, fine-grain segments or hot/cold halves), held as arrays.
+:func:`assign_addresses` turns a layout into an :class:`AddressMap`,
+applying the classic branch fixups:
 
 * a conditional branch whose *taken* target became the adjacent block is
   inverted (polarity swap, no size change);
@@ -21,9 +21,9 @@ Figure 8.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,72 +31,142 @@ from repro.errors import LayoutError
 from repro.ir.binary import Binary
 from repro.ir.instruction import INSTRUCTION_BYTES, Terminator
 
-
-@dataclass(frozen=True)
-class CodeUnit:
-    """An independently placeable run of blocks.
-
-    For an unsplit binary a unit is a whole procedure; after fine-grain
-    splitting each segment is its own unit.  ``is_entry`` marks the unit
-    containing the owning procedure's entry block.
-    """
-
-    name: str
-    proc_name: str
-    block_ids: Tuple[int, ...]
-    is_entry: bool = True
-    #: Extra padding bytes inserted before this unit (after alignment);
-    #: used by the CFA layout to steer code away from reserved cache sets.
-    pad_before: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.block_ids:
-            raise LayoutError(f"code unit {self.name!r} has no blocks")
-        if self.pad_before < 0:
-            raise LayoutError(f"code unit {self.name!r}: negative padding")
-
-    def with_pad(self, pad_before: int) -> "CodeUnit":
-        """Copy of this unit with different leading padding."""
-        return CodeUnit(
-            name=self.name,
-            proc_name=self.proc_name,
-            block_ids=self.block_ids,
-            is_entry=self.is_entry,
-            pad_before=pad_before,
-        )
+#: :attr:`Layout.kind` of a whole procedure and of the two halves of a
+#: hot/cold split; a fine-grain segment's kind is its index ``k >= 0``
+#: within its procedure.
+WHOLE, HOT, COLD = -1, -2, -3
+#: Unit-name suffix of each non-segment kind (a segment's is ``.seg<k>``).
+KIND_SUFFIX = {WHOLE: "", HOT: ".hot", COLD: ".cold"}
 
 
-@dataclass
+def unit_suffix(kind: int) -> str:
+    """The unit-name suffix of one kind."""
+    return KIND_SUFFIX[kind] if kind < 0 else f".seg{kind}"
+
+
+def suffix_kind(suffix: str) -> Optional[int]:
+    """The kind a unit-name suffix spells, or None if it spells none."""
+    digits = suffix[4:]
+    if suffix.startswith(".seg") and digits.isascii() and digits.isdigit():
+        return int(digits) if str(int(digits)) == digits else None
+    return next((kind for kind, known in KIND_SUFFIX.items() if known == suffix), None)
+
+
+@dataclass(frozen=True, eq=False)
 class Layout:
-    """An ordered placement of code units.
+    """Code units in address order, as read-only int64 arrays: ``ids``
+    (the block order), ``starts`` (where each unit begins in ``ids``) and
+    per unit ``proc`` (index into ``procs``, the binary's procedure
+    names), ``kind`` (:data:`WHOLE`, :data:`HOT`, :data:`COLD` or a
+    segment index) and ``pad`` (bytes before the unit, after alignment).
+    Unit names (``p``, ``p.seg<k>``, ``p.hot``, ``p.cold``) and entry
+    flags are derived, so a layout pickles without its binary.
+    ``alignment`` aligns each unit start; ``name`` labels reports."""
 
-    Attributes:
-        units: Units in address order.
-        alignment: Byte alignment of each unit's start address.
-        name: Label for reports ("base", "chain+porder", ...).
-    """
-
-    units: List[CodeUnit]
+    procs: Tuple[str, ...]
+    ids: np.ndarray
+    starts: np.ndarray
+    proc: np.ndarray
+    kind: np.ndarray
+    pad: Optional[np.ndarray] = None
     alignment: int = 16
     name: str = "layout"
 
-    def block_order(self) -> List[int]:
-        """All block ids in placement order."""
-        return flatten_units(self.units)[0].tolist()
+    def __post_init__(self) -> None:
+        pad = np.zeros(len(self.starts)) if self.pad is None else self.pad
+        for field, value in zip(
+            ("ids", "starts", "proc", "kind", "pad"),
+            (self.ids, self.starts, self.proc, self.kind, pad),
+        ):
+            array = np.array(value, dtype=np.int64)
+            array.flags.writeable = False
+            object.__setattr__(self, field, array)
+        units = len(self.starts)
+        if (
+            not len(self.proc) == len(self.kind) == len(self.pad) == units
+            or ((self.proc < 0) | (self.proc >= len(self.procs))).any()
+            or (self.starts[:1] != 0).any()
+            or (len(self.ids) and not units)
+        ):
+            raise LayoutError(f"layout {self.name!r}: inconsistent unit arrays")
+        for u in np.flatnonzero((self.lengths <= 0) | (self.pad < 0))[:1].tolist():
+            problem = "has no blocks" if self.lengths[u] <= 0 else "has negative padding"
+            raise LayoutError(f"code unit {self.unit_name(u)!r} {problem}")
+
+    def __reduce__(self):
+        # Unpickled arrays are rebuilt through the checks, read-only.
+        return Layout, tuple(getattr(self, f.name) for f in dataclasses.fields(self))
+
+    @property
+    def num_units(self) -> int:
+        return len(self.starts)
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """Blocks per unit."""
+        return np.diff(self.starts, append=len(self.ids))
+
+    @property
+    def position_unit(self) -> np.ndarray:
+        """The unit holding each position of ``ids``."""
+        return np.repeat(np.arange(self.num_units), self.lengths)
+
+    def blocks(self, u: int) -> np.ndarray:
+        """Block ids of unit ``u`` in placement order."""
+        return self.ids[self.starts[u]:self.starts[u] + self.lengths[u]]
+
+    def unit_name(self, u: int) -> str:
+        return self.procs[self.proc[u]] + unit_suffix(int(self.kind[u]))
+
+    def names(self) -> List[str]:
+        """Every unit's name, in unit order."""
+        procs, kinds = self.procs, self.kind.tolist()
+        suffix = {kind: unit_suffix(kind) for kind in set(kinds)}
+        return [procs[p] + suffix[k] for p, k in zip(self.proc.tolist(), kinds)]
+
+    def is_entry(self) -> np.ndarray:
+        """Per unit: does it hold its procedure's entry block?  The entry
+        is a procedure's first source block, which has its lowest id."""
+        if not self.num_units:
+            return np.zeros(0, dtype=bool)
+        first = np.minimum.reduceat(self.ids, self.starts)
+        lowest = np.full(len(self.procs), np.iinfo(np.int64).max)
+        np.minimum.at(lowest, self.proc, first)
+        return first == lowest[self.proc]
 
     def validate_against(self, binary: Binary) -> None:
-        """Check the layout places every block of the binary exactly once."""
-        _check_permutation(self, flatten_units(self.units)[0], binary.num_blocks)
+        """Check the layout names the binary's procedures and places
+        every block of the binary exactly once."""
+        if self.procs != binary.table.names:
+            raise LayoutError(
+                f"layout {self.name!r} was built for a different binary than "
+                f"{binary.name!r}"
+            )
+        _check_permutation(self, self.ids, binary.num_blocks)
+
+    def permuted(self, order: Sequence[int], **changes) -> "Layout":
+        """The units reordered to ``order`` (a permutation of the unit
+        indexes), with any other field replaced by ``changes``."""
+        order = np.asarray(order, dtype=np.int64)
+        if not np.array_equal(np.sort(order), np.arange(self.num_units)):
+            raise LayoutError(f"layout {self.name!r}: unit order is not a permutation")
+        lengths = self.lengths[order]
+        fields = dict(
+            ids=self.ids[run_positions(self.starts, self.lengths, order)],
+            starts=np.cumsum(lengths) - lengths, proc=self.proc[order],
+            kind=self.kind[order], pad=self.pad[order],
+        )
+        fields.update(changes)
+        return dataclasses.replace(self, **fields)
 
 
-def flatten_units(units: Sequence[CodeUnit]) -> Tuple[np.ndarray, np.ndarray]:
-    """``(ids, starts)``: the units' block ids concatenated in placement
-    order, and the position in ``ids`` where each unit begins."""
-    lengths = [len(u.block_ids) for u in units]
-    ids = np.fromiter(
-        chain.from_iterable(u.block_ids for u in units), dtype=np.int64, count=sum(lengths)
+def run_positions(starts: np.ndarray, lengths: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Positions of the runs ``starts[i]:starts[i] + lengths[i]`` of a
+    flat array, concatenated in ``order``."""
+    lengths = lengths[order]
+    return np.repeat(starts[order] - (np.cumsum(lengths) - lengths), lengths) + np.arange(
+        lengths.sum()
     )
-    return ids, np.cumsum([0] + lengths, dtype=np.int64)[:-1]
 
 
 def _check_permutation(layout: "Layout", ids: np.ndarray, num_blocks: int) -> None:
@@ -110,11 +180,11 @@ def _check_permutation(layout: "Layout", ids: np.ndarray, num_blocks: int) -> No
 
 
 def unit_sizes_and_heat(
-    binary: Binary, units: Sequence[CodeUnit], block_counts
+    binary: Binary, layout: Layout, block_counts
 ) -> Tuple[List[int], List[float]]:
     """Per-unit byte size and dynamic heat (executed instructions); heat
     is the exact integer sum of ``count * size``, converted to float."""
-    ids, starts = flatten_units(units)
+    ids, starts = layout.ids, layout.starts
     sizes = binary.table.size[ids]
     counts = np.asarray(block_counts)[ids].astype(np.int64)
     unit_sizes = np.add.reduceat(sizes, starts) * INSTRUCTION_BYTES
@@ -122,19 +192,27 @@ def unit_sizes_and_heat(
     return unit_sizes.tolist(), unit_heat.tolist()
 
 
+def procedure_layout(
+    binary: Binary, ids: np.ndarray, alignment: int = 16, name: str = "base"
+) -> Layout:
+    """One unit per procedure, in link order; ``ids`` holds each
+    procedure's blocks together, procedures in link order."""
+    table = binary.table
+    return Layout(
+        procs=table.names,
+        ids=ids,
+        starts=np.flatnonzero(np.diff(table.proc, prepend=-1)),
+        proc=np.arange(len(table.names)),
+        kind=np.full(len(table.names), WHOLE),
+        alignment=alignment,
+        name=name,
+    )
+
+
 def baseline_layout(binary: Binary, alignment: int = 16) -> Layout:
     """The original image layout: procedures in link order, blocks in
     source order -- one unit per procedure."""
-    units = [
-        CodeUnit(
-            name=name,
-            proc_name=name,
-            block_ids=tuple(binary.proc(name).block_ids()),
-            is_entry=True,
-        )
-        for name in binary.proc_order()
-    ]
-    return Layout(units=units, alignment=alignment, name="base")
+    return procedure_layout(binary, np.arange(binary.num_blocks), alignment, "base")
 
 
 class AddressMap:
@@ -170,7 +248,8 @@ class AddressMap:
         self.deleted_branches: set = set()
         self.appended_branches: set = set()
         self.total_bytes = 0
-        self.unit_starts: Dict[str, int] = {}
+        #: Byte address of each unit's start, in unit order.
+        self.unit_starts = np.zeros(layout.num_units, dtype=np.int64)
 
     def end_addr(self, bid: int) -> int:
         """Byte address one past the block's placed footprint."""
@@ -234,7 +313,7 @@ def assign_addresses(binary: Binary, layout: Layout) -> AddressMap:
     alignment) are walked unit by unit.
     """
     table = binary.table
-    ids, starts = flatten_units(layout.units)
+    ids, starts = layout.ids, layout.starts
     _check_permutation(layout, ids, binary.num_blocks)
     amap = AddressMap(binary, layout)
     if not len(ids):
@@ -246,8 +325,7 @@ def assign_addresses(binary: Binary, layout: Layout) -> AddressMap:
     nxt = np.append(ids[1:], -2)
     ends = np.append(starts[1:], len(ids)) - 1
     if align == INSTRUCTION_BYTES:
-        padded = np.array([u.pad_before != 0 for u in layout.units[1:]], dtype=bool)
-        nxt[ends[:-1][padded]] = -2
+        nxt[ends[:-1][layout.pad[1:] != 0]] = -2
     else:
         nxt[ends] = -2
 
@@ -275,16 +353,16 @@ def assign_addresses(binary: Binary, layout: Layout) -> AddressMap:
     before = offset - n_fetch * INSTRUCTION_BYTES
     unit_start = []
     cursor = 0
-    for unit, nbytes in zip(layout.units, np.diff(offset[ends], prepend=0).tolist()):
-        cursor += unit.pad_before
+    for pad, nbytes in zip(layout.pad.tolist(), np.diff(offset[ends], prepend=0).tolist()):
+        cursor += pad
         rem = cursor % align
         if rem:
             cursor += align - rem
-        amap.unit_starts[unit.name] = cursor
         unit_start.append(cursor)
         cursor += nbytes
+    amap.unit_starts = np.array(unit_start, dtype=np.int64)
     amap.addr[ids] = before + np.repeat(
-        np.array(unit_start, dtype=np.int64) - before[starts], np.diff(ends, prepend=-1)
+        amap.unit_starts - before[starts], np.diff(ends, prepend=-1)
     )
     amap.total_bytes = cursor
     return amap

@@ -13,7 +13,7 @@ from repro.layout.ordering import (
     order_units,
 )
 from repro.layout.spike import ALL_COMBOS, PAPER_COMBOS, SpikeOptimizer
-from repro.layout.splitting import split_chains, split_procedure_source_order
+from repro.layout.splitting import split_chains, split_source_order
 
 __all__ = [
     "ALL_COMBOS",
@@ -35,5 +35,5 @@ __all__ = [
     "order_units",
     "split_chains",
     "split_hot_cold",
-    "split_procedure_source_order",
+    "split_source_order",
 ]

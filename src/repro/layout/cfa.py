@@ -16,10 +16,10 @@ unreserved region -- the failure mode the paper observed for OLTP.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.errors import LayoutError
-from repro.ir import Binary, CodeUnit, Layout, unit_sizes_and_heat
+from repro.ir import Binary, Layout, unit_sizes_and_heat
 
 
 @dataclass
@@ -39,7 +39,7 @@ class CfaReport:
 
 def cfa_layout(
     binary: Binary,
-    units: Sequence[CodeUnit],
+    layout: Layout,
     block_counts,
     cache_bytes: int,
     reserved_fraction: float = 0.25,
@@ -49,7 +49,7 @@ def cfa_layout(
 
     Args:
         binary: The program.
-        units: Placeable units, ideally chained+split segments ("traces").
+        layout: Placeable units, ideally chained+split segments ("traces").
         block_counts: Execution counts per block id.
         cache_bytes: Target instruction cache size the reservation is
             computed against.
@@ -59,8 +59,9 @@ def cfa_layout(
         raise LayoutError(f"reserved_fraction must be in (0, 1), got {reserved_fraction}")
     reserved = int(cache_bytes * reserved_fraction)
 
-    sizes, heat = unit_sizes_and_heat(binary, units, block_counts)
-    ranked = sorted(range(len(units)), key=lambda i: (-heat[i], units[i].name))
+    sizes, heat = unit_sizes_and_heat(binary, layout, block_counts)
+    names = layout.names()
+    ranked = sorted(range(layout.num_units), key=lambda i: (-heat[i], names[i]))
     hot: List[int] = []
     hot_bytes = 0
     cold: List[int] = []
@@ -76,7 +77,7 @@ def cfa_layout(
 
     # Keep cold units in their incoming order (callers pass an already
     # sensible order, e.g. the Pettis-Hansen result).
-    placed: List[CodeUnit] = [units[i].with_pad(0) for i in hot]
+    pads = [0] * len(hot)
     cursor = hot_bytes
     padding = 0
     oversized = 0
@@ -92,10 +93,10 @@ def cfa_layout(
             pad = (cache_bytes - offset) + reserved
         if size > usable:
             oversized += 1
-        placed.append(units[i].with_pad(pad))
+        pads.append(pad)
         padding += pad
         cursor += pad + size
-    layout = Layout(units=placed, alignment=alignment, name="cfa")
+    layout = layout.permuted(hot + cold, pad=pads, alignment=alignment, name="cfa")
     report = CfaReport(
         cache_bytes=cache_bytes,
         reserved_bytes=reserved,

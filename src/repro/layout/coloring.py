@@ -11,10 +11,10 @@ splitting) are ineffective for OLTP-sized footprints; this module lets
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from repro.errors import LayoutError
-from repro.ir import Binary, CodeUnit, Layout, UnitCallGraph, unit_sizes_and_heat
+from repro.ir import Binary, Layout, UnitCallGraph, unit_sizes_and_heat
 
 
 @dataclass
@@ -32,7 +32,7 @@ class ColoringReport:
 
 def color_layout(
     binary: Binary,
-    units: Sequence[CodeUnit],
+    layout: Layout,
     graph: UnitCallGraph,
     block_counts,
     cache_bytes: int = 64 * 1024,
@@ -44,7 +44,7 @@ def color_layout(
 
     Args:
         binary: The program.
-        units: Placeable units (whole procedures in the classic papers).
+        layout: Placeable units (whole procedures in the classic papers).
         graph: Call graph whose positive-weight edges define neighbors.
         block_counts: Execution counts per block id.
         cache_bytes / line_bytes: The direct-mapped target cache whose
@@ -56,16 +56,17 @@ def color_layout(
         raise LayoutError("cache_bytes must be a multiple of line_bytes")
     nsets = cache_bytes // line_bytes
 
-    sizes, heat = unit_sizes_and_heat(binary, units, block_counts)
+    sizes, heat = unit_sizes_and_heat(binary, layout, block_counts)
+    names = layout.names()
     hot = sorted(
         (i for i, h in enumerate(heat) if h > 0),
-        key=lambda i: (-heat[i], units[i].name),
+        key=lambda i: (-heat[i], names[i]),
     )
-    cold = [u for u, h in zip(units, heat) if h <= 0]
+    cold = [i for i, h in enumerate(heat) if h <= 0]
 
     #: Sets occupied by each placed hot unit.
-    placed_sets: Dict[str, Set[int]] = {}
-    placed: List[CodeUnit] = []
+    placed_sets: Dict[int, Set[int]] = {}
+    pads = layout.pad.tolist()
     cursor = 0
     padding = 0
     unresolved = 0
@@ -76,12 +77,11 @@ def color_layout(
         return {line % nsets for line in range(first, last + 1)}
 
     for i in hot:
-        unit, nbytes = units[i], sizes[i]
+        nbytes = sizes[i]
         neighbors = [
-            (placed_sets[other.name], graph.weight(unit.name, other.name))
-            for other in placed
-            if graph.weight(unit.name, other.name) > 0
-            and other.name in placed_sets
+            (sets_, graph.weight(i, other))
+            for other, sets_ in placed_sets.items()
+            if graph.weight(i, other) > 0
         ]
         best_offset = 0
         best_cost = None
@@ -98,12 +98,14 @@ def color_layout(
             unresolved += 1
         address = _align(cursor + best_offset, alignment)
         pad = address - cursor
-        placed.append(unit.with_pad(pad) if pad else unit)
-        placed_sets[unit.name] = sets_for(address, nbytes)
+        if pad:
+            pads[i] = pad
+        placed_sets[i] = sets_for(address, nbytes)
         padding += pad
         cursor = address + nbytes
-    final_units = list(placed) + [u for u in cold]
-    layout = Layout(units=final_units, alignment=alignment, name="coloring")
+    layout = layout.permuted(
+        hot + cold, pad=[pads[i] for i in hot + cold], alignment=alignment, name="coloring"
+    )
     report = ColoringReport(
         cache_bytes=cache_bytes,
         line_bytes=line_bytes,

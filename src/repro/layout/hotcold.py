@@ -9,57 +9,46 @@ based on relative execution frequency.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional
 
-from repro.ir import Binary, CodeUnit
+import numpy as np
+
+from repro.ir import COLD, HOT, Binary, Layout
 
 
 def split_hot_cold(
     binary: Binary,
-    proc_name: str,
     block_counts,
-    block_order: Optional[Sequence[int]] = None,
+    ids: Optional[np.ndarray] = None,
     threshold: float = 0.0,
-) -> List[CodeUnit]:
-    """Split one procedure into hot and cold units.
+    alignment: int = 4,
+    name: str = "hotcold",
+) -> Layout:
+    """Split every procedure into a hot unit and (when any block is
+    cold) a cold unit, procedures in link order.
 
-    Args:
-        binary: The program.
-        proc_name: Procedure to split.
-        block_counts: Execution counts indexed by block id.
-        block_order: Within-procedure block order to preserve (defaults
-            to source order; pass a chained order to combine with
-            chaining).
-        threshold: A block is *hot* when its execution count exceeds
-            ``threshold`` times the procedure's entry count.  The
-            default 0.0 marks every executed block hot.
+    ``ids`` is the block order each part keeps, each procedure's blocks
+    together in link order (source order by default; pass a chained
+    order to combine with chaining).  A block is *hot* when its count
+    exceeds ``threshold`` times its procedure's entry count; the
+    default 0.0 marks every executed block hot.
     """
-    proc = binary.proc(proc_name)
-    order = list(block_order) if block_order is not None else proc.block_ids()
-    entry_count = float(block_counts[proc.entry.bid])
-    cutoff = threshold * entry_count
-    hot = [b for b in order if float(block_counts[b]) > cutoff]
-    cold = [b for b in order if float(block_counts[b]) <= cutoff]
-    # The entry block always lives in the hot part so callers land on it
-    # even for never-profiled procedures.
-    if proc.entry.bid not in hot:
-        hot.insert(0, proc.entry.bid)
-        cold.remove(proc.entry.bid)
-    units = [
-        CodeUnit(
-            name=f"{proc_name}.hot",
-            proc_name=proc_name,
-            block_ids=tuple(hot),
-            is_entry=True,
-        )
-    ]
-    if cold:
-        units.append(
-            CodeUnit(
-                name=f"{proc_name}.cold",
-                proc_name=proc_name,
-                block_ids=tuple(cold),
-                is_entry=False,
-            )
-        )
-    return units
+    table = binary.table
+    ids = np.arange(binary.num_blocks) if ids is None else np.asarray(ids, dtype=np.int64)
+    counts = np.asarray(block_counts)
+    proc = table.proc[ids]
+    entry = ids == table.entry[proc]
+    hot = counts[ids].astype(np.float64) > threshold * counts[table.entry[proc]].astype(np.float64)
+    # The entry block always lives in the hot part -- first, when it is
+    # not hot itself -- so callers land on it even for never-profiled
+    # procedures.
+    cold = ~(hot | entry)
+    order = np.lexsort((np.arange(len(ids)), hot | ~entry, cold, proc))
+    proc, cold = proc[order], cold[order]
+    cut = np.ones(len(ids), dtype=bool)
+    cut[1:] = (proc[1:] != proc[:-1]) | (cold[1:] != cold[:-1])
+    starts = np.flatnonzero(cut)
+    return Layout(
+        procs=table.names, ids=ids[order], starts=starts, proc=proc[starts],
+        kind=np.where(cold[starts], COLD, HOT), alignment=alignment, name=name,
+    )

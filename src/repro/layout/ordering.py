@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.ir import Binary, CodeUnit, UnitCallGraph, unit_sizes_and_heat
+from repro.ir import Binary, Layout, UnitCallGraph, unit_sizes_and_heat
+from repro.ir.layout import run_positions
 
 #: Alpha conditional branches reach +/- 1 MB (21-bit word displacement).
 DEFAULT_MAX_DISPLACEMENT = 1 << 20
@@ -33,7 +34,8 @@ DEFAULT_MAX_DISPLACEMENT = 1 << 20
 class OrderingResult:
     """Outcome of the ordering pass."""
 
-    units: List[CodeUnit]
+    #: The unit permutation: ``order[i]`` is the unit placed ``i``-th.
+    order: np.ndarray
     #: Cluster-merge refusals due to the branch-displacement guard.
     displacement_refusals: int = 0
     #: Number of merge steps performed.
@@ -42,7 +44,7 @@ class OrderingResult:
 
 def order_units(
     binary: Binary,
-    units: Sequence[CodeUnit],
+    layout: Layout,
     graph: UnitCallGraph,
     block_counts,
     max_displacement: int = DEFAULT_MAX_DISPLACEMENT,
@@ -51,7 +53,7 @@ def order_units(
 
     Args:
         binary: The program.
-        units: Placeable units (procedures or split segments).
+        layout: Placeable units (procedures or split segments).
         graph: Unit-level call graph with original profile weights.
         block_counts: Execution counts per block id (orders the final
             clusters hottest-first).
@@ -69,10 +71,8 @@ def order_units(
     re-keyed when popped; a merge pushes only the edges whose weight
     grew (neighbours of both clusters).
     """
-    names = [u.name for u in units]
-    index = {name: i for i, name in enumerate(names)}
-    sizes, heat = unit_sizes_and_heat(binary, units, block_counts)
-    edges = [(index[a], index[b], w) for a, b, w in graph.edges_by_weight()]
+    sizes, heat = unit_sizes_and_heat(binary, layout, block_counts)
+    edges = graph.edges_by_weight()
 
     # Slot s holds one hot cluster: hot units first, in unit order (so
     # slot == initial cluster id); a merge keeps the slot with more
@@ -100,9 +100,6 @@ def order_units(
             parent[s], s = root, parent[s]
         return root
 
-    def weight(i: int, j: int) -> float:
-        return graph.weight(names[i], names[j])
-
     refusals = 0
     merges = 0
     while heap:
@@ -121,7 +118,7 @@ def order_units(
             # Drop the edge so the pair is never retried.
             del adj[sa][sb], adj[sb][sa]
             continue
-        left, right = _best_orientation(members[sa], members[sb], weight)
+        left, right = _best_orientation(members[sa], members[sb], graph.weight)
         keep, gone = (sa, sb) if len(adj[sa]) >= len(adj[sb]) else (sb, sa)
         kept, moved = adj[keep], adj[gone]
         del kept[gone], moved[keep]
@@ -145,7 +142,7 @@ def order_units(
     # deterministic tie-break on the earliest original unit index.  Cold
     # units are singletons keyed by their own heat and index.
     clusters = [m for s, m in enumerate(members) if parent[s] == s]
-    cold = np.ones(len(units), dtype=bool)
+    cold = np.ones(layout.num_units, dtype=bool)
     cold[hot] = False
     cold_index = np.flatnonzero(cold)
     key_heat = np.concatenate([
@@ -155,17 +152,14 @@ def order_units(
     key_index = np.concatenate([
         cold_index, np.array([min(c) for c in clusters], dtype=np.int64)
     ])
-    groups = [[int(i)] for i in cold_index] + clusters
-    ordered: List[CodeUnit] = []
-    for g in np.lexsort((key_index, -key_heat)).tolist():
-        ordered.extend(units[m] for m in groups[g])
+    flat = np.array(cold_index.tolist() + [m for c in clusters for m in c], dtype=np.int64)
+    runs = np.array([1] * len(cold_index) + [len(c) for c in clusters], dtype=np.int64)
+    order = flat[run_positions(np.cumsum(runs) - runs, runs, np.lexsort((key_index, -key_heat)))]
 
     obs.counter("layout.order.calls").inc()
     obs.counter("layout.order.merges").inc(merges)
     obs.counter("layout.order.displacement_refusals").inc(refusals)
-    return OrderingResult(
-        units=ordered, displacement_refusals=refusals, merges=merges
-    )
+    return OrderingResult(order=order, displacement_refusals=refusals, merges=merges)
 
 
 def _best_orientation(

@@ -17,31 +17,33 @@ x-axes) to a code layout:
 
 The optimizer builds layouts and does not check them.  Each consumer
 gates a finished layout through :func:`repro.check.check_all`; the
-tests hold every pass to its contract in :mod:`repro.check.structural`.
+tests hold every pass to its contract (``tests/layout_contracts.py``).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro import obs
 from repro.errors import LayoutError
 from repro.ir import (
     Binary,
-    CodeUnit,
     FlowGraph,
     Layout,
     baseline_layout,
     build_unit_call_graph,
     flow_graph_from_block_counts,
     flow_graph_from_edge_counts,
+    procedure_layout,
 )
 from repro.layout.cfa import CfaReport, cfa_layout
 from repro.layout.chaining import ChainingResult, chain_blocks
 from repro.layout.combos import ALL_COMBOS, PAPER_COMBOS, Combo
 from repro.layout.hotcold import split_hot_cold
-from repro.layout.ordering import DEFAULT_MAX_DISPLACEMENT, OrderingResult, order_units
-from repro.layout.splitting import split_chains, split_procedure_source_order
+from repro.layout.ordering import DEFAULT_MAX_DISPLACEMENT, order_units
+from repro.layout.splitting import split_chains, split_source_order
 from repro.profiles import Profile
 
 
@@ -68,7 +70,6 @@ class SpikeOptimizer:
         self.segment_alignment = segment_alignment
         self.max_displacement = max_displacement
         self._chain_cache: Optional[Dict[str, ChainingResult]] = None
-        self.last_ordering: Optional[OrderingResult] = None
 
     # -- building blocks -------------------------------------------------
 
@@ -130,58 +131,35 @@ class SpikeOptimizer:
             reused += 1
         return reused
 
-    def _proc_units(self, chained: bool) -> List[CodeUnit]:
-        units = []
-        for name in self.binary.proc_order():
-            if chained:
-                order = tuple(self.chainings()[name].block_order)
-            else:
-                order = tuple(self.binary.proc(name).block_ids())
-            units.append(
-                CodeUnit(name=name, proc_name=name, block_ids=order, is_entry=True)
-            )
-        return units
+    def _chain_list(self) -> List[ChainingResult]:
+        chainings = self.chainings()
+        return [chainings[name] for name in self.binary.proc_order()]
 
-    def _split_units(self, chained: bool) -> List[CodeUnit]:
-        units: List[CodeUnit] = []
-        for name in self.binary.proc_order():
-            if chained:
-                units.extend(split_chains(self.binary, self.chainings()[name]))
-            else:
-                units.extend(split_procedure_source_order(self.binary, name))
-        return units
+    def _chained_ids(self) -> np.ndarray:
+        return np.fromiter(
+            (bid for c in self._chain_list() for chain in c.chains for bid in chain),
+            dtype=np.int64,
+            count=self.binary.num_blocks,
+        )
 
-    def _hotcold_units(self) -> List[CodeUnit]:
-        units: List[CodeUnit] = []
-        for name in self.binary.proc_order():
-            order = self.chainings()[name].block_order
-            units.extend(
-                split_hot_cold(
-                    self.binary, name, self.profile.block_counts, block_order=order
-                )
-            )
-        return units
+    def _split(self) -> Layout:
+        return split_chains(self.binary, self._chain_list(), self.segment_alignment)
 
-    def _alignment_for(self, name: str) -> int:
-        split_based = name in ("split", "chain+split", "all", "hotcold", "cfa")
-        return self.segment_alignment if split_based else self.proc_alignment
-
-    def _ordered(self, units: Sequence[CodeUnit], name: str) -> Layout:
+    def _ordered(self, layout: Layout, name: str) -> Layout:
         graph = build_unit_call_graph(
             self.binary,
-            units,
+            layout,
             self.profile.block_counts,
             edge_counts=self.profile.edge_counts or None,
         )
         result = order_units(
             self.binary,
-            units,
+            layout,
             graph,
             self.profile.block_counts,
             max_displacement=self.max_displacement,
         )
-        self.last_ordering = result
-        return Layout(units=result.units, alignment=self._alignment_for(name), name=name)
+        return layout.permuted(result.order, name=name)
 
     # -- the pipelines ----------------------------------------------------
 
@@ -198,34 +176,28 @@ class SpikeOptimizer:
             return self._build(combo)
 
     def _build(self, combo: str) -> Layout:
+        binary = self.binary
         if combo == "base":
-            return baseline_layout(self.binary, alignment=self.proc_alignment)
+            return baseline_layout(binary, alignment=self.proc_alignment)
         if combo == "porder":
-            return self._ordered(self._proc_units(chained=False), combo)
+            return self._ordered(baseline_layout(binary, self.proc_alignment), combo)
         if combo == "chain":
-            return Layout(
-                units=self._proc_units(chained=True),
-                alignment=self.proc_alignment,
-                name=combo,
-            )
+            return procedure_layout(binary, self._chained_ids(), self.proc_alignment, combo)
         if combo == "split":
-            return Layout(
-                units=self._split_units(chained=False),
-                alignment=self.segment_alignment,
-                name=combo,
-            )
+            return split_source_order(binary, self.segment_alignment, combo)
         if combo == "chain+split":
-            return Layout(
-                units=self._split_units(chained=True),
-                alignment=self.segment_alignment,
-                name=combo,
-            )
+            return self._split()
         if combo == "chain+porder":
-            return self._ordered(self._proc_units(chained=True), combo)
+            chained = procedure_layout(binary, self._chained_ids(), self.proc_alignment)
+            return self._ordered(chained, combo)
         if combo == "all":
-            return self._ordered(self._split_units(chained=True), combo)
+            return self._ordered(self._split(), combo)
         if combo == "hotcold":
-            return self._ordered(self._hotcold_units(), combo)
+            hotcold = split_hot_cold(
+                binary, self.profile.block_counts, self._chained_ids(),
+                alignment=self.segment_alignment,
+            )
+            return self._ordered(hotcold, combo)
         raise LayoutError(
             f"unknown optimization combination {combo!r}; "
             f"valid combos: {', '.join(Combo.names())}"
@@ -240,7 +212,7 @@ class SpikeOptimizer:
     ) -> Tuple[Layout, CfaReport]:
         """The conflict-free-area layout for a target cache size,
         applied on top of chain+split segments ordered by P-H."""
-        ordered = self._ordered(self._split_units(chained=True), "all").units
+        ordered = self._ordered(self._split(), "all")
         return cfa_layout(
             self.binary,
             ordered,

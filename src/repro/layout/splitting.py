@@ -13,62 +13,59 @@ so the boundary block is segment-ending by construction.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from repro import obs
-from repro.ir import Binary, CodeUnit, SEGMENT_ENDING
+from repro.ir import SEGMENT_ENDING, Binary, Layout
 from repro.layout.chaining import ChainingResult
 
 
 def split_chains(
-    binary: Binary, chaining: ChainingResult
-) -> List[CodeUnit]:
-    """Split one chained procedure into segment units.
+    binary: Binary,
+    chainings: Sequence[ChainingResult],
+    alignment: int = 4,
+    name: str = "chain+split",
+) -> Layout:
+    """Split chained procedures into segment units.
 
-    Returns units in chain order; the unit containing the procedure
-    entry block is flagged ``is_entry``.
+    ``chainings`` holds one chaining per procedure, in link order.  The
+    segments follow chain order; each procedure's are numbered from 0.
     """
-    entry_bid = binary.proc(chaining.proc_name).entry.bid
-    units: List[CodeUnit] = []
-    for chain in chaining.chains:
-        segment: List[int] = []
-        for bid in chain:
-            segment.append(bid)
-            if binary.block(bid).terminator in SEGMENT_ENDING:
-                units.append(_make_unit(chaining.proc_name, len(units), segment, entry_bid))
-                segment = []
-        if segment:
-            units.append(_make_unit(chaining.proc_name, len(units), segment, entry_bid))
-    obs.counter("layout.split.procedures").inc()
-    obs.counter("layout.split.segments").inc(len(units))
-    return units
+    chains = [chain for chaining in chainings for chain in chaining.chains]
+    lengths = np.array([len(chain) for chain in chains], dtype=np.int64)
+    ids = np.fromiter(
+        (bid for chain in chains for bid in chain), dtype=np.int64, count=int(lengths.sum())
+    )
+    layout = _segments(binary, ids, np.cumsum(lengths) - lengths, alignment, name)
+    obs.counter("layout.split.procedures").inc(len(chainings))
+    obs.counter("layout.split.segments").inc(layout.num_units)
+    return layout
 
 
-def split_procedure_source_order(binary: Binary, proc_name: str) -> List[CodeUnit]:
-    """Split a procedure's *source-order* blocks into segments.
+def split_source_order(binary: Binary, alignment: int = 4, name: str = "split") -> Layout:
+    """Split every procedure's *source-order* blocks into segments.
 
     Used to study splitting without chaining.
     """
-    proc = binary.proc(proc_name)
-    entry_bid = proc.entry.bid
-    units: List[CodeUnit] = []
-    segment: List[int] = []
-    for block in proc.blocks:
-        segment.append(block.bid)
-        if block.terminator in SEGMENT_ENDING:
-            units.append(_make_unit(proc_name, len(units), segment, entry_bid))
-            segment = []
-    if segment:
-        units.append(_make_unit(proc_name, len(units), segment, entry_bid))
-    return units
+    return _segments(binary, np.arange(binary.num_blocks), (), alignment, name)
 
 
-def _make_unit(
-    proc_name: str, index: int, segment: Sequence[int], entry_bid: int
-) -> CodeUnit:
-    return CodeUnit(
-        name=f"{proc_name}.seg{index}",
-        proc_name=proc_name,
-        block_ids=tuple(segment),
-        is_entry=entry_bid in segment,
+def _segments(binary: Binary, ids: np.ndarray, heads, alignment: int, name: str) -> Layout:
+    """Cut ``ids`` (each procedure's blocks together, link order) after
+    every segment-ending block, at every position in ``heads`` and
+    between procedures."""
+    table = binary.table
+    proc = table.proc[ids]
+    cut = np.ones(len(ids), dtype=bool)
+    cut[1:] = table.is_term(*SEGMENT_ENDING)[ids[:-1]] | (proc[1:] != proc[:-1])
+    cut[np.asarray(heads, dtype=np.int64)] = True
+    starts = np.flatnonzero(cut)
+    unit_proc = proc[starts]
+    first = np.flatnonzero(np.diff(unit_proc, prepend=-1))
+    kind = np.arange(len(starts)) - np.repeat(first, np.diff(first, append=len(starts)))
+    return Layout(
+        procs=table.names, ids=ids, starts=starts, proc=unit_proc, kind=kind,
+        alignment=alignment, name=name,
     )

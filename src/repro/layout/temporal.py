@@ -12,18 +12,18 @@ graph.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
 from repro.errors import LayoutError
-from repro.ir import Binary, CodeUnit, Layout, UnitCallGraph
-from repro.layout.ordering import DEFAULT_MAX_DISPLACEMENT, OrderingResult, order_units
+from repro.ir import Binary, Layout, UnitCallGraph
+from repro.layout.ordering import DEFAULT_MAX_DISPLACEMENT, order_units
 
 
 def build_trg(
     binary: Binary,
-    units: Sequence[CodeUnit],
+    layout: Layout,
     block_streams: Iterable[np.ndarray],
     window: int = 32,
     max_transitions: Optional[int] = 400_000,
@@ -34,8 +34,8 @@ def build_trg(
     seen within the last ``window`` unit-entries is strengthened.
 
     Args:
-        binary: The program (unused except for validation symmetry).
-        units: Placeable units.
+        binary: The program the streams' block ids index.
+        layout: Placeable units.
         block_streams: Per-process/CPU block-id traces.
         window: Temporal window in distinct unit-entries.
         max_transitions: Cap on processed unit transitions per stream
@@ -43,28 +43,27 @@ def build_trg(
     """
     if window < 1:
         raise LayoutError("temporal window must be >= 1")
-    unit_of_block: Dict[int, str] = {}
-    for unit in units:
-        for bid in unit.block_ids:
-            unit_of_block[bid] = unit.name
-    graph = UnitCallGraph(u.name for u in units)
+    unit_of = np.full(binary.num_blocks, -1, dtype=np.int64)
+    unit_of[layout.ids] = layout.position_unit
+    graph = UnitCallGraph(layout.num_units)
     for stream in block_streams:
-        recent: "OrderedDict[str, None]" = OrderedDict()
-        previous = None
-        transitions = 0
-        for bid in stream.tolist():
-            name = unit_of_block.get(bid)
-            if name is None or name == previous:
-                continue
-            previous = name
-            transitions += 1
-            if max_transitions is not None and transitions > max_transitions:
-                break
+        stream = np.asarray(stream, dtype=np.int64)
+        known = (stream >= 0) & (stream < binary.num_blocks)
+        units = unit_of[stream[known]]
+        units = units[units >= 0]
+        # Unit entries: drop repeats of the unit just entered.
+        entered = np.ones(len(units), dtype=bool)
+        entered[1:] = units[1:] != units[:-1]
+        entries = units[entered]
+        if max_transitions is not None:
+            entries = entries[:max_transitions]
+        recent: "OrderedDict[int, None]" = OrderedDict()
+        for unit in entries.tolist():
             for other in recent:
-                if other != name:
-                    graph.add_weight(name, other, 1.0)
-            recent[name] = None
-            recent.move_to_end(name)
+                if other != unit:
+                    graph.add_weight(unit, other, 1.0)
+            recent[unit] = None
+            recent.move_to_end(unit)
             if len(recent) > window:
                 recent.popitem(last=False)
     return graph
@@ -72,7 +71,7 @@ def build_trg(
 
 def temporal_order(
     binary: Binary,
-    units: Sequence[CodeUnit],
+    layout: Layout,
     block_streams: Iterable[np.ndarray],
     block_counts,
     window: int = 32,
@@ -80,8 +79,8 @@ def temporal_order(
     max_displacement: int = DEFAULT_MAX_DISPLACEMENT,
 ) -> Layout:
     """Order units by temporal affinity (Gloy-style) and return a layout."""
-    graph = build_trg(binary, units, block_streams, window=window)
-    result: OrderingResult = order_units(
-        binary, units, graph, block_counts, max_displacement=max_displacement
+    graph = build_trg(binary, layout, block_streams, window=window)
+    result = order_units(
+        binary, layout, graph, block_counts, max_displacement=max_displacement
     )
-    return Layout(units=result.units, alignment=alignment, name="temporal")
+    return layout.permuted(result.order, alignment=alignment, name="temporal")

@@ -24,14 +24,16 @@ the running layout in place.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro import obs
 from repro.check import CheckReport, check_all
+from repro.check.layout_checks import decode_layout
 from repro.errors import LayoutError
 from repro.pipeline.runlog import CACHE_HIT, RunLog
-from repro.harness.store import ArtifactStore, load_layout, save_layout
+from repro.harness.store import ArtifactStore, save_layout
 from repro.ir import AddressMap, Binary, Layout
 from repro.layout import SpikeOptimizer
 from repro.online.drift import drifted_procedures
@@ -103,8 +105,10 @@ class AdaptiveRelayout:
         state: dict = {}
 
         def load(path) -> Optional[Layout]:
-            layout = load_layout(path)
-            report = self._gate_report(layout)
+            # A refused document and a layout failing the gate are the
+            # same corrupt entry.
+            layout, findings = decode_layout(self.binary, json.loads(path.read_text()))
+            report = CheckReport(findings) if layout is None else self._gate_report(layout)
             if not report.ok:
                 obs.counter("online.relayout.rejected_cache").inc()
                 return None  # a corrupt cache entry degrades to a rebuild

@@ -10,8 +10,9 @@ offline pipeline already uses (entries named
 layouts survive server restarts and are shared by every server on the
 same cache directory (:class:`~repro.online.relayout.AdaptiveRelayout`
 writes its own ``online-layout-<combo>.json`` entries, which the
-server never reads).  A disk entry is promoted into memory only after
-it passes the gate.
+server never reads).  A disk entry is decoded against the served
+binary -- a document the decode check refuses is a miss -- and is
+promoted into memory only after it passes the gate.
 
 Every lookup lands in the ``serve.cache_*`` counters: ``cache_hits``
 (memory), ``cache_disk_hits`` (promoted from disk), ``cache_misses``,
@@ -21,18 +22,16 @@ atomic ``save`` so a torn artifact can never be served.
 
 from __future__ import annotations
 
+import json
+import pathlib
 import threading
 from collections import OrderedDict
 from typing import Callable, Optional, Tuple
 
 from repro import obs
-from repro.harness.store import (
-    ArtifactStore,
-    layout_to_dict,
-    load_layout,
-    save_layout,
-)
-from repro.ir import Layout
+from repro.check.layout_checks import decode_layout
+from repro.harness.store import ArtifactStore, layout_to_dict, save_layout
+from repro.ir import Binary, Layout
 from repro.serve.protocol import RawJSON, encode_json
 
 #: Default number of layout documents the memory tier holds.
@@ -55,9 +54,11 @@ class LayoutCache:
 
     def __init__(
         self,
+        binary: Binary,
         store: Optional[ArtifactStore] = None,
         memory_entries: int = DEFAULT_MEMORY_ENTRIES,
     ) -> None:
+        self.binary = binary
         self.store = store
         self.memory_entries = max(1, memory_entries)
         self._memory: "OrderedDict[Tuple[str, str], RawJSON]" = OrderedDict()
@@ -85,9 +86,7 @@ class LayoutCache:
                 obs.counter("serve.cache_hits").inc()
                 return encoded, "memory"
         if self.store is not None:
-            layout = self.store.load(
-                fingerprint, self._artifact(combo), load_layout
-            )
+            layout = self.store.load(fingerprint, self._artifact(combo), self._decode)
             if layout is not None and gate(layout):
                 encoded = encode_layout(layout)
                 self._insert(key, encoded)
@@ -95,6 +94,10 @@ class LayoutCache:
                 return encoded, "disk"
         obs.counter("serve.cache_misses").inc()
         return None, ""
+
+    def _decode(self, path: pathlib.Path) -> Optional[Layout]:
+        """A disk entry, or None when the decode check refuses it."""
+        return decode_layout(self.binary, json.loads(path.read_text()))[0]
 
     def put(self, fingerprint: str, combo: str, layout: Layout) -> RawJSON:
         """Install one finished (already gated) layout; returns its

@@ -151,7 +151,7 @@ class LayoutServer:
         self.binary = binary
         self.config = config or ServerConfig()
         self.cache = LayoutCache(
-            store, memory_entries=self.config.cache_entries
+            binary, store, memory_entries=self.config.cache_entries
         )
         self._profiles: "OrderedDict[str, ProfileSubmit]" = OrderedDict()
         self._inflight: Dict[Tuple[str, str], "asyncio.Future"] = {}

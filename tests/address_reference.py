@@ -1,9 +1,10 @@
 """Reference address assignment: the oracle for repro.ir.assign_addresses.
 
 The per-block loop that :func:`repro.ir.assign_addresses` replaced,
-kept verbatim apart from its name.  It walks every placed block through
-its :class:`~repro.ir.BasicBlock` object and applies the branch fixups
-one by one.  The differential tests in
+kept verbatim apart from its name and its reading of the array
+:class:`~repro.ir.Layout`.  It walks every placed block through its
+:class:`~repro.ir.BasicBlock` object and applies the branch fixups one
+by one.  The differential tests in
 ``tests/test_placement_oracle.py`` require the array version to produce
 an equal :class:`~repro.ir.AddressMap`, field by field.
 """
@@ -11,6 +12,8 @@ an equal :class:`~repro.ir.AddressMap`, field by field.
 from __future__ import annotations
 
 from typing import Optional
+
+import numpy as np
 
 from repro.ir import INSTRUCTION_BYTES, AddressMap, Binary, Layout, Terminator
 
@@ -22,18 +25,19 @@ def reference_assign_addresses(binary: Binary, layout: Layout) -> AddressMap:
     align = max(layout.alignment, INSTRUCTION_BYTES)
     dense = align == INSTRUCTION_BYTES
     cursor = 0
-    for index, unit in enumerate(layout.units):
-        cursor += unit.pad_before
+    pads = layout.pad.tolist()
+    unit_starts = []
+    for index in range(layout.num_units):
+        cursor += pads[index]
         rem = cursor % align
         if rem:
             cursor += align - rem
-        amap.unit_starts[unit.name] = cursor
-        ids = unit.block_ids
+        unit_starts.append(cursor)
+        ids = layout.blocks(index).tolist()
         next_unit_first: Optional[int] = None
-        if dense and index + 1 < len(layout.units):
-            nxt = layout.units[index + 1]
-            if nxt.pad_before == 0:
-                next_unit_first = nxt.block_ids[0]
+        if dense and index + 1 < layout.num_units:
+            if pads[index + 1] == 0:
+                next_unit_first = int(layout.blocks(index + 1)[0])
         for pos, bid in enumerate(ids):
             block = binary.block(bid)
             if pos + 1 < len(ids):
@@ -73,5 +77,6 @@ def reference_assign_addresses(binary: Binary, layout: Layout) -> AddressMap:
         # A block reduced to zero instructions (branch-only block whose
         # branch was deleted) occupies no bytes; its address aliases the
         # next block, which is exactly the fall-into behaviour we want.
+    amap.unit_starts = np.array(unit_starts, dtype=np.int64)
     amap.total_bytes = cursor
     return amap

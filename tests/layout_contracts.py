@@ -1,4 +1,4 @@
-"""Post-pass structural assertions for the layout pipeline.
+"""Post-pass structural contracts of the layout pipeline.
 
 Each layout pass has a simple algebraic contract: chaining *permutes* a
 procedure's blocks, splitting *partitions* a chaining into legal
@@ -16,10 +16,11 @@ each finished layout.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Sequence
+
+import numpy as np
 
 from repro.errors import LayoutError
-from repro.ir import SEGMENT_ENDING, Binary, CodeUnit
+from repro.ir import SEGMENT_ENDING, Binary, Layout
 from repro.ir.procedure import Procedure
 
 
@@ -51,51 +52,46 @@ def verify_chaining(proc: Procedure, result) -> None:
         )
 
 
-def verify_split_units(binary: Binary, proc_name: str, units: Sequence[CodeUnit]) -> None:
-    """Splitting contract: the segments partition the procedure's
-    blocks, no segment continues past an unconditional transfer, and
-    exactly one segment (containing the entry block) is the entry unit."""
-    proc = binary.proc(proc_name)
-    expected = Counter(b.bid for b in proc.blocks)
-    got = Counter(bid for unit in units for bid in unit.block_ids)
+def verify_split_units(binary: Binary, layout: Layout) -> None:
+    """Splitting contract: the segments partition the binary's blocks,
+    each procedure's segments hold only its blocks and are numbered
+    ``0, 1, ...`` in order, and no segment continues past an
+    unconditional transfer."""
+    expected = Counter(range(binary.num_blocks))
+    got = Counter(layout.ids.tolist())
     if expected != got:
         raise LayoutError(
-            f"splitting of {proc_name!r} is not a partition of its blocks: "
+            f"splitting of {binary.name!r} is not a partition of its blocks: "
             f"{_report_multiset_diff('block ids', expected, got)}"
         )
-    entry_units = []
-    for unit in units:
-        for bid in unit.block_ids[:-1]:
-            if binary.block(bid).terminator in SEGMENT_ENDING:
-                raise LayoutError(
-                    f"segment {unit.name} continues past unconditional "
-                    f"transfer at block {bid}"
-                )
-        if unit.is_entry:
-            entry_units.append(unit)
-    if len(entry_units) != 1 or proc.entry.bid not in entry_units[0].block_ids:
+    owner = layout.proc[layout.position_unit]
+    for pos in np.flatnonzero(binary.table.proc[layout.ids] != owner)[:1].tolist():
+        raise LayoutError(f"a segment holds foreign block {int(layout.ids[pos])}")
+    first = np.flatnonzero(np.diff(layout.proc, prepend=-1))
+    numbering = np.arange(layout.num_units) - np.repeat(first, np.diff(first, append=layout.num_units))
+    if not np.array_equal(layout.kind, numbering):
+        raise LayoutError("segments are not numbered 0, 1, ... per procedure")
+    seg_end = binary.table.is_term(*SEGMENT_ENDING)[layout.ids]
+    seg_end[layout.starts + layout.lengths - 1] = False
+    for pos in np.flatnonzero(seg_end)[:1].tolist():
+        u = int(layout.position_unit[pos])
         raise LayoutError(
-            f"splitting of {proc_name!r}: expected exactly one entry segment "
-            f"containing block {proc.entry.bid}, got "
-            f"{[u.name for u in entry_units]}"
+            f"segment {layout.unit_name(u)} continues past unconditional "
+            f"transfer at block {int(layout.ids[pos])}"
         )
 
 
-def verify_unit_permutation(
-    before: Sequence[CodeUnit], after: Sequence[CodeUnit]
-) -> None:
+def verify_unit_permutation(before: Layout, after: Layout) -> None:
     """Ordering contract: the pass reorders units, never invents,
     drops, duplicates, or rewrites one."""
-    expected = Counter(u.name for u in before)
-    got = Counter(u.name for u in after)
+    expected = Counter(before.names())
+    got = Counter(after.names())
     if expected != got:
         raise LayoutError(
             "ordering did not return a permutation of its input units: "
             f"{_report_multiset_diff('units', expected, got)}"
         )
-    originals = {u.name: u for u in before}
-    for unit in after:
-        if unit.block_ids != originals[unit.name].block_ids:
-            raise LayoutError(
-                f"ordering rewrote the contents of unit {unit.name}"
-            )
+    originals = {name: u for u, name in enumerate(before.names())}
+    for u, name in enumerate(after.names()):
+        if not np.array_equal(after.blocks(u), before.blocks(originals[name])):
+            raise LayoutError(f"ordering rewrote the contents of unit {name}")

@@ -1,8 +1,10 @@
 """Reference Pettis--Hansen ordering: the oracle for repro.layout.ordering.
 
 The ``order_units`` that :func:`repro.layout.ordering.order_units`
-replaced, kept verbatim apart from its ``obs`` counters and the
-``verify`` hook.  It keeps cluster state for every unit, re-pushes
+replaced, kept verbatim apart from its ``obs`` counters, the
+``verify`` hook and its result type.  It orders the name-keyed
+:class:`~tests.layout_reference.CodeUnit` lists of the reference
+layout passes.  It keeps cluster state for every unit, re-pushes
 every neighbour of a merged cluster onto the heap, and drops stale
 heap entries by membership and weight checks.  The differential tests
 in ``tests/test_ordering_oracle.py`` require the production ordering
@@ -12,13 +14,23 @@ to return the same unit order, ``merges`` and ``displacement_refusals``.
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.ir import Binary, CodeUnit, INSTRUCTION_BYTES, UnitCallGraph
-from repro.layout.ordering import DEFAULT_MAX_DISPLACEMENT, OrderingResult
+from repro.ir import Binary, INSTRUCTION_BYTES
+from repro.layout.ordering import DEFAULT_MAX_DISPLACEMENT
 
 
-def _unit_sizes(binary: Binary, units: Sequence[CodeUnit]) -> Dict[str, int]:
+@dataclass
+class OrderingResult:
+    """The ordered units, with the pass's merge and refusal counts."""
+
+    units: list
+    displacement_refusals: int = 0
+    merges: int = 0
+
+
+def _unit_sizes(binary: Binary, units: Sequence) -> Dict[str, int]:
     sizes = {}
     for unit in units:
         sizes[unit.name] = sum(
@@ -27,7 +39,7 @@ def _unit_sizes(binary: Binary, units: Sequence[CodeUnit]) -> Dict[str, int]:
     return sizes
 
 
-def _unit_heat(units: Sequence[CodeUnit], binary: Binary, block_counts) -> Dict[str, float]:
+def _unit_heat(units: Sequence, binary: Binary, block_counts) -> Dict[str, float]:
     heat = {}
     for unit in units:
         heat[unit.name] = float(
@@ -38,8 +50,8 @@ def _unit_heat(units: Sequence[CodeUnit], binary: Binary, block_counts) -> Dict[
 
 def order_units(
     binary: Binary,
-    units: Sequence[CodeUnit],
-    graph: UnitCallGraph,
+    units: Sequence,
+    graph,
     block_counts,
     max_displacement: int = DEFAULT_MAX_DISPLACEMENT,
 ) -> OrderingResult:
@@ -128,7 +140,7 @@ def order_units(
 
 
 def _best_orientation(
-    left: List[str], right: List[str], graph: UnitCallGraph
+    left: List[str], right: List[str], graph
 ) -> Tuple[List[str], List[str]]:
     """Pick the best of the four concatenations of two clusters.
 

@@ -13,9 +13,6 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.check import (
     check_all,
-    verify_chaining,
-    verify_split_units,
-    verify_unit_permutation,
 )
 from repro.errors import LayoutError
 from repro.ir import assign_addresses
@@ -24,6 +21,12 @@ from repro.layout import spike as spike_module
 from repro.online.relayout import AdaptiveRelayout, RelayoutResult
 from repro.profiles import PixieProfiler
 from repro.progen import AppCodeConfig, build_app_program
+from tests.layout_contracts import (
+    verify_chaining,
+    verify_split_units,
+    verify_unit_permutation,
+)
+from tests.layout_reference import to_layout, to_units
 
 
 @pytest.fixture(scope="module")
@@ -65,23 +68,23 @@ def quick_binaries():
     ]
 
 
-def corrupt(layout):
+def corrupt(layout, binary):
     """Drop one block from a multi-block unit (fails LAY001)."""
-    units = list(layout.units)
+    units = to_units(layout)
     victim = next(u for u in units if len(u.block_ids) > 1)
     units[units.index(victim)] = dataclasses.replace(
         victim, block_ids=victim.block_ids[1:]
     )
-    return dataclasses.replace(layout, units=units)
+    return to_layout(binary, units, layout.alignment, layout.name)
 
 
 def out_of_range(layout, binary):
     """Append a block id the binary does not have (fails LAY003)."""
-    units = list(layout.units)
+    units = to_units(layout)
     units[0] = dataclasses.replace(
         units[0], block_ids=units[0].block_ids + (binary.num_blocks + 5,)
     )
-    return dataclasses.replace(layout, units=units)
+    return to_layout(binary, units, layout.alignment, layout.name)
 
 
 def contract_checked(monkeypatch):
@@ -96,28 +99,28 @@ def contract_checked(monkeypatch):
         calls["chain"] += 1
         return result
 
-    def split_chains(binary, chaining):
-        units = original["split_chains"](binary, chaining)
-        verify_split_units(binary, chaining.proc_name, units)
+    def split_chains(binary, *args):
+        layout = original["split_chains"](binary, *args)
+        verify_split_units(binary, layout)
         calls["split"] += 1
-        return units
+        return layout
 
-    def split_procedure_source_order(binary, proc_name):
-        units = original["split_procedure_source_order"](binary, proc_name)
-        verify_split_units(binary, proc_name, units)
+    def split_source_order(binary, *args):
+        layout = original["split_source_order"](binary, *args)
+        verify_split_units(binary, layout)
         calls["split"] += 1
-        return units
+        return layout
 
-    def order_units(binary, units, *args, **kwargs):
-        result = original["order_units"](binary, units, *args, **kwargs)
-        verify_unit_permutation(units, result.units)
+    def order_units(binary, layout, *args, **kwargs):
+        result = original["order_units"](binary, layout, *args, **kwargs)
+        verify_unit_permutation(layout, layout.permuted(result.order))
         calls["order"] += 1
         return result
 
     wrappers = {
         "chain_blocks": chain_blocks,
         "split_chains": split_chains,
-        "split_procedure_source_order": split_procedure_source_order,
+        "split_source_order": split_source_order,
         "order_units": order_units,
     }
     original = {name: getattr(spike_module, name) for name in wrappers}
@@ -139,10 +142,10 @@ class TestPassContracts:
             report = check_all(binary, layout=layout, target=combo)
             assert report.ok, report.render()
         # Each wrapped pass really ran: chaining once per procedure
-        # (cached), splitting once per procedure for each of split,
-        # chain+split and all, ordering once per ordered combo.
+        # (cached), splitting once for each of split, chain+split and
+        # all, ordering once per ordered combo.
         procs = len(binary.proc_order())
-        assert calls == {"chain": procs, "split": 3 * procs, "order": 4}
+        assert calls == {"chain": procs, "split": 3, "order": 4}
 
 
 class TestOptimizerVerification:
@@ -163,7 +166,7 @@ class TestRelayoutGate:
     def test_corrupt_fresh_layout_returns_fallback(
         self, program, profile, monkeypatch
     ):
-        bad = corrupt(SpikeOptimizer(program.binary, profile).layout("all"))
+        bad = corrupt(SpikeOptimizer(program.binary, profile).layout("all"), program.binary)
         monkeypatch.setattr(SpikeOptimizer, "layout", lambda self, combo: bad)
         sentinel = RelayoutResult(
             layout=None, address_map=None, optimizer=None,
@@ -179,7 +182,7 @@ class TestRelayoutGate:
     def test_corrupt_fresh_layout_without_fallback_raises(
         self, program, profile, monkeypatch
     ):
-        bad = corrupt(SpikeOptimizer(program.binary, profile).layout("all"))
+        bad = corrupt(SpikeOptimizer(program.binary, profile).layout("all"), program.binary)
         monkeypatch.setattr(SpikeOptimizer, "layout", lambda self, combo: bad)
         with pytest.raises(LayoutError, match="integrity"):
             AdaptiveRelayout(program.binary).rebuild(profile)
@@ -190,7 +193,7 @@ class TestRelayoutGate:
         from repro.harness.store import ArtifactStore, save_layout
 
         store = ArtifactStore(tmp_path)
-        bad = corrupt(SpikeOptimizer(program.binary, profile).layout("all"))
+        bad = corrupt(SpikeOptimizer(program.binary, profile).layout("all"), program.binary)
         save_layout(
             bad,
             store.prepare(profile.fingerprint(), "online-layout-all.json"),
@@ -214,7 +217,7 @@ class TestRelayoutGate:
         from repro.harness.store import ArtifactStore, save_layout
 
         store = ArtifactStore(tmp_path)
-        bad = corrupt(SpikeOptimizer(program.binary, profile).layout("all"))
+        bad = corrupt(SpikeOptimizer(program.binary, profile).layout("all"), program.binary)
         save_layout(
             bad,
             store.prepare(profile.fingerprint(), "online-layout-all.json"),
@@ -238,7 +241,7 @@ class TestRelayoutGate:
         from repro.harness.store import ArtifactStore
 
         store = ArtifactStore(tmp_path)
-        bad = corrupt(SpikeOptimizer(program.binary, profile).layout("all"))
+        bad = corrupt(SpikeOptimizer(program.binary, profile).layout("all"), program.binary)
         monkeypatch.setattr(SpikeOptimizer, "layout", lambda self, combo: bad)
         with pytest.raises(LayoutError, match="integrity"):
             AdaptiveRelayout(program.binary, store=store).rebuild(profile)
@@ -270,7 +273,7 @@ class TestGateLayout:
         assert report.address_map is not None
 
     def test_corrupt_layout_is_reported_not_raised(self, program, profile):
-        bad = corrupt(SpikeOptimizer(program.binary, profile).layout("all"))
+        bad = corrupt(SpikeOptimizer(program.binary, profile).layout("all"), program.binary)
         report = check_all(program.binary, layout=bad, target="gate")
         assert "LAY001" in report.codes()
         assert {d.target for d in report.errors} == {"gate"}
@@ -287,7 +290,7 @@ class TestGateLayout:
 
         layout = SpikeOptimizer(program.binary, profile).layout(combo)
         if broken:
-            layout = corrupt(layout)
+            layout = corrupt(layout, program.binary)
         want = check_layout(program.binary, layout, target="gate")
         if want.ok:
             want = check_layout(

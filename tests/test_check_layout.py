@@ -10,15 +10,20 @@ from repro.errors import LayoutError
 from repro.check import (
     check_all,
     check_layout,
-    verify_chaining,
-    verify_split_units,
-    verify_unit_permutation,
 )
-from repro.ir import Layout, assign_addresses
+from repro.check.layout_checks import decode_layout
+from repro.harness.store import layout_to_dict
+from repro.ir import assign_addresses
 from repro.layout import SpikeOptimizer
 from repro.layout.chaining import ChainingResult
 from repro.profiles import PixieProfiler
 from repro.progen import AppCodeConfig, build_app_program
+from tests.layout_contracts import (
+    verify_chaining,
+    verify_split_units,
+    verify_unit_permutation,
+)
+from tests.layout_reference import to_layout, to_units
 
 
 @pytest.fixture(scope="module")
@@ -47,8 +52,8 @@ def optimizer(program):
     return SpikeOptimizer(program.binary, profiler.profile())
 
 
-def rebuild(layout, units):
-    return Layout(units=list(units), alignment=layout.alignment, name=layout.name)
+def rebuild(binary, layout, units):
+    return to_layout(binary, units, alignment=layout.alignment, name=layout.name)
 
 
 def codes_of(binary, layout, with_amap=False):
@@ -66,55 +71,59 @@ class TestLayoutMutations:
 
     def test_lay001_missing_block(self, optimizer):
         layout = optimizer.layout("all")
-        units = list(layout.units)
+        units = to_units(layout)
         victim = next(u for u in units if len(u.block_ids) > 1)
         units[units.index(victim)] = dataclasses.replace(
             victim, block_ids=victim.block_ids[1:]
         )
-        assert "LAY001" in codes_of(optimizer.binary, rebuild(layout, units))
+        assert "LAY001" in codes_of(optimizer.binary, rebuild(optimizer.binary, layout, units))
 
     def test_lay002_duplicate_block(self, optimizer):
         layout = optimizer.layout("all")
-        units = list(layout.units)
+        units = to_units(layout)
         victim = units[0]
         units[0] = dataclasses.replace(
             victim, block_ids=victim.block_ids + (victim.block_ids[0],)
         )
-        assert "LAY002" in codes_of(optimizer.binary, rebuild(layout, units))
+        assert "LAY002" in codes_of(optimizer.binary, rebuild(optimizer.binary, layout, units))
 
     def test_lay003_foreign_block(self, optimizer):
         layout = optimizer.layout("base")
-        units = list(layout.units)
+        units = to_units(layout)
         # An id beyond the binary plus a block owned by another unit's
         # procedure both count as foreign.
         units[0] = dataclasses.replace(
             units[0], block_ids=units[0].block_ids + (10**6,)
         )
-        assert "LAY003" in codes_of(optimizer.binary, rebuild(layout, units))
+        assert "LAY003" in codes_of(optimizer.binary, rebuild(optimizer.binary, layout, units))
 
     def test_lay004_entry_unit_lost(self, optimizer):
-        layout = optimizer.layout("base")
-        units = [dataclasses.replace(u, is_entry=False) for u in layout.units]
-        assert "LAY004" in codes_of(optimizer.binary, rebuild(layout, units))
+        # Entry flags are derived; only a document can spell a wrong one.
+        document = layout_to_dict(optimizer.layout("base"))
+        for unit in document["units"]:
+            unit["is_entry"] = False
+        layout, findings = decode_layout(optimizer.binary, document)
+        assert layout is None
+        assert {d.code for d in findings} == {"LAY004"}
 
     def test_lay007_dangling_branch_target(self, optimizer):
         binary = optimizer.binary
         layout = optimizer.layout("all")
         # Remove a unit whose blocks other placed blocks branch to.
         targeted = {dst for b in binary.blocks() for dst in b.succs}
-        units = list(layout.units)
+        units = to_units(layout)
         victim = next(
             u for u in units
             if all(bid in targeted for bid in u.block_ids) and not u.is_entry
         )
         units.remove(victim)
-        codes = codes_of(binary, rebuild(layout, units))
+        codes = codes_of(binary, rebuild(binary, layout, units))
         assert "LAY007" in codes
         assert "LAY001" in codes  # the blocks are also unplaced
 
     def test_lay009_fused_segments(self, optimizer):
         layout = optimizer.layout("all")
-        units = list(layout.units)
+        units = to_units(layout)
         first = next(
             i for i in range(len(units) - 1)
             if units[i].proc_name == units[i + 1].proc_name
@@ -125,7 +134,7 @@ class TestLayoutMutations:
             is_entry=units[first].is_entry or units[first + 1].is_entry,
         )
         units[first:first + 2] = [fused]
-        assert "LAY009" in codes_of(optimizer.binary, rebuild(layout, units))
+        assert "LAY009" in codes_of(optimizer.binary, rebuild(optimizer.binary, layout, units))
 
     def test_lay009_not_applied_to_hotcold(self, optimizer):
         # hotcold halves legitimately contain interior returns.
@@ -141,15 +150,16 @@ class TestAddressMapMutations:
     def test_lay005_overlap(self, optimizer):
         layout = optimizer.layout("all")
         amap = assign_addresses(optimizer.binary, layout)
-        second = layout.units[1].block_ids[0]
-        amap.addr[second] = int(amap.addr[layout.units[0].block_ids[0]])
+        second = layout.blocks(1)[0]
+        amap.addr[second] = int(amap.addr[layout.blocks(0)[0]])
         codes = check_layout(optimizer.binary, layout, amap).codes()
         assert "LAY005" in codes
 
     def test_lay006_misaligned_unit(self, optimizer):
         layout = optimizer.layout("base")  # 16-byte procedure alignment
         amap = assign_addresses(optimizer.binary, layout)
-        amap.unit_starts[layout.units[1].name] += 2
+        amap.unit_starts = amap.unit_starts.copy()
+        amap.unit_starts[1] += 2
         codes = check_layout(optimizer.binary, layout, amap).codes()
         assert "LAY006" in codes
 
@@ -188,19 +198,18 @@ class TestStructuralVerifiers:
             verify_chaining(optimizer.binary.proc(name), bad)
 
     def test_verify_split_units_rejects_fused_segment(self, optimizer):
-        from repro.layout.splitting import split_chains
-
         from repro.ir import SEGMENT_ENDING
 
-        name = optimizer.binary.proc_order()[0]
-        units = split_chains(optimizer.binary, optimizer.chainings()[name])
-        verify_split_units(optimizer.binary, name, units)
+        layout = optimizer.layout("chain+split")
+        verify_split_units(optimizer.binary, layout)
+        units = to_units(layout)
         # Fuse across a boundary created by an unconditional transfer
         # (a chain-tail segment may legitimately end without one).
         first = next(
             i for i in range(len(units) - 1)
             if optimizer.binary.block(units[i].block_ids[-1]).terminator
             in SEGMENT_ENDING
+            and units[i].proc_name == units[i + 1].proc_name
         )
         fused = dataclasses.replace(
             units[first],
@@ -209,19 +218,22 @@ class TestStructuralVerifiers:
         )
         tampered = units[:first] + [fused] + units[first + 2:]
         with pytest.raises(LayoutError):
-            verify_split_units(optimizer.binary, name, tampered)
+            verify_split_units(optimizer.binary, to_layout(optimizer.binary, tampered))
 
     def test_verify_unit_permutation_rejects_drop(self, optimizer):
-        units = optimizer.layout("all").units
+        layout = optimizer.layout("all")
+        units = to_units(layout)
+        dropped = to_layout(optimizer.binary, units[1:])
         with pytest.raises(LayoutError, match="permutation"):
-            verify_unit_permutation(units, units[1:])
+            verify_unit_permutation(layout, dropped)
 
     def test_verify_unit_permutation_rejects_rewrite(self, optimizer):
-        units = list(optimizer.layout("all").units)
+        layout = optimizer.layout("all")
+        units = to_units(layout)
         tampered = [dataclasses.replace(
             units[0], block_ids=tuple(reversed(units[0].block_ids))
         )] + units[1:]
         if tampered[0].block_ids == units[0].block_ids:
             pytest.skip("single-block unit cannot be rewritten by reversal")
         with pytest.raises(LayoutError, match="rewrote"):
-            verify_unit_permutation(units, tampered)
+            verify_unit_permutation(layout, to_layout(optimizer.binary, tampered))

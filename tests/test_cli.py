@@ -131,10 +131,10 @@ class TestLint:
     def artifacts(self, tmp_path_factory):
         """Corrupted layout/profile files exercising >= 8 distinct
         error codes, saved next to clean counterparts."""
-        import dataclasses
+        import json
 
         from repro.harness.experiment import quick_experiment
-        from repro.harness.store import save_layout, save_profile
+        from repro.harness.store import layout_to_dict, save_layout, save_profile
         from repro.ir import SEGMENT_ENDING
 
         root = tmp_path_factory.mktemp("lint-artifacts")
@@ -144,44 +144,37 @@ class TestLint:
         profile = exp.profile
 
         def variant(filename, mutate):
-            units = list(layout.units)
-            mutate(units)
+            document = layout_to_dict(layout)
+            mutate(document["units"])
             path = root / filename
-            save_layout(dataclasses.replace(layout, units=units), path)
+            path.write_text(json.dumps(document))
             return str(path)
 
         def drop_block(units):
-            victim = next(u for u in units if len(u.block_ids) > 1)
-            units[units.index(victim)] = dataclasses.replace(
-                victim, block_ids=victim.block_ids[1:]
-            )
+            victim = next(u for u in units if len(u["block_ids"]) > 1)
+            victim["block_ids"] = victim["block_ids"][1:]
 
         def duplicate_block(units):
-            units[0] = dataclasses.replace(
-                units[0], block_ids=units[0].block_ids + (units[0].block_ids[0],)
-            )
+            units[0]["block_ids"].append(units[0]["block_ids"][0])
 
         def foreign_block(units):
-            units[0] = dataclasses.replace(
-                units[0], block_ids=units[0].block_ids + (10**6,)
-            )
+            units[0]["block_ids"].append(10**6)
 
         def lose_entries(units):
-            units[:] = [dataclasses.replace(u, is_entry=False) for u in units]
+            for unit in units:
+                unit["is_entry"] = False
 
         def fuse_segments(units):
             first = next(
                 i for i in range(len(units) - 1)
-                if binary.block(units[i].block_ids[-1]).terminator
+                if binary.block(units[i]["block_ids"][-1]).terminator
                 in SEGMENT_ENDING
-                and units[i].proc_name == units[i + 1].proc_name
+                and units[i]["proc_name"] == units[i + 1]["proc_name"]
             )
-            fused = dataclasses.replace(
-                units[first],
-                block_ids=units[first].block_ids + units[first + 1].block_ids,
-                is_entry=units[first].is_entry or units[first + 1].is_entry,
-            )
-            units[first:first + 2] = [fused]
+            fused = units[first]
+            fused["block_ids"] += units[first + 1]["block_ids"]
+            fused["is_entry"] = fused["is_entry"] or units[first + 1]["is_entry"]
+            del units[first + 1]
 
         layouts = [
             variant("lay-drop.json", drop_block),        # LAY001 + LAY007
@@ -288,6 +281,41 @@ class TestLint:
         )
         assert code == 0
         assert "0 error(s)" in text
+
+    @pytest.mark.parametrize("edit, code", [
+        pytest.param("proc", "LAY003", id="proc"),
+        pytest.param("name", "LAY003", id="name"),
+        pytest.param("duplicate", "LAY003", id="duplicate"),
+        pytest.param("entry", "LAY004", id="entry"),
+    ])
+    def test_refused_document_is_a_lint_error(self, artifacts, tmp_path, edit, code):
+        """A document the decode check refuses is reported, never
+        raised: one error code, rc 1."""
+        import json
+
+        document = json.loads(open(artifacts["clean_layout"]).read())
+        units = document["units"]
+        first, other = units[0], next(
+            u for u in units if u["proc_name"] != units[0]["proc_name"]
+        )
+        if edit == "proc":
+            first["proc_name"] = other["proc_name"]
+            first["name"] = other["proc_name"] + ".seg999"
+            first["is_entry"] = False
+        elif edit == "name":
+            first["name"] += "x"
+        elif edit == "duplicate":
+            units[1]["name"] = first["name"]
+        else:
+            first["is_entry"] = not first["is_entry"]
+        path = tmp_path / f"lay-{edit}.json"
+        path.write_text(json.dumps(document))
+        status, text = run_cli("lint", "--strict", "--json", "--layout", str(path))
+        assert status == 1
+        errors = [
+            d for d in json.loads(text)["diagnostics"] if d["severity"] == "error"
+        ]
+        assert errors and {d["code"] for d in errors} == {code}
 
     def test_strict_fails_with_eight_distinct_codes(self, artifacts):
         import json

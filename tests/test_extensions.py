@@ -9,7 +9,6 @@ from repro.cache import CacheGeometry
 from repro.sim import simulate_stream_buffers
 from repro.ir import (
     Binary,
-    CodeUnit,
     Procedure,
     Terminator,
     UnitCallGraph,
@@ -79,13 +78,10 @@ def _coloring_fixture():
         proc.add_block("x", 64, Terminator.RETURN)  # 256 bytes each
         binary.add_procedure(proc)
     binary.seal()
-    units = [
-        CodeUnit(name=n, proc_name=n, block_ids=(binary.proc(n).entry.bid,))
-        for n in binary.proc_order()
-    ]
-    graph = UnitCallGraph(u.name for u in units)
-    graph.add_weight("a", "b", 100)
-    graph.add_weight("b", "c", 50)
+    units = baseline_layout(binary)
+    graph = UnitCallGraph(units.num_units)
+    graph.add_weight(0, 1, 100)  # a-b
+    graph.add_weight(1, 2, 50)  # b-c
     counts = np.zeros(binary.num_blocks, dtype=np.int64)
     for name, heat in (("a", 100), ("b", 80), ("c", 50)):
         counts[binary.proc(name).entry.bid] = heat
@@ -103,7 +99,7 @@ class TestColoring:
         nsets = 512 // 64
 
         def sets_of(name):
-            start = amap.unit_starts[name]
+            start = int(amap.unit_starts[layout.names().index(name)])
             nbytes = 256
             return {
                 (line % nsets)
@@ -122,7 +118,7 @@ class TestColoring:
         layout, _ = color_layout(
             binary, units, graph, counts, cache_bytes=2048, line_bytes=64
         )
-        assert layout.units[-1].name == "cold"
+        assert layout.names()[-1] == "cold"
 
     def test_large_cache_resolves_conflicts(self):
         binary, units, graph, counts = _coloring_fixture()
@@ -142,7 +138,7 @@ class TestColoring:
         layout, _ = color_layout(
             binary, units, graph, counts, cache_bytes=1024, line_bytes=64
         )
-        assert sorted(u.name for u in layout.units) == ["a", "b", "c", "cold"]
+        assert sorted(layout.names()) == ["a", "b", "c", "cold"]
 
 
 class TestJointPlacement:

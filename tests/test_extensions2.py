@@ -7,7 +7,7 @@ from repro.errors import LayoutError, SimulationError
 from repro.analysis import branch_stats, merge_branch_stats
 from repro.cache import CacheGeometry
 from repro.sim import lru_result, simulate_victim_cache
-from repro.ir import Binary, CodeUnit, Procedure, Terminator
+from repro.ir import Binary, Procedure, Terminator, baseline_layout
 from repro.layout import build_trg, temporal_order
 
 
@@ -61,10 +61,7 @@ def _temporal_fixture():
         proc.add_block("x", 16, Terminator.RETURN)
         binary.add_procedure(proc)
     binary.seal()
-    units = [
-        CodeUnit(name=n, proc_name=n, block_ids=(binary.proc(n).entry.bid,))
-        for n in binary.proc_order()
-    ]
+    units = baseline_layout(binary)
     bid = {n: binary.proc(n).entry.bid for n in "abcd"}
     return binary, units, bid
 
@@ -75,8 +72,8 @@ class TestTemporalOrdering:
         # a and b alternate tightly; c appears once; d never.
         stream = np.array([bid["a"], bid["b"]] * 10 + [bid["c"]], dtype=np.int64)
         graph = build_trg(binary, units, [stream], window=4)
-        assert graph.weight("a", "b") > graph.weight("a", "c")
-        assert graph.weight("a", "d") == 0
+        assert graph.weight(0, 1) > graph.weight(0, 2)
+        assert graph.weight(0, 3) == 0
 
     def test_window_limits_reach(self):
         binary, units, bid = _temporal_fixture()
@@ -85,14 +82,14 @@ class TestTemporalOrdering:
         )
         tight = build_trg(binary, units, [stream], window=1)
         # With window 1, only adjacent entries connect.
-        assert tight.weight("a", "c") == 0
-        assert tight.weight("a", "b") > 0
+        assert tight.weight(0, 2) == 0
+        assert tight.weight(0, 1) > 0
 
     def test_consecutive_repeats_collapse(self):
         binary, units, bid = _temporal_fixture()
         stream = np.array([bid["a"]] * 50 + [bid["b"]], dtype=np.int64)
         graph = build_trg(binary, units, [stream], window=8)
-        assert graph.weight("a", "b") == 1
+        assert graph.weight(0, 1) == 1
 
     def test_temporal_order_places_affine_units_adjacent(self):
         binary, units, bid = _temporal_fixture()
@@ -101,7 +98,7 @@ class TestTemporalOrdering:
         counts[bid["a"]] = 30
         counts[bid["c"]] = 30
         layout = temporal_order(binary, units, [stream], counts, window=4)
-        order = [u.name for u in layout.units]
+        order = layout.names()
         assert abs(order.index("a") - order.index("c")) == 1
 
     def test_bad_window_rejected(self):

@@ -20,7 +20,7 @@ from repro.harness.store import (
     save_program,
     save_trace,
 )
-from repro.ir import Binary, CodeUnit, Layout, Procedure, Terminator, baseline_layout
+from repro.ir import WHOLE, Binary, Layout, Procedure, Terminator, baseline_layout
 from repro.profiles import PixieProfiler
 
 
@@ -125,7 +125,7 @@ class TestLayoutRoundtrip:
         """A stored layout placing id -1 on a 2-block binary has two
         distinct ids, yet names no real block 1: readers must refuse it."""
         binary = make_binary()
-        bad = Layout(units=[CodeUnit("p", "p", (0, -1))], name="bad")
+        bad = Layout(binary.table.names, (0, -1), [0], [0], [WHOLE], name="bad")
         with pytest.raises(LayoutError):
             layout_from_dict(layout_to_dict(bad), binary)
         store = ArtifactStore(tmp_path)
@@ -136,7 +136,7 @@ class TestLayoutRoundtrip:
         save_layout(good, store.prepare("fp", "layout-base.json"))
         loaded = store.load("fp", "layout-base.json",
                             lambda path: load_layout(path, binary))
-        assert loaded.block_order() == [0, 1]
+        assert loaded.ids.tolist() == [0, 1]
 
 
 class TestProgramRoundtrip:
@@ -168,3 +168,86 @@ class TestProgramRoundtrip:
         path.write_bytes(pickle.dumps(make_binary(), protocol=pickle.HIGHEST_PROTOCOL))
         with pytest.raises(IRError, match="not a compiled program"):
             load_program(path)
+
+
+def split_binary():
+    """``p``: b0 jumps to b1, which returns (two segments); ``q``: one
+    block."""
+    binary = Binary("split")
+    p = Procedure("p")
+    p.add_block("b0", 2, Terminator.UNCOND_BRANCH, ("b1",))
+    p.add_block("b1", 2, Terminator.RETURN)
+    binary.add_procedure(p)
+    q = Procedure("q")
+    q.add_block("b0", 2, Terminator.RETURN)
+    binary.add_procedure(q)
+    binary.seal()
+    return binary
+
+
+def claim_other_proc(units):
+    units[0].update(name="q.seg0", proc_name="q", is_entry=False)
+
+
+def misspell_name(units):
+    units[0]["name"] = "p.seg00"
+
+
+def repeat_name(units):
+    units[1]["name"] = units[0]["name"]
+
+
+def misflag_entry(units):
+    units[1]["is_entry"] = True
+
+
+#: Each decode refusal: the document edit and the one code it earns.
+REFUSALS = [
+    pytest.param(claim_other_proc, "LAY003", "foreign block", id="proc"),
+    pytest.param(misspell_name, "LAY003", "plus", id="name"),
+    pytest.param(repeat_name, "LAY003", "repeats", id="duplicate"),
+    pytest.param(misflag_entry, "LAY004", "is_entry", id="entry"),
+]
+
+
+class TestLayoutDecodeRefusals:
+    def document(self, binary, mutate=None):
+        from repro.layout import split_source_order
+
+        document = layout_to_dict(split_source_order(binary))
+        assert [u["name"] for u in document["units"]] == ["p.seg0", "p.seg1", "q.seg0"]
+        if mutate is not None:
+            mutate(document["units"])
+        return document
+
+    def test_clean_document_decodes(self):
+        binary = split_binary()
+        document = self.document(binary)
+        assert layout_to_dict(layout_from_dict(document, binary)) == document
+
+    @pytest.mark.parametrize("mutate, code, words", REFUSALS)
+    def test_decode_check_refuses(self, mutate, code, words):
+        from repro.check.layout_checks import decode_layout
+
+        binary = split_binary()
+        layout, findings = decode_layout(binary, self.document(binary, mutate))
+        assert layout is None
+        assert {d.code for d in findings} == {code}
+        assert words in findings[0].message
+
+    @pytest.mark.parametrize("mutate, code, words", REFUSALS)
+    def test_layout_from_dict_raises(self, mutate, code, words):
+        binary = split_binary()
+        with pytest.raises(LayoutError, match=words):
+            layout_from_dict(self.document(binary, mutate), binary)
+
+    @pytest.mark.parametrize("mutate, code, words", REFUSALS)
+    def test_store_read_is_a_miss(self, mutate, code, words, tmp_path):
+        import json
+
+        binary = split_binary()
+        store = ArtifactStore(tmp_path)
+        path = store.prepare("fp", "layout-bad.json")
+        path.write_text(json.dumps(self.document(binary, mutate)))
+        assert store.load("fp", "layout-bad.json",
+                          lambda path: load_layout(path, binary)) is None

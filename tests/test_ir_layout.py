@@ -1,11 +1,13 @@
 """Tests for address assignment and branch fixups."""
 
+import pickle
+
 import pytest
 
 from repro.errors import LayoutError
 from repro.ir import (
+    WHOLE,
     Binary,
-    CodeUnit,
     INSTRUCTION_BYTES,
     Layout,
     Procedure,
@@ -38,18 +40,24 @@ def bid(binary, proc, label):
     return binary.proc(proc).block(label).bid
 
 
+def single(binary, ids, **fields):
+    """A layout of one whole-procedure unit (``p``) holding ``ids``."""
+    return Layout(
+        procs=binary.table.names, ids=ids, starts=[0], proc=[0], kind=[WHOLE], **fields
+    )
+
+
 class TestBaselineLayout:
     def test_units_follow_link_order(self):
         binary = build_branchy_binary()
         layout = baseline_layout(binary)
-        assert [u.name for u in layout.units] == ["p"]
-        assert layout.units[0].block_ids == (0, 1, 2, 3)
+        assert layout.names() == ["p"]
+        assert layout.blocks(0).tolist() == [0, 1, 2, 3]
+        assert layout.is_entry().tolist() == [True]
 
     def test_validate_against_detects_missing_block(self):
         binary = build_branchy_binary()
-        layout = Layout(
-            units=[CodeUnit("p", "p", (0, 1, 2))], name="broken"
-        )
+        layout = single(binary, (0, 1, 2), name="broken")
         with pytest.raises(LayoutError):
             layout.validate_against(binary)
 
@@ -58,15 +66,29 @@ class TestBaselineLayout:
         """Four distinct ids on a 4-block binary are not enough: -1
         would otherwise index block 3 and place it twice."""
         binary = build_branchy_binary()
-        layout = Layout(units=[CodeUnit("p", "p", ids)], name="broken")
+        layout = single(binary, ids, name="broken")
         with pytest.raises(LayoutError):
             layout.validate_against(binary)
         with pytest.raises(LayoutError):
             assign_addresses(binary, layout)
 
+    def test_pickles_without_the_binary(self):
+        binary = build_branchy_binary()
+        layout = single(binary, (0, 2, 1, 3), alignment=4, name="p")
+        blob = pickle.dumps(layout)
+        assert b"BasicBlock" not in blob and b"Binary" not in blob
+        copy = pickle.loads(blob)
+        assert copy.names() == ["p"] and copy.ids.tolist() == [0, 2, 1, 3]
+        assert (copy.alignment, copy.name, copy.procs) == (4, "p", ("p",))
+        assert not any(
+            getattr(copy, field).flags.writeable
+            for field in ("ids", "starts", "proc", "kind", "pad")
+        )
+
     def test_empty_unit_rejected(self):
-        with pytest.raises(LayoutError):
-            CodeUnit("u", "p", ())
+        binary = build_branchy_binary()
+        with pytest.raises(LayoutError, match="no blocks"):
+            Layout(binary.table.names, [0, 1, 2, 3], [0, 4], [0, 0], [0, 1])
 
 
 class TestAddressAssignment:
@@ -101,7 +123,7 @@ class TestAddressAssignment:
             bid(binary, "p", "hot"),
             bid(binary, "p", "exit"),
         )
-        layout = Layout(units=[CodeUnit("p", "p", ids)], alignment=4)
+        layout = single(binary, ids, alignment=4)
         amap = assign_addresses(binary, layout)
         cold = bid(binary, "p", "cold")
         assert cold in amap.appended_branches
@@ -117,7 +139,7 @@ class TestAddressAssignment:
             bid(binary, "p", "exit"),
             bid(binary, "p", "cold"),
         )
-        layout = Layout(units=[CodeUnit("p", "p", ids)], alignment=4)
+        layout = single(binary, ids, alignment=4)
         amap = assign_addresses(binary, layout)
         hot = bid(binary, "p", "hot")
         assert hot in amap.deleted_branches
@@ -133,7 +155,7 @@ class TestAddressAssignment:
             bid(binary, "p", "exit"),
             bid(binary, "p", "hot"),
         )
-        layout = Layout(units=[CodeUnit("p", "p", ids)], alignment=4)
+        layout = single(binary, ids, alignment=4)
         amap = assign_addresses(binary, layout)
         entry = bid(binary, "p", "entry")
         assert entry in amap.inverted
@@ -150,7 +172,7 @@ class TestAddressAssignment:
             bid(binary, "p", "hot"),
             bid(binary, "p", "cold"),
         )
-        layout = Layout(units=[CodeUnit("p", "p", ids)], alignment=4)
+        layout = single(binary, ids, alignment=4)
         amap = assign_addresses(binary, layout)
         entry = bid(binary, "p", "entry")
         hot = bid(binary, "p", "hot")

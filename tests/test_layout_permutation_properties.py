@@ -13,15 +13,14 @@ from hypothesis import strategies as st
 
 from repro.ir import (
     Binary,
-    CodeUnit,
     INSTRUCTION_BYTES,
-    Layout,
     Procedure,
     Terminator,
     assign_addresses,
+    baseline_layout,
 )
 from repro.progen import AppCodeConfig, build_app_program
-from repro.layout.splitting import split_procedure_source_order
+from repro.layout.splitting import split_source_order
 
 
 @pytest.fixture(scope="module")
@@ -32,17 +31,10 @@ def program():
 
 
 def permuted_layout(binary, rng, split=False, alignment=4):
-    units = []
-    for name in binary.proc_order():
-        if split:
-            units.extend(split_procedure_source_order(binary, name))
-        else:
-            units.append(CodeUnit(
-                name=name, proc_name=name,
-                block_ids=tuple(binary.proc(name).block_ids()),
-            ))
-    rng.shuffle(units)
-    return Layout(units=units, alignment=alignment, name="perm")
+    units = split_source_order(binary) if split else baseline_layout(binary)
+    return units.permuted(
+        rng.permutation(units.num_units), alignment=alignment, name="perm"
+    )
 
 
 class TestPermutationProperties:
@@ -69,8 +61,7 @@ class TestPermutationProperties:
         rng = np.random.default_rng(seed)
         layout = permuted_layout(program.binary, rng, alignment=32)
         amap = assign_addresses(program.binary, layout)
-        for start in amap.unit_starts.values():
-            assert start % 32 == 0
+        assert (amap.unit_starts % 32 == 0).all()
 
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -96,7 +87,7 @@ class TestPermutationProperties:
         layout = permuted_layout(program.binary, rng, split=False, alignment=16)
         amap = assign_addresses(program.binary, layout)
         static = program.binary.static_size * INSTRUCTION_BYTES
-        slack = (program.binary.num_blocks + len(layout.units) * 4) * \
+        slack = (program.binary.num_blocks + layout.num_units * 4) * \
             INSTRUCTION_BYTES
         assert static - slack <= amap.total_bytes <= static + slack
 

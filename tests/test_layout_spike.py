@@ -91,7 +91,7 @@ class TestPipelines:
 
     def test_base_uses_proc_alignment(self, profiled):
         amap = assign_addresses(profiled.binary, profiled.layout("base"))
-        for start in list(amap.unit_starts.values())[:50]:
+        for start in amap.unit_starts[:50].tolist():
             assert start % 16 == 0
 
     def test_all_packs_densely(self, profiled):
@@ -139,6 +139,6 @@ class TestLayoutProperties:
         optimizer = SpikeOptimizer(profiled.binary, profile)
         layout = optimizer.layout("all")
         placed_entries = {
-            u.proc_name for u in layout.units if u.is_entry
+            layout.procs[p] for p in layout.proc[layout.is_entry()].tolist()
         }
         assert placed_entries == set(profiled.binary.proc_order())

@@ -3,15 +3,22 @@
 import numpy as np
 import pytest
 
-from repro.ir import Binary, Procedure, Terminator, assign_addresses, Layout
+from repro.ir import Binary, Procedure, Terminator, assign_addresses
 from repro.layout import (
     cfa_layout,
     chain_blocks,
     split_chains,
     split_hot_cold,
-    split_procedure_source_order,
+    split_source_order,
 )
 from repro.ir import flow_graph_from_edge_counts
+
+
+def unit_labels(binary, layout):
+    return [
+        [binary.block(b).label for b in layout.blocks(u).tolist()]
+        for u in range(layout.num_units)
+    ]
 
 
 def segmented_binary():
@@ -33,16 +40,14 @@ def segmented_binary():
 class TestSourceOrderSplitting:
     def test_segments_end_at_uncond_and_return(self):
         binary = segmented_binary()
-        units = split_procedure_source_order(binary, "p")
-        labels = [
-            [binary.block(b).label for b in u.block_ids] for u in units
-        ]
-        assert labels == [["a", "b"], ["c"], ["d"]]
+        layout = split_source_order(binary)
+        assert unit_labels(binary, layout) == [["a", "b"], ["c"], ["d"]]
+        assert layout.names() == ["p.seg0", "p.seg1", "p.seg2"]
 
     def test_exactly_one_entry_unit(self):
         binary = segmented_binary()
-        units = split_procedure_source_order(binary, "p")
-        assert [u.is_entry for u in units] == [True, False, False]
+        layout = split_source_order(binary)
+        assert layout.is_entry().tolist() == [True, False, False]
 
     def test_trailing_open_segment_is_flushed(self):
         binary = Binary()
@@ -52,9 +57,9 @@ class TestSourceOrderSplitting:
         proc.add_block("c", 2, Terminator.COND_BRANCH, succs=("b", "c"))
         binary.add_procedure(proc)
         binary.seal()
-        units = split_procedure_source_order(binary, "p")
-        assert len(units) == 2
-        assert len(units[1].block_ids) == 2
+        layout = split_source_order(binary)
+        assert layout.num_units == 2
+        assert len(layout.blocks(1)) == 2
 
 
 class TestChainedSplitting:
@@ -68,10 +73,7 @@ class TestChainedSplitting:
             (proc.block("b").bid, proc.block("d").bid): 90,
         }
         chaining = chain_blocks(proc, flow_graph_from_edge_counts(proc, edges), counts)
-        units = split_chains(binary, chaining)
-        labels = [
-            [binary.block(b).label for b in u.block_ids] for u in units
-        ]
+        labels = unit_labels(binary, split_chains(binary, [chaining]))
         # Hot chain a-b-d: segment breaks after b? No: b's uncond target
         # d is chained right after it, so the chain is a,b,d; b ends a
         # segment (uncond terminator) -> segments [a,b], [d], [c].
@@ -84,40 +86,35 @@ class TestChainedSplitting:
         chaining = chain_blocks(
             proc, flow_graph_from_edge_counts(proc, {}), counts
         )
-        units = split_chains(binary, chaining)
-        covered = [b for u in units for b in u.block_ids]
-        assert sorted(covered) == sorted(proc.block_ids())
+        layout = split_chains(binary, [chaining])
+        assert sorted(layout.ids.tolist()) == sorted(proc.block_ids())
 
 
 class TestHotColdSplitting:
     def test_unexecuted_blocks_go_cold(self):
         binary = segmented_binary()
         counts = np.array([100, 0, 100, 0], dtype=np.int64)
-        units = split_hot_cold(binary, "p", counts)
-        by_name = {u.name: u for u in units}
-        hot_labels = {binary.block(b).label for b in by_name["p.hot"].block_ids}
-        cold_labels = {binary.block(b).label for b in by_name["p.cold"].block_ids}
-        assert hot_labels == {"a", "c"}
-        assert cold_labels == {"b", "d"}
+        layout = split_hot_cold(binary, counts)
+        assert layout.names() == ["p.hot", "p.cold"]
+        assert unit_labels(binary, layout) == [["a", "c"], ["b", "d"]]
 
     def test_entry_forced_hot(self):
         binary = segmented_binary()
         counts = np.zeros(4, dtype=np.int64)
-        units = split_hot_cold(binary, "p", counts)
+        layout = split_hot_cold(binary, counts)
         entry = binary.proc("p").entry.bid
-        assert entry in units[0].block_ids
-        assert units[0].is_entry
+        assert layout.blocks(0).tolist() == [entry]
+        assert layout.is_entry().tolist() == [True, False]
 
     def test_fully_hot_proc_has_no_cold_unit(self):
         binary = segmented_binary()
         counts = np.array([10, 10, 10, 10], dtype=np.int64)
-        units = split_hot_cold(binary, "p", counts)
-        assert [u.name for u in units] == ["p.hot"]
+        assert split_hot_cold(binary, counts).names() == ["p.hot"]
 
 
 class TestCfaLayout:
     def make_units(self, binary):
-        return split_procedure_source_order(binary, "p")
+        return split_source_order(binary)
 
     def test_hot_units_fill_reserved_area_first(self):
         binary = segmented_binary()
@@ -130,8 +127,7 @@ class TestCfaLayout:
         assert report.hot_units >= 1
         amap = assign_addresses(binary, layout)
         # The hottest unit starts at address 0.
-        first = layout.units[0]
-        assert amap.unit_starts[first.name] == 0
+        assert amap.unit_starts[0] == 0
 
     def test_cold_code_avoids_reserved_sets(self):
         binary = segmented_binary()
@@ -143,11 +139,7 @@ class TestCfaLayout:
             alignment=8,
         )
         amap = assign_addresses(binary, layout)
-        hot_names = {u.name for u in layout.units[: report.hot_units]}
-        for unit in layout.units:
-            if unit.name in hot_names:
-                continue
-            start = amap.unit_starts[unit.name]
+        for start in amap.unit_starts[report.hot_units:].tolist():
             assert start % cache >= report.reserved_bytes
 
     def test_overflow_reported_when_hot_code_too_big(self):
@@ -159,9 +151,7 @@ class TestCfaLayout:
             binary, units, counts, cache_bytes=64, reserved_fraction=0.0625
         )
         assert report.hot_units == 0
-        assert report.hot_overflow_bytes == sum(
-            binary.block(b).size for u in units for b in u.block_ids
-        ) * 4
+        assert report.hot_overflow_bytes == binary.static_size * 4
 
     def test_bad_fraction_rejected(self):
         from repro.errors import LayoutError

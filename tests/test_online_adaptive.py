@@ -87,7 +87,7 @@ class TestAdaptiveRelayout:
         assert first.cache == CACHE_MISS
         second = relayout.rebuild(exp.profile)
         assert second.cache == CACHE_HIT
-        assert second.layout.block_order() == first.layout.block_order()
+        assert second.layout.ids.tolist() == first.layout.ids.tolist()
         assert second.rebuilt_procs == ()
 
     def test_without_store_every_rebuild_is_cold(self, exp):
@@ -107,7 +107,7 @@ class TestAdaptiveRelayout:
         )
         assert incremental.rebuilt_procs == ()
         assert incremental.reused_chains > 0
-        assert incremental.layout.block_order() == baseline.layout.block_order()
+        assert incremental.layout.ids.tolist() == baseline.layout.ids.tolist()
 
     def test_corrupt_cache_entry_degrades_to_rebuild(self, exp, tmp_path):
         store = ArtifactStore(tmp_path / "cache")
@@ -117,7 +117,7 @@ class TestAdaptiveRelayout:
         path.write_text("{not json")
         again = relayout.rebuild(exp.profile)
         assert again.cache == CACHE_MISS
-        assert again.layout.block_order() == first.layout.block_order()
+        assert again.layout.ids.tolist() == first.layout.ids.tolist()
 
 
 class TestReuseChainings:

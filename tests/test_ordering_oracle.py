@@ -17,10 +17,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.harness import quick_experiment
-from repro.ir import Binary, CodeUnit, Procedure, Terminator, UnitCallGraph
+from repro.ir import Binary, Procedure, Terminator, UnitCallGraph, baseline_layout
 from repro.layout import Combo, SpikeOptimizer, order_units
 from repro.layout import spike as spike_module
-from tests import ordering_reference
+from tests import layout_reference, ordering_reference
 
 #: Edge weights: small integers tie often; 0.0 exercises the skipped
 #: zero edges; 0.1/0.2/0.3 make summation order visible; 1e16 absorbs
@@ -33,7 +33,7 @@ WEIGHTS = st.one_of(
 
 @st.composite
 def ordering_inputs(draw):
-    """``(binary, units, graph, block_counts, max_displacement)``."""
+    """``(binary, layout, graph, block_counts, max_displacement)``."""
     n = draw(st.integers(1, 16))
     binary = Binary("oracle")
     for i in range(n):
@@ -49,20 +49,13 @@ def ordering_inputs(draw):
             )
         binary.add_procedure(proc)
     binary.seal()
-    units = [
-        CodeUnit(
-            name=f"p{i}",
-            proc_name=f"p{i}",
-            block_ids=tuple(b.bid for b in binary.proc(f"p{i}").blocks),
-        )
-        for i in range(n)
-    ]
+    layout = baseline_layout(binary)
     counts = np.asarray(
         draw(st.lists(st.integers(0, 3), min_size=binary.num_blocks,
                       max_size=binary.num_blocks)),
         dtype=np.int64,
     )
-    graph = UnitCallGraph(u.name for u in units)
+    graph = UnitCallGraph(n)
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     if pairs:
         chosen = draw(st.lists(st.sampled_from(pairs), max_size=3 * n))
@@ -73,22 +66,28 @@ def ordering_inputs(draw):
         for a, b in chosen:
             if draw(st.booleans()):
                 a, b = b, a  # parallel edges in either direction are summed
-            graph.add_weight(f"p{a}", f"p{b}", draw(WEIGHTS))
+            graph.add_weight(a, b, draw(WEIGHTS))
     total = sum(b.size for b in binary.blocks()) * 4
     max_displacement = draw(st.one_of(
         st.just(1 << 20), st.integers(4, max(4, total))
     ))
-    return binary, units, graph, counts, max_displacement
+    return binary, layout, graph, counts, max_displacement
 
 
-def assert_same_ordering(binary, units, graph, counts, max_displacement):
+def assert_same_ordering(binary, layout, graph, counts, max_displacement):
     got = order_units(
-        binary, units, graph, counts, max_displacement=max_displacement
+        binary, layout, graph, counts, max_displacement=max_displacement
     )
+    # The reference orders the same units and weights, keyed by name.
+    names = layout.names()
+    named = layout_reference.UnitCallGraph(names)
+    for (a, b), weight in graph._weights.items():
+        named._weights[named._key(names[a], names[b])] = weight
     want = ordering_reference.order_units(
-        binary, units, graph, counts, max_displacement=max_displacement
+        binary, layout_reference.to_units(layout), named, counts,
+        max_displacement=max_displacement,
     )
-    assert [u.name for u in got.units] == [u.name for u in want.units]
+    assert [names[u] for u in got.order.tolist()] == [u.name for u in want.units]
     assert got.merges == want.merges
     assert got.displacement_refusals == want.displacement_refusals
     return got
@@ -108,15 +107,11 @@ def test_small_limit_refuses_merges():
         proc.add_block("b", 8, Terminator.RETURN)
         binary.add_procedure(proc)
     binary.seal()
-    units = [
-        CodeUnit(name=n, proc_name=n, block_ids=(binary.proc(n).entry.bid,))
-        for n in "ABCD"
-    ]
-    graph = UnitCallGraph("ABCD")
-    for a, b, w in (("A", "B", 3), ("B", "C", 3), ("C", "D", 3), ("A", "D", 1)):
+    graph = UnitCallGraph(4)
+    for a, b, w in ((0, 1, 3), (1, 2, 3), (2, 3, 3), (0, 3, 1)):
         graph.add_weight(a, b, w)
     counts = np.ones(binary.num_blocks, dtype=np.int64)
-    result = assert_same_ordering(binary, units, graph, counts, 64)
+    result = assert_same_ordering(binary, baseline_layout(binary), graph, counts, 64)
     assert result.displacement_refusals > 0 and result.merges == 2
 
 
@@ -131,10 +126,10 @@ def test_quick_combos_match_reference(exp, side, source, monkeypatch):
     """Every ordering a quick-config combo runs equals the reference's."""
     calls = []
 
-    def checked(binary, units, graph, block_counts, max_displacement):
-        calls.append(len(units))
+    def checked(binary, layout, graph, block_counts, max_displacement):
+        calls.append(layout.num_units)
         return assert_same_ordering(
-            binary, units, graph, block_counts, max_displacement
+            binary, layout, graph, block_counts, max_displacement
         )
 
     monkeypatch.setattr(spike_module, "order_units", checked)

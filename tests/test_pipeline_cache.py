@@ -93,8 +93,7 @@ class TestArtifactStoreRoundtrip:
         for mine, theirs in zip(cold.trace.cpus, warm.trace.cpus):
             assert np.array_equal(mine.blocks, theirs.blocks)
             assert np.array_equal(mine.pids, theirs.pids)
-        assert [u.name for u in cold.layout("all").units] == \
-            [u.name for u in warm.layout("all").units]
+        assert cold.layout("all").names() == warm.layout("all").names()
 
     def test_corrupted_entry_falls_back_to_recompute(self, tmp_path):
         store = ArtifactStore(tmp_path / "cache")
@@ -108,8 +107,7 @@ class TestArtifactStoreRoundtrip:
         recovered = Experiment(tiny_config(), store=store)
         assert np.array_equal(recovered.trace.cpus[0].blocks, reference)
         assert recovered.runlog.cache_states("trace") == ["miss"]
-        assert [u.name for u in recovered.layout("all").units] == \
-            [u.name for u in cold.layout("all").units]
+        assert recovered.layout("all").names() == cold.layout("all").names()
 
     def test_stale_entry_for_other_binary_recomputed(self, tmp_path):
         store = ArtifactStore(tmp_path / "cache")
@@ -144,7 +142,7 @@ class TestArtifactStoreRoundtrip:
         store = ArtifactStore(tmp_path / "cache")
         exp = Experiment(tiny_config(), store=store)
         assert exp.layout("all", "static") is exp.layout("all", "static")
-        assert exp.kernel_layout("all", "static").units
+        assert exp.kernel_layout("all", "static").num_units
         written = {
             path.name for path in (store.root / exp.fingerprint).iterdir()
         }

@@ -12,6 +12,7 @@ budget follows the active hypothesis profile
 (``--hypothesis-profile=deep`` raises it).
 """
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -22,9 +23,9 @@ from hypothesis import strategies as st
 from repro.errors import IRError, LayoutError
 from repro.harness import quick_experiment
 from repro.ir import (
+    WHOLE,
     Binary,
     BlockTable,
-    CodeUnit,
     Layout,
     Procedure,
     Terminator,
@@ -45,7 +46,8 @@ def assert_same_map(binary, layout):
     for name in ("inverted", "deleted_branches", "appended_branches"):
         assert getattr(got, name) == getattr(want, name), name
         assert all(type(bid) is int for bid in getattr(got, name)), name
-    assert list(got.unit_starts.items()) == list(want.unit_starts.items())
+    assert got.unit_starts.dtype == want.unit_starts.dtype == np.int64
+    assert np.array_equal(got.unit_starts, want.unit_starts)
     assert got.total_bytes == want.total_bytes
     assert type(got.total_bytes) is int
 
@@ -89,19 +91,19 @@ def placements(draw):
     n = binary.num_blocks
     order = draw(st.one_of(st.just(list(range(n))), st.permutations(range(n))))
     cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1))) if n > 1 else []
-    bounds = [0] + cuts + [n]
-    units = [
-        CodeUnit(
-            # A few repeated names exercise unit_starts overwrites.
-            name=f"u{draw(st.integers(0, len(bounds)))}",
-            proc_name=binary.block(order[lo]).proc_name,
-            block_ids=tuple(order[lo:hi]),
-            pad_before=draw(st.sampled_from([0, 0, 0, 2, 4, 6, 16])),
-        )
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
+    starts = [0] + cuts
     alignment = draw(st.sampled_from([1, 2, 3, 4, 4, 8, 16, 64]))
-    return binary, Layout(units=units, alignment=alignment, name="random")
+    layout = Layout(
+        procs=binary.table.names,
+        ids=order,
+        starts=starts,
+        proc=binary.table.proc[np.array(order)[starts]],
+        kind=[draw(st.integers(-3, 4)) for _ in starts],
+        pad=[draw(st.sampled_from([0, 0, 0, 2, 4, 6, 16])) for _ in starts],
+        alignment=alignment,
+        name="random",
+    )
+    return binary, layout
 
 
 @given(placements())
@@ -128,7 +130,7 @@ def test_quick_layouts_match_reference(exp, side, source):
     for combo in Combo.names():
         layout = optimizer.layout(combo)
         assert_same_map(program.binary, layout)
-        dense = Layout(units=layout.units, alignment=4, name=layout.name)
+        dense = dataclasses.replace(layout, alignment=4)
         assert_same_map(program.binary, dense)
 
 
@@ -139,7 +141,7 @@ def test_out_of_range_ids_rejected_by_both():
         proc.add_block(f"b{k}", 2, Terminator.RETURN)
     binary.add_procedure(proc)
     binary.seal()
-    layout = Layout(units=[CodeUnit("p", "p", (0, 1, 2, -1))], alignment=4)
+    layout = Layout(binary.table.names, (0, 1, 2, -1), [0], [0], [WHOLE], alignment=4)
     for assign in (assign_addresses, reference_assign_addresses):
         with pytest.raises(LayoutError, match="block id -1"):
             assign(binary, layout)
@@ -170,12 +172,17 @@ class TestBlockTable:
             assert [order[i] for i in table.proc.tolist()] == [
                 b.proc_name for b in blocks
             ]
+            assert [order[i] if i >= 0 else None for i in table.callee.tolist()] == [
+                b.call_target for b in blocks
+            ]
+            assert table.names == tuple(order)
+            assert table.entry.tolist() == [binary.entry_bid(name) for name in order]
             assert table.size.dtype == np.int64
             assert table.proc.dtype == np.int64
 
     def test_arrays_are_read_only(self, exp):
         table = exp.app.binary.table
-        for name in ("size", "term", "succ0", "succ1", "proc"):
+        for name in ("size", "term", "succ0", "succ1", "proc", "callee", "entry"):
             column = getattr(table, name)
             assert not column.flags.writeable, name
             with pytest.raises(ValueError):

@@ -21,13 +21,15 @@ from repro.cache import CacheGeometry
 from repro.sim import direct_mapped_misses, itlb_result
 from repro.harness import quick_experiment
 from repro.harness.figures import (
+    L1I_64K,
     detailed_results,
     fig09_word_usage,
     fig10_word_reuse,
     fig11_lifetimes,
 )
 from repro.harness.store import save_trace
-from repro.layout import Combo, SpikeOptimizer
+from repro.ir import baseline_layout, build_unit_call_graph
+from repro.layout import Combo, SpikeOptimizer, color_layout, temporal_order
 from repro.serve.cache import encode_layout
 
 
@@ -312,6 +314,13 @@ LAYOUT_SHA256 = {
         "00c383f34970daad071021c0f1a0910288505068a3726aa2811f0c6980b1daf0",
 }
 
+#: sha256 of ``encode_layout`` of the extension layouts (app, measured).
+EXTENSION_LAYOUT_SHA256 = {
+    "cfa": "24aed4ba45bfd2c56e2f75fd1beb901142160346243fe83d4286c18988fdcd72",
+    "coloring": "e4a55d606a54bbe23d461afdf92ecda04db1efedfccfb7716a4d33733255bf9e",
+    "temporal": "028159f4719640247a89519de9ae810f32a53dca2e0bc5cab76b289b6bba0e26",
+}
+
 
 class TestLayoutPin:
     def test_every_combo_layout_pinned(self, exp):
@@ -328,3 +337,33 @@ class TestLayoutPin:
                         encoded
                     ).hexdigest()
         assert digests == LAYOUT_SHA256
+
+    def test_extension_layouts_pinned(self, exp):
+        """The CFA, coloring and temporal layouts, built as the
+        ``ablation_cfa``, ``ext_coloring`` and ``ext_temporal`` figures
+        build them."""
+        binary, profile = exp.app.binary, exp.profile
+        cfa, _ = exp.optimizer.cfa(
+            cache_bytes=L1I_64K.l1i.size_bytes, reserved_fraction=0.25
+        )
+        procedures = baseline_layout(binary)
+        graph = build_unit_call_graph(
+            binary, procedures, profile.block_counts,
+            edge_counts=profile.edge_counts or None,
+        )
+        coloring, _ = color_layout(
+            binary, procedures, graph, profile.block_counts,
+            cache_bytes=L1I_64K.l1i.size_bytes, line_bytes=L1I_64K.l1i.line_bytes,
+        )
+        temporal = temporal_order(
+            binary, procedures,
+            [exp.trace.app_block_stream(i) for i in range(len(exp.trace.cpus))],
+            profile.block_counts, window=24,
+        )
+        digests = {
+            name: hashlib.sha256(encode_layout(layout)).hexdigest()
+            for name, layout in (
+                ("cfa", cfa), ("coloring", coloring), ("temporal", temporal)
+            )
+        }
+        assert digests == EXTENSION_LAYOUT_SHA256

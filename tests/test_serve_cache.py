@@ -11,6 +11,11 @@ from repro.serve.server import serve_counters
 
 
 @pytest.fixture(scope="module")
+def binary(serve_env):
+    return serve_env[0]
+
+
+@pytest.fixture(scope="module")
 def layouts(serve_env):
     """``all`` layouts for both profiles, keyed by fingerprint."""
     binary, profiles = serve_env
@@ -30,8 +35,8 @@ def counted(before, name):
     return serve_counters().get(name, 0) - before.get(name, 0)
 
 
-def test_memory_tier_round_trip(layouts):
-    cache = LayoutCache()
+def test_memory_tier_round_trip(binary, layouts):
+    cache = LayoutCache(binary)
     fp, layout = next(iter(layouts.items()))
     before = serve_counters()
     assert cache.get(fp, "all", passes) == (None, "")
@@ -45,8 +50,8 @@ def test_memory_tier_round_trip(layouts):
     assert len(cache) == 1
 
 
-def test_lru_eviction_order(layouts):
-    cache = LayoutCache(memory_entries=2)
+def test_lru_eviction_order(binary, layouts):
+    cache = LayoutCache(binary, memory_entries=2)
     fp, layout = next(iter(layouts.items()))
     before = serve_counters()
     cache.put(fp, "base", layout)
@@ -61,14 +66,14 @@ def test_lru_eviction_order(layouts):
     assert counted(before, "evictions") == 1
 
 
-def test_disk_tier_promotes_to_memory(layouts, tmp_path):
+def test_disk_tier_promotes_to_memory(binary, layouts, tmp_path):
     store = ArtifactStore(tmp_path)
     fp, layout = next(iter(layouts.items()))
-    LayoutCache(store).put(fp, "all", layout)
+    LayoutCache(binary, store).put(fp, "all", layout)
     assert store.has(fp, "serve-layout-all.json")
 
     # A fresh cache (fresh process, conceptually) hits the disk tier...
-    reborn = LayoutCache(store)
+    reborn = LayoutCache(binary, store)
     before = serve_counters()
     got, tier = reborn.get(fp, "all", passes)
     assert tier == "disk"
@@ -78,11 +83,11 @@ def test_disk_tier_promotes_to_memory(layouts, tmp_path):
     assert counted(before, "disk_hits") == 1 and counted(before, "hits") == 1
 
 
-def test_disk_entry_failing_the_gate_is_not_promoted(layouts, tmp_path):
+def test_disk_entry_failing_the_gate_is_not_promoted(binary, layouts, tmp_path):
     store = ArtifactStore(tmp_path)
     fp, layout = next(iter(layouts.items()))
-    LayoutCache(store).put(fp, "all", layout)
-    reborn = LayoutCache(store)
+    LayoutCache(binary, store).put(fp, "all", layout)
+    reborn = LayoutCache(binary, store)
     before = serve_counters()
     seen = []
 
@@ -100,8 +105,8 @@ def test_disk_entry_failing_the_gate_is_not_promoted(layouts, tmp_path):
     ] == [0, 0, 2]
 
 
-def test_distinct_fingerprints_do_not_collide(layouts, tmp_path):
-    cache = LayoutCache(ArtifactStore(tmp_path))
+def test_distinct_fingerprints_do_not_collide(binary, layouts, tmp_path):
+    cache = LayoutCache(binary, ArtifactStore(tmp_path))
     (fp_a, layout_a), (fp_b, layout_b) = layouts.items()
     cache.put(fp_a, "all", layout_a)
     cache.put(fp_b, "all", layout_b)
@@ -109,10 +114,10 @@ def test_distinct_fingerprints_do_not_collide(layouts, tmp_path):
     assert cache.get(fp_b, "all", passes)[0] == encode_layout(layout_b)
 
 
-def test_read_only_store_degrades_to_memory(layouts, tmp_path):
+def test_read_only_store_degrades_to_memory(binary, layouts, tmp_path):
     target = tmp_path / "ro"
     target.mkdir(mode=0o500)
-    cache = LayoutCache(ArtifactStore(target))
+    cache = LayoutCache(binary, ArtifactStore(target))
     fp, layout = next(iter(layouts.items()))
     cache.put(fp, "all", layout)  # disk write fails quietly
     assert cache.get(fp, "all", passes)[1] == "memory"

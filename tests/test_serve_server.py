@@ -457,7 +457,7 @@ class TestSwapGate:
             assert len(handle.server.cache) == 0
             for reply in replies:
                 assert check_all(
-                    binary, layout=layout_from_dict(reply.layout), target="test"
+                    binary, layout=layout_from_dict(reply.layout, binary), target="test"
                 ).ok
         finally:
             handle.stop()
